@@ -21,10 +21,10 @@ import time
 
 import numpy as np
 
-from repro.core.pipeline import HybridPipeline
+from repro.core.pipeline import PIPELINE_DEFAULT_CONFIG, HybridPipeline
 from repro.core.strategies import HybridStrategy
 from repro.hpc.cluster import ClusterModel, NodeSpec, strong_scaling, weak_scaling
-from repro.hpc.executor import ParallelExecutor
+from repro.hpc.runtime import ExecutionRuntime
 from repro.hpc.profiling import scaling_report
 from repro.hpc.scheduler import SCHEDULING_POLICIES, schedule
 
@@ -33,9 +33,7 @@ def build_workload(split):
     """The E1 hybrid ensemble as cluster dispatch units."""
     pipe = HybridPipeline(
         strategy=HybridStrategy(order=1, locality=1),
-        estimator="shots",
-        shots=1024,
-        chunk_size=25,
+        config=PIPELINE_DEFAULT_CONFIG.merged(estimator="shots", shots=1024, chunk_size=25),
     )
     return pipe, pipe.circuit_tasks(split.num_train)
 
@@ -96,14 +94,15 @@ def test_real_executor_smoke(benchmark, small_split):
     (results equality is asserted in the unit suite; here we just measure)."""
 
     def run():
-        pipe = HybridPipeline(
-            strategy=HybridStrategy(order=1, locality=1),
-            executor=ParallelExecutor("thread", 4),
-            chunk_size=25,
-        )
-        start = time.perf_counter()
-        pipe.fit(small_split.x_train, small_split.y_train)
-        return time.perf_counter() - start
+        with ExecutionRuntime("thread", 4) as runtime:
+            pipe = HybridPipeline(
+                strategy=HybridStrategy(order=1, locality=1),
+                executor=runtime,
+                config=PIPELINE_DEFAULT_CONFIG.merged(chunk_size=25),
+            )
+            start = time.perf_counter()
+            pipe.fit(small_split.x_train, small_split.y_train)
+            return time.perf_counter() - start
 
     elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\nreal thread-pool fit (m=221, d={small_split.num_train}): {elapsed:.2f}s")

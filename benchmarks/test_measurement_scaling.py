@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.api import ExecutionConfig
 from repro.core.features import generate_features
 from repro.core.strategies import ObservableConstruction
 from repro.quantum.observables import expectation, local_pauli_strings
@@ -24,7 +25,9 @@ def run_direct_sweep(split):
     shot_grid = [64, 256, 1024, 4096]
     errors = []
     for shots in shot_grid:
-        est = generate_features(strategy, angles, estimator="shots", shots=shots, seed=7)
+        est = generate_features(
+            strategy, angles, config=ExecutionConfig(estimator="shots", shots=shots, seed=7)
+        )
         errors.append(float(np.max(np.abs(est - exact))))
     return shot_grid, errors
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pipeline import HybridPipeline
+from repro.api import ExecutionConfig
+from repro.core.pipeline import PIPELINE_DEFAULT_CONFIG, HybridPipeline
 from repro.core.strategies import ObservableConstruction
 from repro.hpc.runtime import ExecutionRuntime
 from repro.quantum.backends import DensityMatrixBackend, MitigatedBackend
@@ -35,26 +36,26 @@ def test_noisy_pipeline_streams_through_process_pool():
     backend = DensityMatrixBackend(NoiseModel.depolarizing(0.02))
     from repro.core.features import generate_features
 
-    reference = generate_features(strategy, angles, backend=backend, chunk_size=CHUNK)
+    reference = generate_features(
+        strategy, angles, config=ExecutionConfig(backend=backend, chunk_size=CHUNK)
+    )
 
     with ExecutionRuntime("process", 2, start_method="spawn") as runtime:
         # Exact Kraus evolution => serial and pooled sweeps are bit-identical.
         q = generate_features(
             strategy,
             angles,
-            backend=backend,
             executor=runtime,
-            dispatch_policy="lpt",
-            chunk_size=CHUNK,
+            config=ExecutionConfig(backend=backend, dispatch_policy="lpt", chunk_size=CHUNK),
         )
         assert np.array_equal(q, reference)
 
         pipeline = HybridPipeline(
             strategy=strategy,
-            backend=backend,
             executor=runtime,
-            chunk_size=CHUNK,
-            scheduling_policy="lpt",
+            config=PIPELINE_DEFAULT_CONFIG.merged(
+                backend=backend, chunk_size=CHUNK, dispatch_policy="lpt"
+            ),
         ).fit(angles, y)
         preds = pipeline.predict(angles)
         assert runtime.pools_created == 1
@@ -71,14 +72,14 @@ def test_mitigated_backend_through_process_pool():
     )
     from repro.core.features import generate_features
 
-    reference = generate_features(strategy, angles, backend=backend, chunk_size=CHUNK)
+    reference = generate_features(
+        strategy, angles, config=ExecutionConfig(backend=backend, chunk_size=CHUNK)
+    )
     with ExecutionRuntime("process", 2, start_method="spawn") as runtime:
         q = generate_features(
             strategy,
             angles,
-            backend=backend,
             executor=runtime,
-            dispatch_policy="lpt",
-            chunk_size=CHUNK,
+            config=ExecutionConfig(backend=backend, dispatch_policy="lpt", chunk_size=CHUNK),
         )
     assert np.array_equal(q, reference)

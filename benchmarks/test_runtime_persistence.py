@@ -27,6 +27,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import env_flag, write_bench_record
+from repro.api import ExecutionConfig
 from repro.core.ansatz import hardware_efficient_ansatz
 from repro.core.features import evaluate_features
 from repro.core.strategies import AnsatzExpansion
@@ -57,9 +58,7 @@ def sweep(strategy, states, runtime):
         strategy,
         states,
         executor=runtime,
-        chunk_size=CHUNK,
-        compile="auto",
-        dispatch_policy="lpt",
+        config=ExecutionConfig(chunk_size=CHUNK, compile="auto", dispatch_policy="lpt"),
     )
 
 

@@ -3,7 +3,7 @@
 Shows the SC-track system layer end to end:
 
 1. fit the post-variational model through the instrumented
-   :class:`HybridPipeline` with a thread-pool executor;
+   :class:`HybridPipeline` on a thread-pool device session;
 2. read the stage timers and dispatch counters;
 3. project the same circuit workload onto a simulated 16-node QPU cluster
    and print the strong-scaling curve and an ASCII Gantt chart of the LPT
@@ -14,14 +14,13 @@ Run:  python examples/hpc_pipeline.py
 
 import numpy as np
 
-from repro.api import ExecutionConfig
+from repro.api import ExecutionConfig, QuantumDevice
 from repro.core import HybridStrategy
 from repro.core.pipeline import HybridPipeline
 from repro.data import binary_coat_vs_shirt
 from repro.hpc import (
     ClusterModel,
     NodeSpec,
-    ParallelExecutor,
     Trace,
     scaling_report,
     strong_scaling,
@@ -32,18 +31,17 @@ def main() -> None:
     split = binary_coat_vs_shirt(train_per_class=60, test_per_class=15)
 
     # --- real parallel execution with instrumentation -------------------
-    # One persistent runtime serves fit + both score sweeps; the context
-    # manager releases the pool at the end.  The report's dispatch line
-    # reconciles the LPT projection against measured per-task wall-clock.
-    # All execution knobs travel as one ExecutionConfig (repro.api).
-    with HybridPipeline(
-        strategy=HybridStrategy(order=1, locality=1),
-        executor=ParallelExecutor("thread", max_workers=4),
-        cluster=ClusterModel(node=NodeSpec(shot_rate=1e5), num_nodes=16),
-        config=ExecutionConfig(
-            dispatch_policy="lpt", chunk_size=30, compile="auto"
-        ),
-    ) as pipeline:
+    # One device session (config + persistent thread pool) serves fit and
+    # both score sweeps; its context manager releases the pool at the end.
+    # The report's dispatch line reconciles the LPT projection against
+    # measured per-task wall-clock.
+    cfg = ExecutionConfig(dispatch_policy="lpt", chunk_size=30, compile="auto")
+    with QuantumDevice(cfg, pool="thread", max_workers=4) as device:
+        pipeline = HybridPipeline(
+            strategy=HybridStrategy(order=1, locality=1),
+            cluster=ClusterModel(node=NodeSpec(shot_rate=1e5), num_nodes=16),
+            device=device,
+        )
         pipeline.fit(split.x_train, split.y_train)
         print(pipeline.report_.summary())
         print(f"train acc: {pipeline.score(split.x_train, split.y_train):.3f}")

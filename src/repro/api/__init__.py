@@ -15,8 +15,8 @@ transformer:
 
 Every feature entry point (``generate_features``, ``evaluate_features``,
 ``iter_feature_blocks``, ``HybridPipeline``, ``PostVariational*``,
-``generate_features_spmd``, the CLI) accepts ``config=`` / ``device=`` and
-delegates here; the loose execution kwargs remain as deprecated shims.
+``generate_features_spmd``, the CLI) is configured by ``config=`` /
+``device=`` and nothing else.
 
 ``QuantumDevice`` and ``QuantumFeatureMap`` are loaded lazily (PEP 562) so
 that ``repro.core`` modules can import :mod:`repro.api.config` while this
@@ -28,7 +28,6 @@ from __future__ import annotations
 from repro.api.config import (
     ESTIMATORS,
     SERVE_POOLS,
-    UNSET,
     ExecutionConfig,
     ServeConfig,
     TransportConfig,
@@ -45,7 +44,6 @@ __all__ = [
     "TransportConfig",
     "ESTIMATORS",
     "SERVE_POOLS",
-    "UNSET",
     "check_regime",
     "resolve_call",
     "resolve_chunk_size",

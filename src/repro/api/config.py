@@ -1,35 +1,24 @@
 """``ExecutionConfig`` -- the one typed object for every execution knob.
 
 The hybrid HPC-QC workflow is a single pipeline (encode -> dispatch ensemble
--> gather Q -> convex head), but its execution knobs (estimator, shots,
-snapshots, chunk_size, seed, compile, dispatch_policy, backend -- plus, since
-PR 5, vectorize, which was born config-only) historically travelled as loose
-keyword arguments copy-pasted across every entry point --
-and drifted (the model classes silently dropped ``chunk_size`` / ``compile``
-/ ``dispatch_policy``).  :class:`ExecutionConfig` bundles them into one
-frozen, picklable, JSON-serializable value object with centralized
-validation, so every surface (functions, pipelines, models, SPMD, CLI)
-resolves the *same* configuration the same way.
+-> gather Q -> convex head) with many execution knobs (estimator, shots,
+snapshots, chunk_size, seed, compile, dispatch_policy, backend, vectorize,
+...).  :class:`ExecutionConfig` bundles them into one frozen, picklable,
+JSON-serializable value object with centralized validation, so every
+surface (functions, pipelines, models, SPMD, CLI) resolves the *same*
+configuration the same way.
 
 This module is the validation root: :func:`check_regime` (estimator x
 backend compatibility) and :func:`resolve_chunk_size` (work-grid
-granularity) live here and are re-exported by :mod:`repro.core.features`
-for backward compatibility.
-
-Legacy keyword arguments remain accepted everywhere as deprecated shims:
-:func:`resolve_call` detects explicitly-passed legacy knobs (via the
-:data:`UNSET` sentinel), emits a :class:`DeprecationWarning` attributed to
-the first stack frame *outside* ``repro`` (so ``-W
-error::DeprecationWarning:repro`` catches internal violations without
-punishing downstream callers), and folds them into a config -- bit-equal to
-the old behaviour by construction.
+granularity) live here and are re-exported by :mod:`repro.core.features`.
+:func:`resolve_call` arbitrates between an entry point's ``config=``,
+``device=`` and ``executor=`` arguments, the only ways to configure a sweep.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass
 from collections.abc import Mapping
 from typing import Any
@@ -50,7 +39,6 @@ from repro.quantum.compile import resolve_fusion_width
 from repro.xp import resolve_array_backend, validate_array_backend
 
 __all__ = [
-    "UNSET",
     "ESTIMATORS",
     "CONFIG_FIELDS",
     "DEFAULT_CHUNK_SIZE",
@@ -64,7 +52,6 @@ __all__ = [
     "check_regime",
     "resolve_chunk_size",
     "resolve_call",
-    "values_differ",
 ]
 
 ESTIMATORS = ("exact", "shots", "shadows")
@@ -76,28 +63,6 @@ DEFAULT_CHUNK_SIZE = 128
 #: mitigated Kraus evolution, flagged by ``parallel_prepare``): small noisy
 #: datasets still split into enough jobs to occupy a worker pool.
 EXPENSIVE_CHUNK_SIZE = 8
-
-
-class _Unset:
-    """Sentinel distinguishing 'kwarg not passed' from any real value."""
-
-    _instance: _Unset | None = None
-
-    def __new__(cls) -> _Unset:
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "UNSET"
-
-    def __reduce__(self):
-        return (_Unset, ())
-
-
-#: Default for every legacy execution kwarg: its presence means "build the
-#: value from the active :class:`ExecutionConfig` instead".
-UNSET: Any = _Unset()
 
 
 def check_regime(estimator: str, backend: QuantumBackend) -> None:
@@ -127,8 +92,7 @@ def resolve_chunk_size(chunk_size: int | None, backend: QuantumBackend) -> int:
 class ExecutionConfig:
     """Frozen value object bundling every Q-matrix execution knob.
 
-    Fields mirror the historical keyword arguments one-for-one, with the
-    same defaults as the feature functions (``compile="off"`` keeps the
+    The defaults are the feature functions' (``compile="off"`` keeps the
     naive reference semantics bit-for-bit; orchestrators that prefer the
     compiled engine construct their own defaults):
 
@@ -299,10 +263,8 @@ class ExecutionConfig:
     def merged(self, **overrides: Any) -> ExecutionConfig:
         """A new config with ``overrides`` applied (and re-validated).
 
-        Unknown keys raise ``TypeError``; ``UNSET`` values are ignored, so
-        deprecation shims can forward their whole kwarg dict unfiltered.
+        Unknown keys raise ``TypeError``.
         """
-        overrides = {k: v for k, v in overrides.items() if v is not UNSET}
         if not overrides:
             return self
         return dataclasses.replace(self, **overrides)
@@ -351,8 +313,7 @@ class ExecutionConfig:
         return cls.from_dict(json.loads(text))
 
 
-#: The execution-knob field names, in declaration order -- orchestrator
-#: dataclasses (models, pipeline) mirror exactly these as attributes.
+#: The execution-knob field names, in declaration order.
 CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ExecutionConfig))
 
 
@@ -479,7 +440,6 @@ class TransportConfig:
     # ---------------------------------------------------------- combinators
     def merged(self, **overrides: Any) -> TransportConfig:
         """A new config with ``overrides`` applied (and re-validated)."""
-        overrides = {k: v for k, v in overrides.items() if v is not UNSET}
         if not overrides:
             return self
         return dataclasses.replace(self, **overrides)
@@ -657,10 +617,9 @@ class ServeConfig:
     def merged(self, **overrides: Any) -> ServeConfig:
         """A new config with ``overrides`` applied (and re-validated).
 
-        Unknown keys raise ``TypeError``; ``UNSET`` values are ignored,
-        mirroring :meth:`ExecutionConfig.merged`.
+        Unknown keys raise ``TypeError``, mirroring
+        :meth:`ExecutionConfig.merged`.
         """
-        overrides = {k: v for k, v in overrides.items() if v is not UNSET}
         if not overrides:
             return self
         return dataclasses.replace(self, **overrides)
@@ -714,50 +673,13 @@ class ServeConfig:
 SERVE_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ServeConfig))
 
 
-def values_differ(a: Any, b: Any) -> bool:
-    """Inequality that tolerates array-bearing values (backends, seeds).
-
-    Used by the orchestrators' live attribute mirrors to detect
-    post-construction mutation without tripping over ambiguous NumPy
-    truth values.
-    """
-    if a is b:
-        return False
-    try:
-        return bool(a != b)
-    except Exception:
-        return True
-
-
-def _warn_legacy(owner: str, names: list[str], stacklevel: int) -> None:
-    """Deprecation warning attributed ``stacklevel`` frames above this call.
-
-    The attribution matters: the CI filter ``-W
-    error::DeprecationWarning:repro`` turns warnings registered *inside*
-    ``repro`` modules into errors, so internal code exercising its own
-    deprecated surface fails loudly while external callers (tests, user
-    scripts) only see a warning.  Each entry point therefore passes the
-    exact frame count from here to its caller instead of a heuristic.
-    """
-    warnings.warn(
-        f"{owner}: execution kwargs {names} are deprecated; pass "
-        f"config=ExecutionConfig(...) or device=QuantumDevice(...) instead "
-        f"(see repro.api)",
-        DeprecationWarning,
-        stacklevel=stacklevel + 1,
-    )
-
-
 def resolve_call(
     config: ExecutionConfig | None,
     device: Any,
     executor: Any,
-    legacy: Mapping[str, Any],
     *,
     owner: str,
     defaults: ExecutionConfig | None = None,
-    stacklevel: int = 2,
-    aliases: Mapping[str, str] | None = None,
 ) -> tuple[ExecutionConfig, Any]:
     """Resolve one entry-point call to ``(ExecutionConfig, executor)``.
 
@@ -765,18 +687,10 @@ def resolve_call(
 
     * ``device=`` -- supplies both config and runtime; combining it with
       ``config=`` or ``executor=`` is ambiguous and raises;
-    * ``config=`` -- used as-is (legacy kwargs alongside it raise);
-    * legacy kwargs -- deprecated: folded into ``defaults`` with a
-      :class:`DeprecationWarning` attributed ``stacklevel`` frames above
-      this call (2 = the entry point's own caller; dataclass entry points
-      add frames for the generated ``__init__`` + ``__post_init__``);
-    * nothing -- ``defaults`` (the entry point's historical defaults).
-
-    ``aliases`` maps config field names to the owner's caller-facing
-    spellings (the pipeline's ``scheduling_policy``) so the warning names
-    a kwarg the caller can actually grep for.
+    * ``config=`` -- used as-is, with the caller's ``executor``;
+    * neither -- ``defaults`` (the entry point's own defaults;
+      ``ExecutionConfig()`` when omitted).
     """
-    passed = {k: v for k, v in legacy.items() if v is not UNSET}
     if device is not None:
         if config is not None:
             raise TypeError(f"{owner}: pass config= or device=, not both")
@@ -784,16 +698,10 @@ def resolve_call(
             raise TypeError(
                 f"{owner}: device= already binds a runtime; do not pass executor= too"
             )
-        if passed:
-            raise TypeError(
-                f"{owner}: pass device= or legacy execution kwargs "
-                f"{sorted(passed)}, not both"
-            )
         # Structural check instead of isinstance (no import cycle on the
         # device module), but strict enough to reject the plausible mix-ups
-        # -- a ParallelExecutor/ExecutionRuntime (no ExecutionConfig) or a
-        # pipeline/feature map (config but no bound runtime): only a real
-        # device carries both.
+        # -- an ExecutionRuntime (no ExecutionConfig) or a pipeline/feature
+        # map (config but no bound runtime): only a real device carries both.
         from repro.hpc.runtime import ExecutionRuntime
 
         if not isinstance(
@@ -803,22 +711,10 @@ def resolve_call(
                 f"{owner}: device= expects a QuantumDevice, got {device!r}"
             )
         return device.config, device.runtime
-    if config is not None:
-        if not isinstance(config, ExecutionConfig):
-            raise TypeError(
-                f"{owner}: config must be an ExecutionConfig, got {config!r}"
-            )
-        if passed:
-            raise TypeError(
-                f"{owner}: pass config= or legacy execution kwargs "
-                f"{sorted(passed)}, not both"
-            )
-        return config, executor
-    base = defaults if defaults is not None else ExecutionConfig()
-    if passed:
-        aliases = aliases or {}
-        _warn_legacy(
-            owner, sorted(aliases.get(k, k) for k in passed), stacklevel + 1
+    if config is None:
+        return (defaults if defaults is not None else ExecutionConfig()), executor
+    if not isinstance(config, ExecutionConfig):
+        raise TypeError(
+            f"{owner}: config must be an ExecutionConfig, got {config!r}"
         )
-        return base.merged(**passed), executor
-    return base, executor
+    return config, executor

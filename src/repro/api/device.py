@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.api.config import ExecutionConfig
-from repro.hpc.executor import ParallelExecutor
 from repro.hpc.runtime import DispatchReport, ExecutionRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,9 +42,9 @@ class QuantumDevice:
     ``pool`` / ``max_workers`` / ``start_method`` build an owned
     :class:`ExecutionRuntime` (``max_workers=None`` resolves to 1 for the
     serial pool and ``"auto"`` otherwise).  Alternatively pass ``runtime=``
-    (a bare :class:`ExecutionRuntime` or a :class:`ParallelExecutor`
-    facade) to bind an existing, possibly shared, pool -- the device then
-    follows the library-wide ownership rule and never shuts it down.
+    (an :class:`ExecutionRuntime`) to bind an existing, possibly shared,
+    pool -- the device then follows the library-wide ownership rule and
+    never shuts it down.
 
     A device is **thread-safe**: ``run`` / ``evaluate`` / ``stream`` may be
     called concurrently from multiple threads (the serving layer drives one
@@ -64,7 +63,7 @@ class QuantumDevice:
         pool: str = "serial",
         max_workers: int | str | None = None,
         start_method: str | None = None,
-        runtime: ExecutionRuntime | ParallelExecutor | None = None,
+        runtime: ExecutionRuntime | None = None,
     ) -> None:
         if config is None:
             config = ExecutionConfig()
@@ -77,13 +76,8 @@ class QuantumDevice:
                     "runtime= binds an existing pool; pool=/max_workers=/"
                     "start_method= describe a new one -- pass one or the other"
                 )
-            if isinstance(runtime, ParallelExecutor):
-                runtime = runtime.runtime
             if not isinstance(runtime, ExecutionRuntime):
-                raise TypeError(
-                    f"runtime must be an ExecutionRuntime or ParallelExecutor, "
-                    f"got {runtime!r}"
-                )
+                raise TypeError(f"runtime must be an ExecutionRuntime, got {runtime!r}")
             self._runtime = runtime
             self._owns_runtime = False
         else:

@@ -48,7 +48,6 @@ from repro.core.decomposition import (
     truncate_by_weight,
 )
 from repro.core.analysis import QMatrixDiagnostics, diagnose_q_matrix, effective_rank
-from repro.core.noisy_features import generate_features_noisy
 from repro.core.reuploading import ReuploadingClassifier
 from repro.core.barren import GradientVarianceResult, barren_plateau_sweep, gradient_variance
 from repro.core.expressibility import (
@@ -109,7 +108,6 @@ __all__ = [
     "QMatrixDiagnostics",
     "diagnose_q_matrix",
     "effective_rank",
-    "generate_features_noisy",
     "ReuploadingClassifier",
     "GradientVarianceResult",
     "barren_plateau_sweep",

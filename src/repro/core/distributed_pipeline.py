@@ -22,15 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.config import UNSET, ExecutionConfig, resolve_call
+from repro.api.config import ExecutionConfig, resolve_call
 from repro.core.features import generate_features
 from repro.core.strategies import Strategy
 from repro.hpc.comm import Communicator
-from repro.hpc.executor import ParallelExecutor
 from repro.hpc.partition import block_partition
 from repro.hpc.runtime import ExecutionRuntime
 from repro.ml.losses import sigmoid
-from repro.quantum.backends import QuantumBackend
 
 __all__ = ["generate_features_spmd", "fit_logistic_spmd", "SpmdFitResult"]
 
@@ -39,14 +37,9 @@ def generate_features_spmd(
     comm: Communicator,
     strategy: Strategy,
     angles: np.ndarray,
-    estimator: str = UNSET,
-    shots: int = UNSET,
-    seed: int = UNSET,
-    allgather: bool = False,
-    executor: ParallelExecutor | ExecutionRuntime | None = None,
-    dispatch_policy: str = UNSET,
-    backend: QuantumBackend | None = UNSET,
     *,
+    allgather: bool = False,
+    executor: ExecutionRuntime | None = None,
     config: ExecutionConfig | None = None,
     device=None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -56,13 +49,13 @@ def generate_features_spmd(
     every rank instead receives the full ``(arange(d), Q)``.
 
     Execution is configured by ``config=``/``device=`` exactly as in
-    :func:`~repro.core.features.generate_features` (loose kwargs remain as
-    deprecated shims); the config must be identical on every rank.  The
-    config's ``seed`` must be an int: stochastic estimators derive per-rank
-    seeds from it and the block's first global row, making runs
-    deterministic for a *fixed* rank count (shot noise realisations differ
-    across rank counts, as they would on a real cluster with per-node
-    RNGs).  The exact estimator is independent of the rank count.
+    :func:`~repro.core.features.generate_features`; the config must be
+    identical on every rank.  The config's ``seed`` must be an int:
+    stochastic estimators derive per-rank seeds from it and the block's
+    first global row, making runs deterministic for a *fixed* rank count
+    (shot noise realisations differ across rank counts, as they would on a
+    real cluster with per-node RNGs).  The exact estimator is independent
+    of the rank count.
 
     ``executor`` (or a device's runtime) lets each rank drive a
     *persistent* node-local runtime (hybrid MPI x pool parallelism): the
@@ -70,19 +63,7 @@ def generate_features_spmd(
     rebuilt per call, and ``config.dispatch_policy`` orders the rank-local
     submission queue.
     """
-    cfg, executor = resolve_call(
-        config,
-        device,
-        executor,
-        dict(
-            estimator=estimator,
-            shots=shots,
-            seed=seed,
-            dispatch_policy=dispatch_policy,
-            backend=backend,
-        ),
-        owner="generate_features_spmd",
-    )
+    cfg, executor = resolve_call(config, device, executor, owner="generate_features_spmd")
     if not isinstance(cfg.seed, (int, np.integer)):
         raise ValueError(
             f"generate_features_spmd derives per-rank seeds and needs an int "

@@ -15,26 +15,23 @@ Three estimators exercise the paper's three measurement models:
 
 The work grid (Ansatz instance x data chunk) is embarrassingly parallel and
 is dispatched through the persistent
-:class:`repro.hpc.runtime.ExecutionRuntime` (or a
-:class:`repro.hpc.executor.ParallelExecutor` facade over one).  Dispatch is
-*streaming*: a per-task cost model (chunk size x Ansatz depth x shot
-budget, priced by :func:`repro.hpc.cluster.task_costs`) orders submission
-via the scheduling policies, and each completed block is scattered into the
-preallocated Q matrix as its future resolves -- no end-of-sweep barrier.
+:class:`repro.hpc.runtime.ExecutionRuntime`.  Dispatch is *streaming*: a
+per-task cost model (chunk size x Ansatz depth x shot budget, priced by
+:func:`repro.hpc.cluster.task_costs`) orders submission via the scheduling
+policies, and each completed block is scattered into the preallocated Q
+matrix as its future resolves -- no end-of-sweep barrier.
 :func:`iter_feature_blocks` exposes the same stream to incremental
 consumers.
 
 Execution is configured through the unified API (:mod:`repro.api`): every
 entry point takes ``config=`` (an
 :class:`~repro.api.config.ExecutionConfig`) or ``device=`` (a
-:class:`~repro.api.device.QuantumDevice` session); the historical loose
-kwargs remain as deprecated shims that build a config internally.  The
-regime itself is a :class:`~repro.quantum.backends.QuantumBackend`
-(``config.backend``): ideal statevector (default, compiled engine), noisy
-density-matrix (gate-level Kraus) or ZNE-mitigated -- every backend runs
-through the *same* job grid, cost model (density evolution priced ~4^n vs
-2^n) and streaming dispatch, so the noisy Q-matrix sweep parallelises
-exactly like the ideal one.
+:class:`~repro.api.device.QuantumDevice` session).  The regime itself is a
+:class:`~repro.quantum.backends.QuantumBackend` (``config.backend``): ideal
+statevector (default, compiled engine), noisy density-matrix (gate-level
+Kraus) or ZNE-mitigated -- every backend runs through the *same* job grid,
+cost model (density evolution priced ~4^n vs 2^n) and streaming dispatch,
+so the noisy Q-matrix sweep parallelises exactly like the ideal one.
 
 Execution is per-sample-oracle or batched: with ``config.vectorize="auto"``
 on a backend that supports it, :func:`generate_features` skips the separate
@@ -60,14 +57,12 @@ import numpy as np
 
 from repro.api.config import (
     ESTIMATORS,
-    UNSET,
     ExecutionConfig,
     resolve_call,
     resolve_chunk_size,
 )
 from repro.core.strategies import Strategy
 from repro.hpc.cluster import CircuitTask, stacked_pass_flops, task_costs
-from repro.hpc.executor import ParallelExecutor
 from repro.hpc.partition import chunk_ranges
 from repro.hpc.runtime import DispatchReport, ExecutionRuntime, TaskCompletion
 from repro.quantum.backends import QuantumBackend, resolve_backend
@@ -431,15 +426,9 @@ def feature_circuit_tasks(
     return tasks
 
 
-def _resolve_runtime(
-    executor: ParallelExecutor | ExecutionRuntime | None,
-) -> ExecutionRuntime:
-    """Accept the facade, a bare runtime, or None (inline serial runtime)."""
-    if executor is None:
-        return ExecutionRuntime()
-    if isinstance(executor, ExecutionRuntime):
-        return executor
-    return executor.runtime
+def _resolve_runtime(executor: ExecutionRuntime | None) -> ExecutionRuntime:
+    """The caller's runtime, or an inline serial one for ``None``."""
+    return ExecutionRuntime() if executor is None else executor
 
 
 class _PrepareWorker:
@@ -455,7 +444,7 @@ class _PrepareWorker:
 def prepare_states(
     backend: QuantumBackend | None,
     angles: np.ndarray,
-    executor: ParallelExecutor | ExecutionRuntime | None = None,
+    executor: ExecutionRuntime | None = None,
     chunk_size: int | None = None,
 ) -> np.ndarray:
     """Encode ``angles`` into the backend's prepared representation.
@@ -481,7 +470,7 @@ def _sweep_stream(
     strategy: Strategy,
     states: np.ndarray,
     cfg: ExecutionConfig,
-    executor: ParallelExecutor | ExecutionRuntime | None,
+    executor: ExecutionRuntime | None,
     records: list[TaskCompletion] | None,
     template: Circuit | None = None,
 ) -> tuple[Iterator[TaskCompletion], np.ndarray, ExecutionRuntime]:
@@ -546,18 +535,10 @@ def _sweep_stream(
 def generate_features(
     strategy: Strategy,
     angles: np.ndarray,
-    estimator: str = UNSET,
-    shots: int = UNSET,
-    snapshots: int = UNSET,
-    executor: ParallelExecutor | ExecutionRuntime | None = None,
-    chunk_size: int | None = UNSET,
-    seed: int | np.random.Generator | None = UNSET,
-    compile: str | int = UNSET,
-    dispatch_policy: str = UNSET,
+    *,
+    executor: ExecutionRuntime | None = None,
     out: np.ndarray | None = None,
     return_report: bool = False,
-    backend: QuantumBackend | None = UNSET,
-    *,
     config: ExecutionConfig | None = None,
     device=None,
 ) -> np.ndarray | tuple[np.ndarray, DispatchReport]:
@@ -571,15 +552,11 @@ def generate_features(
     ideal statevector backend, ``compile="off"`` -- the naive reference
     semantics bit-for-bit).
 
-    The loose execution kwargs (``estimator``/``shots``/``snapshots``/
-    ``chunk_size``/``seed``/``compile``/``dispatch_policy``/``backend``)
-    are **deprecated**: they still work, bit-equal, by constructing a
-    config internally, but emit a :class:`DeprecationWarning`.
-
-    ``executor`` binds the dispatch runtime (facade, bare runtime or None
-    for inline serial) and may accompany ``config=``; with
-    ``return_report=True`` the measured-vs-projected
-    :class:`~repro.hpc.runtime.DispatchReport` is returned alongside Q.
+    ``executor`` binds the dispatch runtime (None for inline serial) and
+    may accompany ``config=``; the runtime belongs to the caller and is
+    never shut down here.  With ``return_report=True`` the
+    measured-vs-projected :class:`~repro.hpc.runtime.DispatchReport` is
+    returned alongside Q.
 
     With ``config.vectorize="auto"`` (and a backend that supports it) the
     sweep runs batched: encoding and Ansatz evolution happen in one
@@ -587,22 +564,7 @@ def generate_features(
     of sample at a time -- same job grid, same per-task seeds, numerically
     equal to the per-sample oracle to <= 1e-10.
     """
-    cfg, executor = resolve_call(
-        config,
-        device,
-        executor,
-        dict(
-            estimator=estimator,
-            shots=shots,
-            snapshots=snapshots,
-            chunk_size=chunk_size,
-            seed=seed,
-            compile=compile,
-            dispatch_policy=dispatch_policy,
-            backend=backend,
-        ),
-        owner="generate_features",
-    )
+    cfg, executor = resolve_call(config, device, executor, owner="generate_features")
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 3:
         raise ValueError("angles must be (d, rows, cols)")
@@ -658,18 +620,10 @@ def generate_features(
 def evaluate_features(
     strategy: Strategy,
     states: np.ndarray,
-    estimator: str = UNSET,
-    shots: int = UNSET,
-    snapshots: int = UNSET,
-    executor: ParallelExecutor | ExecutionRuntime | None = None,
-    chunk_size: int | None = UNSET,
-    seed: int | np.random.Generator | None = UNSET,
-    compile: str | int = UNSET,
-    dispatch_policy: str = UNSET,
+    *,
+    executor: ExecutionRuntime | None = None,
     out: np.ndarray | None = None,
     return_report: bool = False,
-    backend: QuantumBackend | None = UNSET,
-    *,
     config: ExecutionConfig | None = None,
     device=None,
 ) -> np.ndarray | tuple[np.ndarray, DispatchReport]:
@@ -681,7 +635,7 @@ def evaluate_features(
     encoder-stage noise too).
 
     Execution is configured exactly as in :func:`generate_features`
-    (``config=``/``device=``; loose kwargs are deprecated shims).
+    (``config=`` / ``device=``, optional caller-owned ``executor=``).
 
     Assembly is streaming: blocks land in the (optionally caller-supplied)
     preallocated ``out`` matrix as their futures resolve, in completion
@@ -692,22 +646,7 @@ def evaluate_features(
     (one :class:`CompiledCircuit` pass per job); only the raw-angle entry
     point :func:`generate_features` can fold encoding into the stacked pass.
     """
-    cfg, executor = resolve_call(
-        config,
-        device,
-        executor,
-        dict(
-            estimator=estimator,
-            shots=shots,
-            snapshots=snapshots,
-            chunk_size=chunk_size,
-            seed=seed,
-            compile=compile,
-            dispatch_policy=dispatch_policy,
-            backend=backend,
-        ),
-        owner="evaluate_features",
-    )
+    cfg, executor = resolve_call(config, device, executor, owner="evaluate_features")
     if cfg.preflight != "off":
         # Prepared states have already lost their encoding template, so
         # only the config/plan layer (+ the bound Ansatz) can be linted.
@@ -720,7 +659,7 @@ def _assemble_features(
     strategy: Strategy,
     payload: np.ndarray,
     cfg: ExecutionConfig,
-    executor: ParallelExecutor | ExecutionRuntime | None,
+    executor: ExecutionRuntime | None,
     out: np.ndarray | None,
     return_report: bool,
     template: Circuit | None = None,
@@ -768,16 +707,8 @@ def _assemble_features(
 def iter_feature_blocks(
     strategy: Strategy,
     states: np.ndarray,
-    estimator: str = UNSET,
-    shots: int = UNSET,
-    snapshots: int = UNSET,
-    executor: ParallelExecutor | ExecutionRuntime | None = None,
-    chunk_size: int | None = UNSET,
-    seed: int | np.random.Generator | None = UNSET,
-    compile: str | int = UNSET,
-    dispatch_policy: str = UNSET,
-    backend: QuantumBackend | None = UNSET,
     *,
+    executor: ExecutionRuntime | None = None,
     config: ExecutionConfig | None = None,
     device=None,
 ) -> Iterator[tuple[FeatureJob, np.ndarray]]:
@@ -789,27 +720,15 @@ def iter_feature_blocks(
     features without ever materialising the full matrix.  Every job is
     yielded exactly once; the union of blocks tiles the full Q matrix.
     Identical numerics to :func:`evaluate_features` (same per-task seeds,
-    same ``config=``/``device=`` resolution, loose kwargs deprecated).
+    same ``config=``/``device=`` resolution, same preflight).
 
-    Setup (validation, binding/compilation, cost model) runs eagerly at the
-    call, so bad arguments raise here rather than at the first ``next()``.
+    Setup (validation, preflight, binding/compilation, cost model) runs
+    eagerly at the call, so bad arguments raise here rather than at the
+    first ``next()``.
     """
-    cfg, executor = resolve_call(
-        config,
-        device,
-        executor,
-        dict(
-            estimator=estimator,
-            shots=shots,
-            snapshots=snapshots,
-            chunk_size=chunk_size,
-            seed=seed,
-            compile=compile,
-            dispatch_policy=dispatch_policy,
-            backend=backend,
-        ),
-        owner="iter_feature_blocks",
-    )
+    cfg, executor = resolve_call(config, device, executor, owner="iter_feature_blocks")
+    if cfg.preflight != "off":
+        _run_preflight(strategy, None, cfg, owner="iter_feature_blocks")
     states = cfg.backend.coerce_states(np.asarray(states))
     stream, _, _ = _sweep_stream(strategy, states, cfg, executor, None)
     return (completion.result for completion in stream)

@@ -1,7 +1,9 @@
 """Post-variational quantum neural network models (paper Sec. V).
 
 The model is a quantum feature map (the strategy's ensemble, Algorithm 1)
-followed by a classical convex head:
+followed by a classical convex head, and the classes are exactly that
+composition: the :func:`~repro.core.features.generate_features` sweep
+(the one :class:`~repro.api.feature_map.QuantumFeatureMap` runs) plus
 
 * :class:`PostVariationalRegressor` -- linear regression head (closed-form
   ``alpha = Q^+ Y``, Eq. 29; optionally ridge or the l2-ball-constrained
@@ -9,14 +11,13 @@ followed by a classical convex head:
 * :class:`PostVariationalClassifier` -- logistic head ("adding an extra
   sigmoid ... at the end of the output"), binary or softmax multiclass.
 
-Execution is configured through the unified API: pass ``config=`` (an
+Execution is configured by ``config=`` (an
 :class:`~repro.api.config.ExecutionConfig`) or ``device=`` (a
-:class:`~repro.api.device.QuantumDevice` session).  The loose execution
-kwargs remain as deprecated shims -- and, unlike the historical models,
-now *all* of them are honored: ``chunk_size``, ``compile`` and
-``dispatch_policy`` previously existed only on :class:`HybridPipeline`
-and were silently dropped here (the knob-drift bug the config object
-fixes by construction).
+:class:`~repro.api.device.QuantumDevice` session), and by nothing else.
+Both are read at every fit/predict, so replacing either between fits takes
+effect; ``None`` means the default :class:`ExecutionConfig`.  Setting both
+is the same ``TypeError`` as at construction, raised by the next sweep, so
+clear one (``model.config = None``) before assigning the other.
 
 Both models cache the generated feature matrix and expose it
 (``q_train_``) so the error-propagation benches can perturb it in place.
@@ -29,13 +30,9 @@ from typing import Any, Literal
 
 import numpy as np
 
-from repro.api.config import UNSET, ExecutionConfig, resolve_call
+from repro.api.config import ExecutionConfig, resolve_call
 from repro.core.features import generate_features
-from repro.core.lifecycle import ConfigMirrorMixin
 from repro.core.strategies import Strategy
-from repro.hpc.executor import ParallelExecutor
-from repro.hpc.runtime import ExecutionRuntime
-from repro.quantum.backends import QuantumBackend
 from repro.ml.convex import ConstrainedLeastSquares, ConstrainedLogistic
 from repro.ml.linear import LinearRegression, RidgeRegression
 from repro.ml.logistic import LogisticRegression, SoftmaxRegression
@@ -44,86 +41,42 @@ from repro.ml.metrics import accuracy
 __all__ = ["PostVariationalRegressor", "PostVariationalClassifier"]
 
 
-class _ConfiguredModelMixin(ConfigMirrorMixin):
-    """Shared config/device resolution for the two model dataclasses.
+class _FeatureMapModel:
+    """The feature-map half both models share: validation and Q matrices."""
 
-    ``_resolve_execution`` folds the deprecated loose kwargs into one
-    validated :class:`ExecutionConfig` (or adopts the caller's
-    ``config=``/``device=``), then mirrors the resolved values back onto
-    the legacy attributes so existing introspection (``model.estimator``,
-    ``model.shots``, ...) keeps working.  The mirrors stay *live* (see
-    :class:`~repro.core.lifecycle.ConfigMirrorMixin`): post-construction
-    mutation of a mirror or of ``model.config`` is honored on the next
-    fit/predict, matching the historical read-at-sweep behaviour.
-    """
+    strategy: Strategy
+    config: ExecutionConfig | None
+    device: Any
 
-    def _resolve_execution(self, owner: str) -> None:
-        cfg, executor = resolve_call(
-            self.config,
-            self.device,
-            self.executor,
-            dict(
-                estimator=self.estimator,
-                shots=self.shots,
-                snapshots=self.snapshots,
-                chunk_size=self.chunk_size,
-                seed=self.seed,
-                compile=self.compile,
-                dispatch_policy=self.dispatch_policy,
-                backend=self.backend,
-            ),
-            owner=owner,
-            # resolve_call -> _resolve_execution -> __post_init__ ->
-            # dataclass __init__ -> external caller.
-            stacklevel=4,
-        )
-        self.executor = executor
-        self._apply_config(cfg)
+    def _check_execution(self) -> None:
+        if self.strategy is None:
+            raise ValueError("strategy is required")
+        resolve_call(self.config, self.device, None, owner=type(self).__name__)
 
     def _features(self, angles: np.ndarray) -> np.ndarray:
-        # Sync first: a post-construction device swap rebinds self.executor,
-        # so it must run before the executor= keyword is evaluated.
-        cfg = self._current_config()
         return generate_features(
-            self.strategy,
-            angles,
-            executor=self.executor,
-            config=cfg,
+            self.strategy, angles, config=self.config, device=self.device
         )
 
 
 @dataclass
-class PostVariationalRegressor(_ConfiguredModelMixin):
+class PostVariationalRegressor(_FeatureMapModel):
     """Quantum features + linear-regression head.
 
     ``head``: 'pinv' (paper closed form), 'ridge' (Tikhonov, Sec. VI.B) or
     'constrained' (l2-ball, Theorem 4).
     """
 
-    # Field order: the historical positional signature (through ``backend``)
-    # first, new unified-API fields appended -- positional callers keep
-    # binding what they always bound.
     strategy: Strategy = None  # type: ignore[assignment]
     head: Literal["pinv", "ridge", "constrained"] = "pinv"
     ridge_lambda: float = 1e-3
-    estimator: Any = UNSET
-    shots: Any = UNSET
-    snapshots: Any = UNSET
-    executor: ParallelExecutor | ExecutionRuntime | None = None
-    seed: Any = UNSET
-    backend: QuantumBackend | None = UNSET
-    chunk_size: Any = UNSET
-    compile: Any = UNSET
-    dispatch_policy: Any = UNSET
     config: ExecutionConfig | None = None
     device: Any = None
     q_train_: np.ndarray | None = field(default=None, repr=False)
     model_: object = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.strategy is None:
-            raise ValueError("strategy is required")
-        self._resolve_execution("PostVariationalRegressor")
+        self._check_execution()
 
     def _make_head(self):
         if self.head == "pinv":
@@ -152,7 +105,7 @@ class PostVariationalRegressor(_ConfiguredModelMixin):
 
 
 @dataclass
-class PostVariationalClassifier(_ConfiguredModelMixin):
+class PostVariationalClassifier(_FeatureMapModel):
     """Quantum features + logistic head (binary or softmax multiclass).
 
     ``l2`` is the logistic L2 penalty; ``head='constrained'`` switches the
@@ -160,34 +113,21 @@ class PostVariationalClassifier(_ConfiguredModelMixin):
     BCE extension).
     """
 
-    # Historical positional signature first (through ``backend``), new
-    # unified-API fields appended; see PostVariationalRegressor.
     strategy: Strategy = None  # type: ignore[assignment]
     num_classes: int = 2
     l2: float = 1.0
     head: Literal["logistic", "constrained"] = "logistic"
-    estimator: Any = UNSET
-    shots: Any = UNSET
-    snapshots: Any = UNSET
-    executor: ParallelExecutor | ExecutionRuntime | None = None
-    seed: Any = UNSET
-    backend: QuantumBackend | None = UNSET
-    chunk_size: Any = UNSET
-    compile: Any = UNSET
-    dispatch_policy: Any = UNSET
     config: ExecutionConfig | None = None
     device: Any = None
     q_train_: np.ndarray | None = field(default=None, repr=False)
     model_: object = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.strategy is None:
-            raise ValueError("strategy is required")
+        self._check_execution()
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         if self.head == "constrained" and self.num_classes != 2:
             raise ValueError("constrained head supports binary tasks only")
-        self._resolve_execution("PostVariationalClassifier")
 
     def _make_head(self):
         if self.head == "constrained":

@@ -19,19 +19,16 @@ from typing import Any
 
 import numpy as np
 
-from repro.api.config import UNSET, ExecutionConfig, resolve_call
+from repro.api.config import ExecutionConfig, resolve_call
 from repro.core.features import (
     feature_circuit_tasks,
     feature_jobs,
     generate_features,
 )
-from repro.core.lifecycle import ConfigMirrorMixin
 from repro.core.strategies import Strategy
 from repro.hpc.cluster import CircuitTask, ClusterModel
-from repro.hpc.executor import ParallelExecutor
 from repro.hpc.profiling import Counter, StageTimer, dispatch_summary
 from repro.hpc.runtime import DispatchReport, ExecutionRuntime
-from repro.quantum.backends import QuantumBackend
 from repro.ml.logistic import LogisticRegression, SoftmaxRegression
 from repro.ml.metrics import accuracy
 
@@ -83,40 +80,28 @@ class PipelineReport:
 
 
 @dataclass
-class HybridPipeline(ConfigMirrorMixin):
-    """Strategy + config + executor + classical head, fully instrumented.
+class HybridPipeline:
+    """Strategy + config + runtime + classical head, fully instrumented.
 
     Execution is configured by ``config=`` (an :class:`ExecutionConfig`;
     :data:`PIPELINE_DEFAULT_CONFIG` -- compiled engine, LPT dispatch -- when
     omitted) or ``device=`` (a :class:`~repro.api.device.QuantumDevice`
-    whose runtime replaces the pipeline's own executor).  The loose
-    execution kwargs (``estimator``/``shots``/``snapshots``/``chunk_size``/
-    ``seed``/``compile``/``backend``/``scheduling_policy``) are deprecated
-    shims folded into a config; the resolved values stay readable as
-    attributes.
+    supplying both config and runtime).  Both are read at every
+    fit/predict, so replacing either between fits takes effect and
+    ``None`` restores the pipeline defaults; holding both at once is the
+    construction-time ``TypeError``, raised by the next fit/predict.
 
-    Executor lifecycle comes from :class:`ExecutorOwnerMixin`: ``close()``
-    (or the ``with`` block) releases a :class:`ParallelExecutor` facade's
-    pool, while a bare caller-supplied ``ExecutionRuntime`` or a device's
-    runtime -- possibly shared with other consumers -- is never shut down
-    from here.
+    ``executor`` is an optional caller-owned
+    :class:`~repro.hpc.runtime.ExecutionRuntime` (``None`` runs inline
+    serial); like a device's runtime it is never shut down from here, so
+    ``close()`` / the ``with`` block release nothing.
     """
 
     strategy: Strategy = None  # type: ignore[assignment]
     num_classes: int = 2
-    estimator: Any = UNSET
-    shots: Any = UNSET
-    snapshots: Any = UNSET
     l2: float = 1.0
-    executor: ParallelExecutor | ExecutionRuntime | None = None
+    executor: ExecutionRuntime | None = None
     cluster: ClusterModel | None = None
-    # Maps to ExecutionConfig.dispatch_policy (the historical field name:
-    # the same policy orders live dispatch and the analytic projection).
-    scheduling_policy: Any = UNSET
-    chunk_size: Any = UNSET
-    seed: Any = UNSET
-    compile: Any = UNSET
-    backend: QuantumBackend | None = UNSET
     config: ExecutionConfig | None = None
     device: Any = None
     report_: PipelineReport | None = field(default=None, repr=False)
@@ -125,39 +110,26 @@ class HybridPipeline(ConfigMirrorMixin):
     def __post_init__(self) -> None:
         if self.strategy is None:
             raise ValueError("strategy is required")
-        cfg, executor = resolve_call(
+        self._execution()
+
+    def _execution(self) -> tuple[ExecutionConfig, ExecutionRuntime | None]:
+        """The current ``(config, runtime)``, re-read at every sweep."""
+        return resolve_call(
             self.config,
             self.device,
             self.executor,
-            dict(
-                estimator=self.estimator,
-                shots=self.shots,
-                snapshots=self.snapshots,
-                chunk_size=self.chunk_size,
-                seed=self.seed,
-                compile=self.compile,
-                dispatch_policy=self.scheduling_policy,
-                backend=self.backend,
-            ),
             owner="HybridPipeline",
             defaults=PIPELINE_DEFAULT_CONFIG,
-            # resolve_call -> __post_init__ -> dataclass __init__ -> caller.
-            stacklevel=3,
-            # Warn with the kwarg spelling the caller actually wrote.
-            aliases={"dispatch_policy": "scheduling_policy"},
         )
-        self._apply_config(cfg)
-        # One long-lived executor (persistent runtime) per pipeline: the
-        # worker pool is created on the first sweep and reused by every
-        # subsequent fit/predict until close().  A device's runtime wins.
-        self.executor = executor or ParallelExecutor()
 
-    def _mirror_name(self, field_name: str) -> str:
-        # The pipeline's historical spelling for the dispatch policy.
-        return "scheduling_policy" if field_name == "dispatch_policy" else field_name
+    def close(self) -> None:
+        """Nothing to release: every runtime belongs to its caller."""
 
-    def _default_config(self) -> ExecutionConfig:
-        return PIPELINE_DEFAULT_CONFIG
+    def __enter__(self) -> HybridPipeline:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------ workload
     def circuit_tasks(self, num_samples: int) -> list[CircuitTask]:
@@ -172,7 +144,7 @@ class HybridPipeline(ConfigMirrorMixin):
             # Only a genuinely empty circuit is skipped by the sweep; a
             # parameterless circuit with gates still runs (and costs).
             ansatz = None
-        cfg = self._current_config()
+        cfg, _ = self._execution()
         jobs = feature_jobs(
             self.strategy.num_ansatze, num_samples, cfg.resolved_chunk_size
         )
@@ -197,12 +169,12 @@ class HybridPipeline(ConfigMirrorMixin):
         angles = np.asarray(angles, dtype=float)
         y = np.asarray(y)
 
-        cfg = self._current_config()
+        cfg, runtime = self._execution()
         with timer.stage("generate_features"):
             q_matrix, dispatch = generate_features(
                 self.strategy,
                 angles,
-                executor=self.executor,
+                executor=runtime,
                 return_report=True,
                 config=cfg,
             )
@@ -236,7 +208,7 @@ class HybridPipeline(ConfigMirrorMixin):
         if self.cluster is not None:
             with timer.stage("cluster_projection"):
                 projected, _ = self.cluster.makespan(
-                    self.circuit_tasks(angles.shape[0]), self.scheduling_policy
+                    self.circuit_tasks(angles.shape[0]), cfg.dispatch_policy
                 )
 
         self.report_ = PipelineReport(
@@ -247,20 +219,18 @@ class HybridPipeline(ConfigMirrorMixin):
             timer=timer,
             counter=counter,
             projected_makespan=projected,
-            scheduling_policy=self.scheduling_policy if projected is not None else None,
+            scheduling_policy=cfg.dispatch_policy if projected is not None else None,
             dispatch=dispatch,
         )
         return self
 
     # ------------------------------------------------------------- predict
     def _features(self, angles: np.ndarray) -> np.ndarray:
-        # Sync first: a post-construction device swap rebinds self.executor,
-        # so it must run before the executor= keyword is evaluated.
-        cfg = self._current_config()
+        cfg, runtime = self._execution()
         return generate_features(
             self.strategy,
             np.asarray(angles, dtype=float),
-            executor=self.executor,
+            executor=runtime,
             config=cfg,
         )
 

@@ -1,16 +1,16 @@
 """HPC substrate: communicator, executors, schedulers, cluster model.
 
 Substitutes the paper's HPC stack (see DESIGN.md): an mpi4py-style SPMD
-communicator, real thread/process execution backends, scheduling policies
-with analytic makespans and a deterministic simulated-cluster timing model
-for reproducible scaling studies.
+communicator, a persistent thread/process execution runtime, scheduling
+policies with analytic makespans and a deterministic simulated-cluster
+timing model for reproducible scaling studies.
 """
 
 from repro.hpc.comm import Communicator, Request, SpmdError, run_spmd
-from repro.hpc.executor import ExecutorConfig, ParallelExecutor
 from repro.hpc.runtime import (
     DispatchReport,
     ExecutionRuntime,
+    ExecutorConfig,
     TaskCompletion,
     resolve_max_workers,
 )
@@ -46,7 +46,6 @@ __all__ = [
     "SpmdError",
     "run_spmd",
     "ExecutorConfig",
-    "ParallelExecutor",
     "ExecutionRuntime",
     "DispatchReport",
     "TaskCompletion",

@@ -1,9 +1,6 @@
 """Persistent asynchronous execution runtime for circuit-ensemble dispatch.
 
-The original :class:`~repro.hpc.executor.ParallelExecutor` rebuilt its
-thread/process pool on every ``map`` call and consulted the scheduling
-policies only as an after-the-fact analytical projection.  This module is
-the live execution layer that replaces that pattern:
+The live execution layer behind every sweep, serve flush and SPMD rank:
 
 * **Persistent pools** -- an :class:`ExecutionRuntime` creates its worker
   pool once, lazily, and reuses it across every subsequent ``submit`` /
@@ -342,7 +339,7 @@ class ExecutionRuntime:
             pool.shutdown(wait=wait)
 
     def close(self, wait: bool = True) -> None:
-        """Alias for :meth:`shutdown`, matching the executor facade."""
+        """Alias for :meth:`shutdown`."""
         self.shutdown(wait=wait)
 
     def __enter__(self) -> ExecutionRuntime:

@@ -434,8 +434,7 @@ class DensityMatrixBackend(QuantumBackend):
     ``noise_model = None`` gives ideal (but O(4^n)) evolution -- the
     equivalence oracle the property suite checks against the statevector
     backend.  Preparation runs the explicit Fig. 7 encoder circuit per
-    sample so encoder gates pick up noise too, exactly as the retired
-    ``generate_features_noisy`` fork did.
+    sample so encoder gates pick up noise too.
 
     ``vectorize="auto"`` runs the sweep through the fusion-free batched
     engine (:class:`~repro.quantum.density.BatchedDensityProgram`): the

@@ -22,7 +22,7 @@ Two pieces:
   reuse compiled artifacts across the whole Q-matrix sweep.  Compiled
   programs are plain dataclasses of NumPy arrays, hence picklable, so one
   parent-side compile is shipped to every
-  :class:`~repro.hpc.executor.ParallelExecutor` process worker.
+  :class:`~repro.hpc.runtime.ExecutionRuntime` process worker.
 
 The fusion-width trade-off: a block on ``k`` qubits costs one
 ``(2^k, 2^k) @ (batch, 2^k, 2^(n-k))`` contraction, so wider blocks amortise

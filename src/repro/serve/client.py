@@ -12,9 +12,7 @@ landed, the client speaks to any :class:`Transport`:
 
 The two are interchangeable by construction: the TCP response is decoded
 from the raw bytes of the in-process array, so swapping transports never
-changes a single bit of a response.  ``FeatureClient(service)`` still
-works as a deprecated shim for ``FeatureClient(transport=
-InProcessTransport(service))``.
+changes a single bit of a response.
 
 :func:`run_load` drives a whole closed-loop benchmark over a service,
 transport, or client: N concurrent logical clients submitting requests
@@ -29,16 +27,14 @@ from __future__ import annotations
 
 import asyncio
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.api.config import UNSET
 from repro.serve.metrics import _percentile_ms
-from repro.serve.service import FeatureService
+from repro.serve.service import TEMPLATE_SEED, FeatureService
 
 __all__ = [
     "Transport",
@@ -72,7 +68,7 @@ class Transport(Protocol):
         x: np.ndarray,
         *,
         tenant: str = "default",
-        seed: Any = UNSET,
+        seed: Any = TEMPLATE_SEED,
         timeout_s: float | None = None,
     ) -> np.ndarray: ...
 
@@ -82,7 +78,7 @@ class Transport(Protocol):
         x: np.ndarray,
         *,
         tenant: str = "default",
-        seed: Any = UNSET,
+        seed: Any = TEMPLATE_SEED,
         timeout_s: float | None = None,
     ) -> np.ndarray: ...
 
@@ -114,7 +110,7 @@ class InProcessTransport:
         x: np.ndarray,
         *,
         tenant: str = "default",
-        seed: Any = UNSET,
+        seed: Any = TEMPLATE_SEED,
         timeout_s: float | None = None,
     ) -> np.ndarray:
         return await self.service.submit(
@@ -127,7 +123,7 @@ class InProcessTransport:
         x: np.ndarray,
         *,
         tenant: str = "default",
-        seed: Any = UNSET,
+        seed: Any = TEMPLATE_SEED,
         timeout_s: float | None = None,
     ) -> np.ndarray:
         return await self.service.predict(
@@ -138,7 +134,7 @@ class InProcessTransport:
         return None
 
 
-def _as_transport(target: Any, *, owner: str) -> Transport:
+def _as_transport(target: Any) -> Transport:
     """Normalize a service / transport / client into a transport."""
     if isinstance(target, FeatureClient):
         return target.transport
@@ -147,7 +143,7 @@ def _as_transport(target: Any, *, owner: str) -> Transport:
     if isinstance(target, Transport):
         return target
     raise TypeError(
-        f"{owner} needs a FeatureService, a Transport, or a FeatureClient; "
+        f"run_load needs a FeatureService, a Transport, or a FeatureClient; "
         f"got {target!r}"
     )
 
@@ -159,38 +155,10 @@ class FeatureClient:
 
         client = FeatureClient(transport=InProcessTransport(service))
         client = FeatureClient(transport=await TcpTransport.connect(host, port))
-
-    The pre-transport form ``FeatureClient(service)`` still works but is
-    deprecated: it wraps the service in an :class:`InProcessTransport`
-    and warns at the caller's frame.
     """
 
-    def __init__(
-        self,
-        service: FeatureService | Transport | None = None,
-        tenant: str = "default",
-        *,
-        transport: Transport | None = None,
-    ) -> None:
-        if (service is None) == (transport is None):
-            raise TypeError(
-                "FeatureClient takes exactly one of a positional transport "
-                "or transport=...; FeatureClient(service) is the deprecated "
-                "spelling of FeatureClient(transport=InProcessTransport(service))"
-            )
-        if transport is None:
-            if isinstance(service, FeatureService):
-                warnings.warn(
-                    "FeatureClient(service) is deprecated; pass "
-                    "FeatureClient(transport=InProcessTransport(service)) "
-                    "(or any other Transport) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                transport = InProcessTransport(service)
-            else:
-                transport = _as_transport(service, owner="FeatureClient")
-        elif not isinstance(transport, Transport):
+    def __init__(self, *, transport: Transport, tenant: str = "default") -> None:
+        if not isinstance(transport, Transport):
             raise TypeError(f"transport must implement Transport, got {transport!r}")
         self.transport = transport
         self.tenant = tenant
@@ -205,7 +173,7 @@ class FeatureClient:
         template: str,
         x: np.ndarray,
         *,
-        seed: Any = UNSET,
+        seed: Any = TEMPLATE_SEED,
         timeout_s: float | None = None,
     ) -> np.ndarray:
         return await self.transport.submit(
@@ -217,7 +185,7 @@ class FeatureClient:
         template: str,
         x: np.ndarray,
         *,
-        seed: Any = UNSET,
+        seed: Any = TEMPLATE_SEED,
         timeout_s: float | None = None,
     ) -> np.ndarray:
         return await self.transport.predict(
@@ -270,10 +238,9 @@ async def run_load(
 ) -> LoadReport:
     """Drive ``requests`` total requests at ``concurrency`` through ``target``.
 
-    ``target`` is a service (driven in-process, no deprecation -- the
-    wrap is internal), any :class:`Transport`, or a
-    :class:`FeatureClient` (its transport is used; per-request tenants
-    still come from ``tenants``).  Request ``i`` targets template
+    ``target`` is a service (driven in-process), any :class:`Transport`,
+    or a :class:`FeatureClient` (its transport is used; per-request
+    tenants still come from ``tenants``).  Request ``i`` targets template
     ``templates[i % len(templates)]`` as tenant ``tenants[i %
     len(tenants)]`` with deterministic angles drawn from ``seed`` and
     request seed ``seed + i`` -- so two runs over the same service config
@@ -285,7 +252,7 @@ async def run_load(
         raise ValueError(f"requests={requests} must be >= 1")
     if concurrency < 1:
         raise ValueError(f"concurrency={concurrency} must be >= 1")
-    transport = _as_transport(target, owner="run_load")
+    transport = _as_transport(target)
     names = templates if templates is not None else transport.templates()
     if not names:
         raise ValueError("run_load needs at least one registered template")

@@ -32,7 +32,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.api.config import UNSET, ExecutionConfig, ServeConfig
+from repro.api.config import ExecutionConfig, ServeConfig
 from repro.api.device import QuantumDevice
 from repro.quantum.batched import GLOBAL_PARAMETRIC_CACHE
 from repro.serve.batcher import MicroBatcher, PendingRequest
@@ -49,11 +49,25 @@ from repro.serve.metrics import MetricsSnapshot, ServiceMetrics
 from repro.serve.result_cache import ResultCache, result_key
 
 __all__ = [
+    "TEMPLATE_SEED",
     "ServiceClosedError",
     "RequestTimeoutError",
     "Registration",
     "FeatureService",
 ]
+
+
+class _TemplateSeed:
+    """Type of :data:`TEMPLATE_SEED` (a readable repr in signatures)."""
+
+    def __repr__(self) -> str:
+        return "TEMPLATE_SEED"
+
+
+#: Default request seed: run under the template's execution seed.  A
+#: request's seed is tri-state -- this sentinel (omitted; on the wire, no
+#: ``"seed"`` key), ``None`` (fresh entropy per call) or an int.
+TEMPLATE_SEED: Any = _TemplateSeed()
 
 
 class ServiceClosedError(RuntimeError):
@@ -310,7 +324,7 @@ class FeatureService:
         x: np.ndarray,
         *,
         tenant: str = "default",
-        seed: Any = UNSET,
+        seed: Any = TEMPLATE_SEED,
         timeout_s: float | None = None,
     ) -> np.ndarray:
         """Features for ``x`` under ``template``; coalesces with peers.
@@ -351,7 +365,7 @@ class FeatureService:
                 f"template {template!r} expects (k, {registration.rows}, "
                 f"{registration.strategy.num_qubits}) angles, got {x.shape}"
             )
-        if seed is UNSET:
+        if seed is TEMPLATE_SEED:
             seed = cfg.seed
         if isinstance(seed, np.random.Generator):
             raise TypeError("per-request seeds must be int or None, not a Generator")
@@ -440,7 +454,7 @@ class FeatureService:
         x: np.ndarray,
         *,
         tenant: str = "default",
-        seed: Any = UNSET,
+        seed: Any = TEMPLATE_SEED,
         timeout_s: float | None = None,
     ) -> np.ndarray:
         """Features via :meth:`submit`, then the template's classical head."""

@@ -41,7 +41,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.api.config import UNSET, TransportConfig
+from repro.api.config import TransportConfig
 from repro.hpc.partition import chunk_ranges
 from repro.serve.fairness import BackpressureError
 from repro.serve.protocol import (
@@ -54,6 +54,7 @@ from repro.serve.protocol import (
     read_frame,
 )
 from repro.serve.service import (
+    TEMPLATE_SEED,
     FeatureService,
     RequestTimeoutError,
     ServiceClosedError,
@@ -294,7 +295,7 @@ class FeatureServer:
             tenant = str(header.get("tenant", "default"))
             # Tri-state seed: key absent = template default, null = fresh
             # entropy per call, int = that seed.
-            seed = header["seed"] if "seed" in header else UNSET
+            seed = header["seed"] if "seed" in header else TEMPLATE_SEED
             timeout_s = header.get("timeout_s", self.config.request_timeout_s)
             template = str(header.get("template", ""))
             if kind == "predict":
@@ -502,7 +503,7 @@ class TcpTransport:
         x: np.ndarray,
         *,
         tenant: str = "default",
-        seed: Any = UNSET,
+        seed: Any = TEMPLATE_SEED,
         timeout_s: float | None = None,
         stream: bool = False,
     ) -> np.ndarray:
@@ -516,7 +517,7 @@ class TcpTransport:
         x: np.ndarray,
         *,
         tenant: str = "default",
-        seed: Any = UNSET,
+        seed: Any = TEMPLATE_SEED,
         timeout_s: float | None = None,
     ) -> np.ndarray:
         return await self._request(
@@ -545,7 +546,7 @@ class TcpTransport:
             "tenant": tenant,
             "array": meta,
         }
-        if seed is not UNSET:
+        if seed is not TEMPLATE_SEED:
             header["seed"] = None if seed is None else int(seed)
         if timeout_s is not None:
             header["timeout_s"] = float(timeout_s)

@@ -19,7 +19,7 @@ from repro.analysis.preflight import (
     run_preflight,
 )
 from repro.api import ExecutionConfig, QuantumDevice
-from repro.core.features import generate_features
+from repro.core.features import generate_features, prepare_states
 from repro.core.strategies import ObservableConstruction
 
 QUBITS = 2
@@ -85,6 +85,27 @@ def test_generate_features_error_mode_rejects_before_dispatch(strategy, angles):
     with pytest.raises(PreflightError) as excinfo:
         generate_features(strategy, angles, config=cfg)
     assert "RPA101" in excinfo.value.report.codes()
+
+
+REJECTED = {
+    "RPA106": ExecutionConfig(estimator="shots", shots=0, preflight="error"),
+    "RPA101": ExecutionConfig(shards=8, preflight="error"),  # 8 slabs > 2^2 amplitudes
+}
+
+
+@pytest.mark.parametrize("code", sorted(REJECTED))
+@pytest.mark.parametrize("entry", ["run", "evaluate", "stream"])
+def test_every_device_entry_point_runs_preflight(strategy, angles, entry, code):
+    """run, evaluate and stream reject the same job before any dispatch."""
+    states = prepare_states(None, angles)
+    with QuantumDevice(REJECTED[code]) as device, pytest.raises(PreflightError) as excinfo:
+        if entry == "run":
+            device.run(strategy, angles)
+        elif entry == "evaluate":
+            device.evaluate(strategy, states)
+        else:
+            device.stream(strategy, states)
+    assert code in excinfo.value.report.codes()
 
 
 def test_warn_mode_is_result_neutral(strategy, angles):

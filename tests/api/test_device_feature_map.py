@@ -9,9 +9,21 @@ from repro.api import ExecutionConfig, QuantumDevice, QuantumFeatureMap
 from repro.core.features import generate_features, prepare_states
 from repro.core.model import PostVariationalClassifier
 from repro.core.strategies import HybridStrategy, ObservableConstruction
-from repro.hpc.executor import ParallelExecutor
-from repro.quantum.backends import DensityMatrixBackend
+from repro.hpc.runtime import ExecutionRuntime
+from repro.quantum.backends import (
+    DensityMatrixBackend,
+    MitigatedBackend,
+    StatevectorBackend,
+)
 from repro.quantum.noise import NoiseModel
+
+BACKENDS = {
+    "statevector": StatevectorBackend(),
+    "density": DensityMatrixBackend(NoiseModel.depolarizing(0.02)),
+    "mitigated": MitigatedBackend(
+        DensityMatrixBackend(NoiseModel.depolarizing(0.02)), scales=(1, 3)
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +77,10 @@ def test_device_close_owned_runtime(strategy, angles):
 
 
 def test_device_shared_runtime_not_closed():
-    executor = ParallelExecutor("thread", max_workers=2)
-    runtime = executor.runtime
-    with QuantumDevice(runtime=executor):
-        pass
-    assert not runtime.closed  # ownership rule: shared pools survive
-    executor.close()
+    with ExecutionRuntime("thread", max_workers=2) as runtime:
+        with QuantumDevice(runtime=runtime):
+            pass
+        assert not runtime.closed  # ownership rule: shared pools survive
 
 
 def test_device_reconfigured_shares_runtime(strategy, angles):
@@ -94,8 +104,47 @@ def test_device_threads_through_model(strategy, angles):
         via_device = PostVariationalClassifier(strategy=strategy, device=device).fit(
             angles, y
         )
-        assert via_device.executor is device.runtime
+        assert device.runtime.pools_created == 1  # the sweep ran on its pool
     assert np.array_equal(reference.q_train_, via_device.q_train_)
+
+
+@pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+def test_device_run_matches_function_path(backend_name):
+    strategy = ObservableConstruction(qubits=2, locality=1)
+    angles = np.random.default_rng(42).uniform(0, 2 * np.pi, size=(5, 2, 2))
+    cfg = ExecutionConfig(
+        estimator="shots", shots=16, seed=9, backend=BACKENDS[backend_name]
+    )
+    direct = generate_features(strategy, angles, config=cfg)
+    with QuantumDevice(cfg, pool="thread", max_workers=2) as device:
+        q, report = device.run(strategy, angles)
+        assert report.num_tasks > 0
+    assert np.array_equal(direct, q)
+
+
+def test_device_plus_config_rejected(strategy, angles):
+    with QuantumDevice() as device, pytest.raises(TypeError, match="not both"):
+        generate_features(strategy, angles, config=ExecutionConfig(), device=device)
+
+
+def test_device_plus_executor_rejected(strategy, angles):
+    with (
+        QuantumDevice() as device,
+        ExecutionRuntime() as executor,
+        pytest.raises(TypeError, match="runtime"),
+    ):
+        generate_features(strategy, angles, device=device, executor=executor)
+
+
+def test_non_device_passed_as_device_rejected(strategy, angles):
+    # A runtime also binds a pool and has a .config -- the plausible mix-up
+    # must fail fast, not deep inside the sweep.
+    with ExecutionRuntime() as runtime, pytest.raises(TypeError, match="QuantumDevice"):
+        generate_features(strategy, angles, device=runtime)
+    # Config-bearing non-devices (a feature map) are equally rejected.
+    fmap = QuantumFeatureMap(strategy, config=ExecutionConfig())
+    with pytest.raises(TypeError, match="QuantumDevice"):
+        generate_features(strategy, angles, device=fmap)
 
 
 def test_device_rejects_bad_config():
@@ -106,11 +155,11 @@ def test_device_rejects_bad_config():
 def test_device_rejects_runtime_plus_pool_kwargs():
     # runtime= and pool-construction kwargs are mutually exclusive: silently
     # ignoring the requested pool would run sweeps on the wrong substrate.
-    with ParallelExecutor() as executor:
+    with ExecutionRuntime() as runtime:
         with pytest.raises(TypeError, match="one or the other"):
-            QuantumDevice(runtime=executor, pool="process", max_workers=4)
+            QuantumDevice(runtime=runtime, pool="process", max_workers=4)
         with pytest.raises(TypeError, match="one or the other"):
-            QuantumDevice(runtime=executor, max_workers=2)
+            QuantumDevice(runtime=runtime, max_workers=2)
 
 
 # -------------------------------------------------------------- feature map
@@ -194,18 +243,13 @@ def test_feature_map_set_params_rejects_config_plus_device(strategy):
 
 def test_model_device_swap_after_construction_is_live(strategy, angles):
     """Assigning model.device post-construction rebinds config + runtime."""
-    from repro.core.model import PostVariationalClassifier
-
     y = np.arange(7) % 2
     cfg = ExecutionConfig(estimator="shots", shots=8, seed=5)
     with QuantumDevice(cfg, pool="thread", max_workers=2) as device:
         model = PostVariationalClassifier(strategy=strategy)
         model.device = device
         model.fit(angles, y)
-        assert model.executor is device.runtime
-        assert model.config == cfg
-        # The *first* sweep after the swap must already run on the device's
-        # pool (the sync happens before the executor argument is read).
+        # The *first* sweep after the swap already runs on the device's pool.
         assert device.runtime.pools_created == 1
     reference = PostVariationalClassifier(strategy=strategy, config=cfg).fit(angles, y)
     assert np.array_equal(model.q_train_, reference.q_train_)

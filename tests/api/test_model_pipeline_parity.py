@@ -12,9 +12,9 @@ demonstrably reach the sweep.
 import numpy as np
 import pytest
 
-from repro.api import ExecutionConfig
+from repro.api import ExecutionConfig, QuantumDevice
 from repro.core.model import PostVariationalClassifier, PostVariationalRegressor
-from repro.core.pipeline import HybridPipeline
+from repro.core.pipeline import PIPELINE_DEFAULT_CONFIG, HybridPipeline
 from repro.core.strategies import ObservableConstruction
 
 CFG = ExecutionConfig(
@@ -71,7 +71,7 @@ def test_model_config_resolution_matches_legacy_defaults(strategy, angles):
         strategy=strategy, config=ExecutionConfig()
     ).fit(angles, y)
     assert np.array_equal(bare.q_train_, explicit.q_train_)
-    assert bare.config == ExecutionConfig()
+    assert bare.config is None  # None means the default ExecutionConfig
 
 
 def test_regressor_accepts_config(strategy, angles):
@@ -82,48 +82,15 @@ def test_regressor_accepts_config(strategy, angles):
     assert np.allclose(reg.predict(angles), reg2.predict(angles))
 
 
-def test_post_construction_attribute_mutation_is_live(strategy, angles):
-    """The historical idiom ``model.estimator = 'shots'`` still works.
-
-    The mirrored attributes are re-synced into the config at every sweep,
-    so mutating them after construction changes the features -- the
-    pre-config behaviour, preserved.
-    """
-    y = np.arange(8) % 2
-    model = PostVariationalClassifier(strategy=strategy)
-    model.estimator = "shots"
-    model.shots = 8
-    model.fit(angles, y)
-    assert model.config.estimator == "shots"
-    assert model.config.shots == 8
-    reference = PostVariationalClassifier(
-        strategy=strategy, config=ExecutionConfig(estimator="shots", shots=8)
-    ).fit(angles, y)
-    assert np.array_equal(model.q_train_, reference.q_train_)
-
-
 def test_post_construction_config_replacement_is_live(strategy, angles):
     y = np.arange(8) % 2
     model = PostVariationalClassifier(strategy=strategy)
     model.config = ExecutionConfig(estimator="shots", shots=8, seed=3)
     model.fit(angles, y)
-    assert model.estimator == "shots"  # mirrors refreshed from the new config
     reference = PostVariationalClassifier(
         strategy=strategy, config=ExecutionConfig(estimator="shots", shots=8, seed=3)
     ).fit(angles, y)
     assert np.array_equal(model.q_train_, reference.q_train_)
-
-
-def test_pipeline_attribute_mutation_is_live(strategy, angles):
-    y = np.arange(8) % 2
-    with HybridPipeline(strategy=strategy) as pipe:
-        pipe.estimator = "shots"
-        pipe.shots = 8
-        pipe.scheduling_policy = "block"
-        pipe.fit(angles, y)
-        assert pipe.config.estimator == "shots"
-        assert pipe.config.dispatch_policy == "block"
-        assert pipe.report_.counter.get("shots_fired") > 0
 
 
 def test_config_reset_to_none_restores_owner_defaults(strategy, angles):
@@ -131,32 +98,44 @@ def test_config_reset_to_none_restores_owner_defaults(strategy, angles):
     model = PostVariationalClassifier(strategy=strategy, config=CFG)
     model.config = None
     model.fit(angles, y)  # must not crash; back to model defaults
-    assert model.config == ExecutionConfig()
+    default = PostVariationalClassifier(strategy=strategy).fit(angles, y)
+    assert np.array_equal(model.q_train_, default.q_train_)
     with HybridPipeline(strategy=strategy, config=CFG) as pipe:
         pipe.config = None
-        assert pipe._current_config().compile == "auto"  # pipeline defaults
+        assert pipe._execution()[0] == PIPELINE_DEFAULT_CONFIG  # pipeline defaults
 
 
-def test_device_swap_releases_owned_pipeline_pool(strategy, angles):
-    from repro.api import QuantumDevice
-
+def test_pipeline_device_swap_is_live(strategy, angles):
     y = np.arange(8) % 2
     pipe = HybridPipeline(strategy=strategy)
     pipe.fit(angles, y)
-    owned = pipe.executor  # the auto-created ParallelExecutor facade
-    with QuantumDevice(ExecutionConfig()) as device:
+    cfg = ExecutionConfig(estimator="shots", shots=8, seed=3)
+    with QuantumDevice(cfg, pool="thread", max_workers=2) as device:
         pipe.device = device
         pipe.fit(angles, y)
-        assert pipe.executor is device.runtime
-    # The previously owned facade's runtime was released, not orphaned.
-    assert owned._runtime is None or owned._runtime.closed
+        # The device supplies both the config and the pool of the next fit.
+        assert pipe.report_.dispatch.backend == "thread"
+        assert pipe.report_.counter.get("shots_fired") > 0
+        assert device.runtime.pools_created == 1
 
 
-def test_mutated_knob_is_revalidated(strategy):
-    model = PostVariationalClassifier(strategy=strategy)
-    model.estimator = "bogus"
-    with pytest.raises(ValueError, match="unknown estimator"):
-        model._current_config()
+@pytest.mark.parametrize("owner", ["model", "pipeline"])
+def test_assigning_device_over_config_needs_config_cleared(owner, strategy, angles):
+    """config and device never both configure a sweep: assigning one over
+    the other fails the next fit with the construction-time TypeError, and
+    clearing the other first makes the swap take effect."""
+    y = np.arange(8) % 2
+    cfg = ExecutionConfig(estimator="shots", shots=8, seed=3)
+    make = PostVariationalClassifier if owner == "model" else HybridPipeline
+    obj = make(strategy=strategy, config=CFG)
+    reference = make(strategy=strategy, config=cfg).fit(angles, y)
+    with QuantumDevice(cfg) as device:
+        obj.device = device
+        with pytest.raises(TypeError, match="pass config= or device=, not both"):
+            obj.fit(angles, y)
+        obj.config = None
+        obj.fit(angles, y)
+        assert np.array_equal(obj.predict(angles), reference.predict(angles))
 
 
 def test_pipeline_projection_uses_config_chunking(strategy):

@@ -2,13 +2,44 @@
 
 CI runs this as a dedicated job: the ``repro.api`` surface is the
 compatibility contract, so a rename or a lazy-import regression must fail
-before anything else does.
+before anything else does.  It also guards the removal of the loose
+execution kwargs: ``config=`` / ``device=`` stay the only way to configure
+a sweep.
 """
 
-import importlib
+import importlib.util
+import inspect
 import warnings
 
 import pytest
+
+from repro.core.distributed_pipeline import generate_features_spmd
+from repro.core.features import evaluate_features, generate_features, iter_feature_blocks
+from repro.core.model import PostVariationalClassifier, PostVariationalRegressor
+from repro.core.pipeline import HybridPipeline
+
+#: Execution knobs that live only on ExecutionConfig (``scheduling_policy``
+#: is the pipeline's old spelling of ``dispatch_policy``).
+LOOSE_EXECUTION_KWARGS = {
+    "estimator",
+    "shots",
+    "snapshots",
+    "chunk_size",
+    "seed",
+    "compile",
+    "dispatch_policy",
+    "scheduling_policy",
+    "backend",
+}
+ENTRY_POINTS = [
+    generate_features,
+    evaluate_features,
+    iter_feature_blocks,
+    generate_features_spmd,
+    HybridPipeline,
+    PostVariationalClassifier,
+    PostVariationalRegressor,
+]
 
 
 def test_every_all_symbol_importable():
@@ -46,9 +77,41 @@ def test_core_surface_still_exports_entry_points():
 
 
 def test_importing_api_emits_no_warnings():
-    """The stable surface must not tickle its own deprecation shims."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         import repro.api
         importlib.reload(repro.api)
-    assert not any(issubclass(w.category, DeprecationWarning) for w in caught)
+    assert not caught
+
+
+def test_api_surface_is_pinned():
+    import repro.api as api
+
+    assert api.__all__ == [
+        "ExecutionConfig",
+        "QuantumDevice",
+        "QuantumFeatureMap",
+        "ServeConfig",
+        "TransportConfig",
+        "ESTIMATORS",
+        "SERVE_POOLS",
+        "check_regime",
+        "resolve_call",
+        "resolve_chunk_size",
+    ]
+
+
+def test_removed_compatibility_names_stay_gone():
+    core = importlib.import_module("repro.core")
+    hpc = importlib.import_module("repro.hpc")
+    assert not hasattr(core, "generate_features_noisy")
+    assert not hasattr(hpc, "ParallelExecutor")
+    for module in ("repro.core.noisy_features", "repro.core.lifecycle", "repro.hpc.executor"):
+        assert importlib.util.find_spec(module) is None, module
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda entry: entry.__name__)
+def test_entry_points_take_no_loose_execution_kwargs(entry):
+    params = set(inspect.signature(entry).parameters)
+    assert not params & LOOSE_EXECUTION_KWARGS
+    assert {"config", "device"} <= params

@@ -4,6 +4,7 @@ data re-uploading."""
 import numpy as np
 import pytest
 
+from repro.api import ExecutionConfig
 from repro.core.analysis import diagnose_q_matrix, effective_rank
 from repro.core.features import generate_features
 from repro.core.reuploading import ReuploadingClassifier
@@ -61,7 +62,9 @@ def test_noisy_features_match_ideal_at_zero_noise():
     strategy = ObservableConstruction(qubits=4, locality=1)
     ideal = generate_features(strategy, angles)
     noisy = generate_features(
-        strategy, angles, backend=DensityMatrixBackend(NoiseModel.depolarizing(0.0))
+        strategy,
+        angles,
+        config=ExecutionConfig(backend=DensityMatrixBackend(NoiseModel.depolarizing(0.0))),
     )
     assert np.allclose(noisy, ideal, atol=1e-10)
 
@@ -73,7 +76,9 @@ def test_noisy_features_contract_toward_zero():
     strategy = ObservableConstruction(qubits=4, locality=1)
     ideal = generate_features(strategy, angles)
     noisy = generate_features(
-        strategy, angles, backend=DensityMatrixBackend(NoiseModel.depolarizing(0.05))
+        strategy,
+        angles,
+        config=ExecutionConfig(backend=DensityMatrixBackend(NoiseModel.depolarizing(0.05))),
     )
     # Identity column untouched.
     assert np.allclose(noisy[:, 0], 1.0, atol=1e-10)
@@ -81,7 +86,9 @@ def test_noisy_features_contract_toward_zero():
     assert np.mean(np.abs(noisy[:, 1:])) < np.mean(np.abs(ideal[:, 1:]))
     # And shrink monotonically with the error rate.
     noisier = generate_features(
-        strategy, angles, backend=DensityMatrixBackend(NoiseModel.depolarizing(0.15))
+        strategy,
+        angles,
+        config=ExecutionConfig(backend=DensityMatrixBackend(NoiseModel.depolarizing(0.15))),
     )
     assert np.mean(np.abs(noisier[:, 1:])) < np.mean(np.abs(noisy[:, 1:]))
 
@@ -90,13 +97,10 @@ def test_noisy_features_validation():
     strategy = ObservableConstruction(qubits=4, locality=1)
     backend = DensityMatrixBackend(NoiseModel.depolarizing(0.01))
     with pytest.raises(ValueError):
-        generate_features(strategy, np.zeros((4, 4)), backend=backend)
+        generate_features(strategy, np.zeros((4, 4)), config=ExecutionConfig(backend=backend))
     with pytest.raises(ValueError):
-        generate_features(strategy, np.zeros((2, 4, 3)), backend=backend)
+        generate_features(strategy, np.zeros((2, 4, 3)), config=ExecutionConfig(backend=backend))
 
-
-# (The deprecation shim's warn-and-match contract is pinned in
-# tests/core/test_backend_features.py::test_deprecated_shim_warns_and_matches_backend_path.)
 
 
 # ------------------------------------------------------------- reuploading

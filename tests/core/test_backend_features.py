@@ -2,24 +2,24 @@
 
 Pins the PR's contract:
 
-* ``generate_features(..., backend=DensityMatrixBackend(noise_model))``
-  reproduces the retired ``generate_features_noisy`` fork (re-implemented
-  inline here as the oracle) while streaming through the
+* ``generate_features(..., config=ExecutionConfig(backend=
+  DensityMatrixBackend(noise_model)))`` reproduces the retired noisy
+  feature fork (re-implemented inline here as the oracle) while streaming
+  through the
   :class:`~repro.hpc.runtime.ExecutionRuntime` under all four scheduler
   policies;
 * a parameterless-but-non-empty Ansatz (fixed CZ ladder) is no longer
   silently dropped: its features differ from encoder-only features on
   every backend;
-* the mitigated backend lands closer to ideal than raw noisy features;
-* the deprecation shim warns and matches the backend path exactly.
+* the mitigated backend lands closer to ideal than raw noisy features.
 """
 
 import numpy as np
 import pytest
 
+from repro.api import ExecutionConfig
 from repro.core.features import evaluate_features, generate_features, iter_feature_blocks
-from repro.core.noisy_features import generate_features_noisy
-from repro.core.pipeline import HybridPipeline
+from repro.core.pipeline import PIPELINE_DEFAULT_CONFIG, HybridPipeline
 from repro.core.strategies import AnsatzExpansion, ObservableConstruction
 from repro.data.encoding import encoding_circuit
 from repro.hpc.runtime import ExecutionRuntime
@@ -77,16 +77,10 @@ def encoder_only_strategy():
 def test_density_backend_reproduces_legacy_noisy_fork(angles, noise):
     strategy = ObservableConstruction(qubits=4, locality=1)
     expected = legacy_noisy_features(strategy, angles, noise)
-    q = generate_features(strategy, angles, backend=DensityMatrixBackend(noise))
+    q = generate_features(
+        strategy, angles, config=ExecutionConfig(backend=DensityMatrixBackend(noise))
+    )
     assert np.allclose(q, expected, atol=1e-12)
-
-
-def test_deprecated_shim_warns_and_matches_backend_path(angles, noise):
-    strategy = ObservableConstruction(qubits=4, locality=1)
-    q_backend = generate_features(strategy, angles, backend=DensityMatrixBackend(noise))
-    with pytest.warns(DeprecationWarning):
-        q_shim = generate_features_noisy(strategy, angles, noise)
-    assert np.array_equal(q_shim, q_backend)
 
 
 @pytest.mark.parametrize("policy", SCHEDULING_POLICIES)
@@ -95,16 +89,16 @@ def test_noisy_sweep_streams_through_runtime_under_every_policy(angles, noise, p
     live policy-ordered dispatch and stays bit-identical to serial."""
     strategy = ObservableConstruction(qubits=4, locality=1)
     reference = generate_features(
-        strategy, angles, backend=DensityMatrixBackend(noise), chunk_size=2
+        strategy, angles, config=ExecutionConfig(backend=DensityMatrixBackend(noise), chunk_size=2)
     )
     with ExecutionRuntime("thread", 2) as runtime:
         q = generate_features(
             strategy,
             angles,
-            backend=DensityMatrixBackend(noise),
             executor=runtime,
-            dispatch_policy=policy,
-            chunk_size=2,
+            config=ExecutionConfig(
+                backend=DensityMatrixBackend(noise), dispatch_policy=policy, chunk_size=2
+            ),
         )
     assert np.array_equal(q, reference)
 
@@ -112,12 +106,14 @@ def test_noisy_sweep_streams_through_runtime_under_every_policy(angles, noise, p
 def test_iter_feature_blocks_tiles_noisy_matrix(angles, noise):
     strategy = ObservableConstruction(qubits=4, locality=1)
     backend = DensityMatrixBackend(noise)
-    full = generate_features(strategy, angles, backend=backend, chunk_size=2)
+    full = generate_features(
+        strategy, angles, config=ExecutionConfig(backend=backend, chunk_size=2)
+    )
     states = backend.prepare(angles)
     assembled = np.full_like(full, np.nan)
     q = strategy.num_observables
     for job, block in iter_feature_blocks(
-        strategy, states, chunk_size=2, backend=backend
+        strategy, states, config=ExecutionConfig(chunk_size=2, backend=backend)
     ):
         assembled[job.lo : job.hi, job.ansatz_index * q : (job.ansatz_index + 1) * q] = block
     assert np.array_equal(assembled, full)
@@ -137,8 +133,12 @@ def test_parameterless_ansatz_is_not_dropped(angles, noise, backend_factory):
     """Regression: a CZ-ladder Ansatz with gates but zero parameters used to
     be silently skipped, yielding encoder-only features on every path."""
     backend = backend_factory(noise)
-    q_ladder = generate_features(cz_ladder_strategy(), angles, backend=backend)
-    q_encoder = generate_features(encoder_only_strategy(), angles, backend=backend)
+    q_ladder = generate_features(
+        cz_ladder_strategy(), angles, config=ExecutionConfig(backend=backend)
+    )
+    q_encoder = generate_features(
+        encoder_only_strategy(), angles, config=ExecutionConfig(backend=backend)
+    )
     assert not np.allclose(q_ladder, q_encoder)
 
 
@@ -147,7 +147,9 @@ def test_parameterless_ansatz_matches_explicit_composition(angles, noise):
     thing: compare against explicit encoder+ladder density evolution."""
     strategy = cz_ladder_strategy()
     expected = legacy_noisy_features(strategy, angles, noise)
-    q = generate_features(strategy, angles, backend=DensityMatrixBackend(noise))
+    q = generate_features(
+        strategy, angles, config=ExecutionConfig(backend=DensityMatrixBackend(noise))
+    )
     assert np.allclose(q, expected, atol=1e-12)
 
 
@@ -155,10 +157,10 @@ def test_parameterless_ansatz_matches_explicit_composition(angles, noise):
 def test_noisy_shots_estimator_is_seed_deterministic(angles, noise):
     strategy = ObservableConstruction(qubits=4, locality=1)
     backend = DensityMatrixBackend(noise)
-    kwargs = dict(estimator="shots", shots=64, chunk_size=2, backend=backend)
-    a = generate_features(strategy, angles, seed=3, **kwargs)
-    b = generate_features(strategy, angles, seed=3, **kwargs)
-    c = generate_features(strategy, angles, seed=4, **kwargs)
+    cfg = ExecutionConfig(estimator="shots", shots=64, chunk_size=2, backend=backend)
+    a = generate_features(strategy, angles, config=cfg.merged(seed=3))
+    b = generate_features(strategy, angles, config=cfg.merged(seed=3))
+    c = generate_features(strategy, angles, config=cfg.merged(seed=4))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -169,8 +171,7 @@ def test_shadows_estimator_rejected_on_density_backend(angles, noise):
         generate_features(
             strategy,
             angles,
-            estimator="shadows",
-            backend=DensityMatrixBackend(noise),
+            config=ExecutionConfig(estimator="shadows", backend=DensityMatrixBackend(noise)),
         )
 
 
@@ -180,7 +181,9 @@ def test_compile_knob_validated_even_where_ignored(angles, noise):
     strategy = ObservableConstruction(qubits=4, locality=1)
     with pytest.raises(ValueError, match="compile"):
         generate_features(
-            strategy, angles, compile="atuo", backend=DensityMatrixBackend(noise)
+            strategy,
+            angles,
+            config=ExecutionConfig(compile="atuo", backend=DensityMatrixBackend(noise)),
         )
 
 
@@ -192,7 +195,9 @@ def test_evaluate_features_lifts_pre_encoded_statevectors(angles):
     strategy = ObservableConstruction(qubits=4, locality=1)
     states = encode_batch(angles)
     ideal = evaluate_features(strategy, states)
-    lifted = evaluate_features(strategy, states, backend=DensityMatrixBackend(None))
+    lifted = evaluate_features(
+        strategy, states, config=ExecutionConfig(backend=DensityMatrixBackend(None))
+    )
     assert np.allclose(lifted, ideal, atol=1e-10)
 
 
@@ -200,9 +205,13 @@ def test_mitigated_features_closer_to_ideal_than_noisy(angles):
     strategy = ObservableConstruction(qubits=4, locality=1)
     noise = NoiseModel.depolarizing(0.02)
     ideal = generate_features(strategy, angles)
-    noisy = generate_features(strategy, angles, backend=DensityMatrixBackend(noise))
+    noisy = generate_features(
+        strategy, angles, config=ExecutionConfig(backend=DensityMatrixBackend(noise))
+    )
     mitigated = generate_features(
-        strategy, angles, backend=MitigatedBackend(DensityMatrixBackend(noise))
+        strategy,
+        angles,
+        config=ExecutionConfig(backend=MitigatedBackend(DensityMatrixBackend(noise))),
     )
     assert np.abs(mitigated - ideal).max() < np.abs(noisy - ideal).max()
 
@@ -216,7 +225,10 @@ def test_default_chunking_is_fine_grained_for_noisy_backends(noise):
     strategy = ObservableConstruction(qubits=4, locality=1)
     _, ideal_report = generate_features(strategy, many, return_report=True)
     _, noisy_report = generate_features(
-        strategy, many, backend=DensityMatrixBackend(noise), return_report=True
+        strategy,
+        many,
+        return_report=True,
+        config=ExecutionConfig(backend=DensityMatrixBackend(noise)),
     )
     assert ideal_report.num_tasks == 1  # 24 rows < 128
     assert noisy_report.num_tasks == 3  # ceil(24 / 8)
@@ -227,10 +239,15 @@ def test_noisy_prepare_parallelises_without_changing_numbers(angles, noise):
     (chunked like the job grid) and stays bit-identical to serial."""
     strategy = ObservableConstruction(qubits=4, locality=1)
     backend = DensityMatrixBackend(noise)
-    reference = generate_features(strategy, angles, backend=backend, chunk_size=2)
+    reference = generate_features(
+        strategy, angles, config=ExecutionConfig(backend=backend, chunk_size=2)
+    )
     with ExecutionRuntime("thread", 2) as runtime:
         q = generate_features(
-            strategy, angles, backend=backend, executor=runtime, chunk_size=2
+            strategy,
+            angles,
+            executor=runtime,
+            config=ExecutionConfig(backend=backend, chunk_size=2),
         )
     assert np.array_equal(q, reference)
 
@@ -240,8 +257,7 @@ def test_hybrid_pipeline_runs_noisy_backend_end_to_end(angles, noise):
     y = (angles[:, 0, 0] > np.pi).astype(int)
     with HybridPipeline(
         strategy=ObservableConstruction(qubits=4, locality=1),
-        backend=DensityMatrixBackend(noise),
-        chunk_size=2,
+        config=PIPELINE_DEFAULT_CONFIG.merged(backend=DensityMatrixBackend(noise), chunk_size=2),
     ) as pipe:
         pipe.fit(angles, y)
         preds = pipe.predict(angles)
@@ -258,7 +274,10 @@ def test_pipeline_counters_scale_with_mitigation(angles, noise):
     strategy = ObservableConstruction(qubits=4, locality=1)
     backend = MitigatedBackend(DensityMatrixBackend(noise), scales=(1, 3, 5))
     pipe = HybridPipeline(
-        strategy=strategy, backend=backend, estimator="shots", shots=16, chunk_size=2
+        strategy=strategy,
+        config=PIPELINE_DEFAULT_CONFIG.merged(
+            backend=backend, estimator="shots", shots=16, chunk_size=2
+        ),
     ).fit(angles, y)
     d, p, m = len(angles), strategy.num_ansatze, strategy.num_features
     assert pipe.report_.counter.get("circuits_executed") == p * d * 3
@@ -271,7 +290,7 @@ def test_pipeline_cost_projection_prices_density_above_statevector(angles, noise
     ideal = HybridPipeline(strategy=ObservableConstruction(qubits=4, locality=1))
     noisy = HybridPipeline(
         strategy=ObservableConstruction(qubits=4, locality=1),
-        backend=DensityMatrixBackend(noise),
+        config=PIPELINE_DEFAULT_CONFIG.merged(backend=DensityMatrixBackend(noise)),
     )
     cost_ideal = task_costs(ideal.circuit_tasks(8)).sum()
     cost_noisy = task_costs(noisy.circuit_tasks(8)).sum()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecutionConfig
 from repro.core.distributed_pipeline import (
     fit_logistic_spmd,
     generate_features_spmd,
@@ -38,21 +39,21 @@ def test_spmd_features_match_serial(task):
 
 def test_spmd_features_with_persistent_runtime(task):
     """Each rank may drive a node-local persistent pool; numbers unchanged."""
-    from repro.hpc.executor import ParallelExecutor
+    from repro.hpc.runtime import ExecutionRuntime
 
     angles, _ = task
     strategy = ObservableConstruction(qubits=4, locality=1)
     serial = generate_features(strategy, angles)
 
     def prog(comm):
-        with ParallelExecutor("thread", 2) as ex:
+        with ExecutionRuntime("thread", 2) as ex:
             _, full = generate_features_spmd(
                 comm,
                 strategy,
                 angles,
                 allgather=True,
                 executor=ex,
-                dispatch_policy="lpt",
+                config=ExecutionConfig(dispatch_policy="lpt"),
             )
         return full
 
@@ -69,7 +70,11 @@ def test_spmd_features_deterministic_with_shots(task):
     def make_prog():
         def prog(comm):
             _, full = generate_features_spmd(
-                comm, strategy, angles, estimator="shots", shots=512, seed=9, allgather=True
+                comm,
+                strategy,
+                angles,
+                allgather=True,
+                config=ExecutionConfig(estimator="shots", shots=512, seed=9),
             )
             return full
         return prog

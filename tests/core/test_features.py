@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecutionConfig
 from repro.core.features import (
     FeatureJob,
     evaluate_features,
@@ -16,7 +17,6 @@ from repro.core.strategies import (
     ObservableConstruction,
 )
 from repro.data.encoding import encode_batch
-from repro.hpc.executor import ParallelExecutor
 from repro.hpc.runtime import ExecutionRuntime
 from repro.quantum.observables import expectation
 from repro.quantum.statevector import run_circuit
@@ -73,55 +73,60 @@ def test_features_bounded(angles):
 def test_executor_backends_identical(angles):
     s = HybridStrategy(order=1, locality=1)
     serial = generate_features(s, angles)
-    threaded = generate_features(
-        s, angles, executor=ParallelExecutor("thread", 4), chunk_size=3
-    )
+    with ExecutionRuntime("thread", 4) as runtime:
+        threaded = generate_features(
+            s, angles, executor=runtime, config=ExecutionConfig(chunk_size=3)
+        )
     assert np.array_equal(serial, threaded)
 
 
 def test_chunk_size_invariance(angles):
     s = ObservableConstruction(qubits=4, locality=2)
-    a = generate_features(s, angles, chunk_size=2)
-    b = generate_features(s, angles, chunk_size=128)
+    a = generate_features(s, angles, config=ExecutionConfig(chunk_size=2))
+    b = generate_features(s, angles, config=ExecutionConfig(chunk_size=128))
     assert np.array_equal(a, b)
 
 
 def test_shots_estimator_converges(angles):
     s = ObservableConstruction(qubits=4, locality=1)
     exact = generate_features(s, angles)
-    noisy = generate_features(s, angles, estimator="shots", shots=8000, seed=5)
+    noisy = generate_features(
+        s, angles, config=ExecutionConfig(estimator="shots", shots=8000, seed=5)
+    )
     assert np.max(np.abs(exact - noisy)) < 0.1
 
 
 def test_shots_estimator_deterministic_under_seed(angles):
     s = ObservableConstruction(qubits=4, locality=1)
-    a = generate_features(s, angles, estimator="shots", shots=100, seed=3)
-    b = generate_features(s, angles, estimator="shots", shots=100, seed=3)
+    a = generate_features(s, angles, config=ExecutionConfig(estimator="shots", shots=100, seed=3))
+    b = generate_features(s, angles, config=ExecutionConfig(estimator="shots", shots=100, seed=3))
     assert np.array_equal(a, b)
-    c = generate_features(s, angles, estimator="shots", shots=100, seed=4)
+    c = generate_features(s, angles, config=ExecutionConfig(estimator="shots", shots=100, seed=4))
     assert not np.array_equal(a, c)
 
 
 def test_shots_estimator_schedule_independent(angles):
     """Per-task RNG spawning: results identical across executors."""
     s = ObservableConstruction(qubits=4, locality=1)
-    serial = generate_features(s, angles, estimator="shots", shots=64, seed=11, chunk_size=4)
-    threaded = generate_features(
-        s,
-        angles,
-        estimator="shots",
-        shots=64,
-        seed=11,
-        chunk_size=4,
-        executor=ParallelExecutor("thread", 3),
+    serial = generate_features(
+        s, angles, config=ExecutionConfig(estimator="shots", shots=64, seed=11, chunk_size=4)
     )
+    with ExecutionRuntime("thread", 3) as runtime:
+        threaded = generate_features(
+            s,
+            angles,
+            executor=runtime,
+            config=ExecutionConfig(estimator="shots", shots=64, seed=11, chunk_size=4),
+        )
     assert np.array_equal(serial, threaded)
 
 
 def test_shadows_estimator_reasonable(angles):
     s = ObservableConstruction(qubits=4, locality=1)
     exact = generate_features(s, angles[:3])
-    shadow = generate_features(s, angles[:3], estimator="shadows", snapshots=4000, seed=2)
+    shadow = generate_features(
+        s, angles[:3], config=ExecutionConfig(estimator="shadows", snapshots=4000, seed=2)
+    )
     assert np.max(np.abs(exact - shadow)) < 0.35
 
 
@@ -140,18 +145,18 @@ def test_validation(angles):
     with pytest.raises(ValueError):
         generate_features(s, angles[:, :, :3])  # wrong qubit count
     with pytest.raises(ValueError):
-        generate_features(s, angles, estimator="bogus")
+        generate_features(s, angles, config=ExecutionConfig(estimator="bogus"))
 
 
 # ---------------------------------------------------------------- streaming
 def test_iter_feature_blocks_tiles_the_matrix(angles):
     s = HybridStrategy(order=1, locality=1)
     states = encode_batch(angles)
-    reference = evaluate_features(s, states, chunk_size=4)
+    reference = evaluate_features(s, states, config=ExecutionConfig(chunk_size=4))
     q = s.num_observables
     assembled = np.full_like(reference, np.nan)
     count = 0
-    for job, block in iter_feature_blocks(s, states, chunk_size=4):
+    for job, block in iter_feature_blocks(s, states, config=ExecutionConfig(chunk_size=4)):
         assert block.shape == (job.hi - job.lo, q)
         target = assembled[job.lo : job.hi, job.ansatz_index * q : (job.ansatz_index + 1) * q]
         assert np.all(np.isnan(target))  # each job yielded exactly once
@@ -164,11 +169,13 @@ def test_iter_feature_blocks_tiles_the_matrix(angles):
 def test_iter_feature_blocks_stochastic_matches_evaluate(angles):
     s = ObservableConstruction(qubits=4, locality=1)
     states = encode_batch(angles)
-    reference = evaluate_features(s, states, estimator="shots", shots=64, seed=9, chunk_size=3)
+    reference = evaluate_features(
+        s, states, config=ExecutionConfig(estimator="shots", shots=64, seed=9, chunk_size=3)
+    )
     q = s.num_observables
     assembled = np.empty_like(reference)
     for job, block in iter_feature_blocks(
-        s, states, estimator="shots", shots=64, seed=9, chunk_size=3
+        s, states, config=ExecutionConfig(estimator="shots", shots=64, seed=9, chunk_size=3)
     ):
         assembled[job.lo : job.hi, job.ansatz_index * q : (job.ansatz_index + 1) * q] = block
     assert np.array_equal(assembled, reference)
@@ -178,9 +185,9 @@ def test_iter_feature_blocks_validates_eagerly(angles):
     s = ObservableConstruction(qubits=4, locality=1)
     states = encode_batch(angles)
     with pytest.raises(ValueError):
-        iter_feature_blocks(s, states, dispatch_policy="fifo")
+        iter_feature_blocks(s, states, config=ExecutionConfig(dispatch_policy="fifo"))
     with pytest.raises(ValueError):
-        iter_feature_blocks(s, states, estimator="bogus")
+        iter_feature_blocks(s, states, config=ExecutionConfig(estimator="bogus"))
 
 
 def test_preallocated_out_filled_in_place(angles):
@@ -201,9 +208,10 @@ def test_dispatch_report_covers_all_tasks(angles):
     s = ObservableConstruction(qubits=4, locality=1)
     states = encode_batch(angles)
     q_matrix, report = evaluate_features(
-        s, states, chunk_size=3, dispatch_policy="lpt", return_report=True
+        s, states, return_report=True, config=ExecutionConfig(chunk_size=3, dispatch_policy="lpt")
     )
-    assert np.array_equal(q_matrix, evaluate_features(s, states, chunk_size=3))
+    reference = evaluate_features(s, states, config=ExecutionConfig(chunk_size=3))
+    assert np.array_equal(q_matrix, reference)
     assert report.policy == "lpt"
     assert report.num_tasks == 3  # p=1 x ceil(9/3) chunks
     assert all(sec >= 0 for sec in report.measured_seconds)
@@ -214,12 +222,11 @@ def test_dispatch_report_covers_all_tasks(angles):
 def test_dispatch_policy_does_not_change_results(angles):
     s = HybridStrategy(order=1, locality=1)
     states = encode_batch(angles)
-    reference = evaluate_features(s, states, chunk_size=3)
-    with ParallelExecutor("thread", 3) as ex:
+    reference = evaluate_features(s, states, config=ExecutionConfig(chunk_size=3))
+    with ExecutionRuntime("thread", 3) as ex:
         for policy in ("block", "cyclic", "lpt", "work_stealing"):
-            q = evaluate_features(
-                s, states, executor=ex, chunk_size=3, dispatch_policy=policy
-            )
+            cfg = ExecutionConfig(chunk_size=3, dispatch_policy=policy)
+            q = evaluate_features(s, states, executor=ex, config=cfg)
             assert np.array_equal(q, reference), policy
 
 
@@ -227,7 +234,7 @@ def test_bare_runtime_accepted_as_executor(angles):
     s = ObservableConstruction(qubits=4, locality=1)
     states = encode_batch(angles)
     with ExecutionRuntime("thread", 2) as rt:
-        q = evaluate_features(s, states, executor=rt, chunk_size=3)
+        q = evaluate_features(s, states, executor=rt, config=ExecutionConfig(chunk_size=3))
     assert np.array_equal(q, evaluate_features(s, states))
 
 

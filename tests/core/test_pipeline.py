@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import HybridPipeline
+from repro.api import ExecutionConfig, QuantumDevice
+from repro.core.pipeline import PIPELINE_DEFAULT_CONFIG, HybridPipeline
 from repro.core.strategies import HybridStrategy, ObservableConstruction
 from repro.hpc.cluster import ClusterModel, NodeSpec
-from repro.hpc.executor import ParallelExecutor
+from repro.hpc.runtime import ExecutionRuntime
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +47,8 @@ def test_report_contents(small_task):
 def test_circuit_tasks_grid(small_task):
     angles, _ = small_task
     pipe = HybridPipeline(
-        strategy=HybridStrategy(order=1, locality=1), chunk_size=16
+        strategy=HybridStrategy(order=1, locality=1),
+        config=PIPELINE_DEFAULT_CONFIG.merged(chunk_size=16),
     )
     tasks = pipe.circuit_tasks(angles.shape[0])
     # p Ansatz instances x ceil(40/16)=3 chunks.
@@ -58,21 +60,21 @@ def test_executor_backend_equivalence(small_task):
     angles, y = small_task
     serial = HybridPipeline(strategy=ObservableConstruction(qubits=4, locality=1))
     serial.fit(angles, y)
-    threaded = HybridPipeline(
-        strategy=ObservableConstruction(qubits=4, locality=1),
-        executor=ParallelExecutor("thread", 4),
-        chunk_size=8,
-    )
-    threaded.fit(angles, y)
-    assert np.allclose(serial.predict(angles), threaded.predict(angles))
+    with ExecutionRuntime("thread", 4) as runtime:
+        threaded = HybridPipeline(
+            strategy=ObservableConstruction(qubits=4, locality=1),
+            executor=runtime,
+            config=PIPELINE_DEFAULT_CONFIG.merged(chunk_size=8),
+        )
+        threaded.fit(angles, y)
+        assert np.allclose(serial.predict(angles), threaded.predict(angles))
 
 
 def test_shots_pipeline(small_task):
     angles, y = small_task
     pipe = HybridPipeline(
         strategy=ObservableConstruction(qubits=4, locality=1),
-        estimator="shots",
-        shots=256,
+        config=PIPELINE_DEFAULT_CONFIG.merged(estimator="shots", shots=256),
     )
     pipe.fit(angles, y)
     assert pipe.report_.counter.get("shots_fired") > 0
@@ -100,11 +102,14 @@ def test_shots_fired_accounting(small_task):
     exact = HybridPipeline(strategy=strategy).fit(angles, y)
     assert exact.report_.counter.get("shots_fired") == 0
 
-    shots = HybridPipeline(strategy=strategy, estimator="shots", shots=64).fit(angles, y)
+    shots = HybridPipeline(
+        strategy=strategy, config=PIPELINE_DEFAULT_CONFIG.merged(estimator="shots", shots=64)
+    ).fit(angles, y)
     assert shots.report_.counter.get("shots_fired") == 64 * d * p * q
 
     shadows = HybridPipeline(
-        strategy=strategy, estimator="shadows", snapshots=128
+        strategy=strategy,
+        config=PIPELINE_DEFAULT_CONFIG.merged(estimator="shadows", snapshots=128),
     ).fit(angles, y)
     # One shadow batch per (data point, Ansatz), reused across all q
     # observables -- NOT snapshots * Q.size.
@@ -113,13 +118,13 @@ def test_shots_fired_accounting(small_task):
 
 def test_report_dispatch_reconciliation(small_task):
     angles, y = small_task
-    pipe = HybridPipeline(
-        strategy=ObservableConstruction(qubits=4, locality=1),
-        executor=ParallelExecutor("thread", 2),
-        chunk_size=8,
-        scheduling_policy="lpt",
-    )
-    pipe.fit(angles, y)
+    with ExecutionRuntime("thread", 2) as runtime:
+        pipe = HybridPipeline(
+            strategy=ObservableConstruction(qubits=4, locality=1),
+            executor=runtime,
+            config=PIPELINE_DEFAULT_CONFIG.merged(chunk_size=8, dispatch_policy="lpt"),
+        )
+        pipe.fit(angles, y)
     dispatch = pipe.report_.dispatch
     assert dispatch is not None
     assert dispatch.policy == "lpt"
@@ -128,34 +133,33 @@ def test_report_dispatch_reconciliation(small_task):
     assert rec["wall_s"] > 0
     assert rec["measured_total_s"] > 0
     assert "dispatch (lpt" in pipe.report_.summary()
-    pipe.close()
 
 
 def test_pipeline_persistent_runtime_across_sweeps(small_task):
     """One long-lived pool serves fit and every subsequent predict."""
     angles, y = small_task
-    with HybridPipeline(
-        strategy=ObservableConstruction(qubits=4, locality=1),
-        executor=ParallelExecutor("thread", 2),
-        chunk_size=8,
-    ) as pipe:
+    with (
+        ExecutionRuntime("thread", 2) as runtime,
+        HybridPipeline(
+            strategy=ObservableConstruction(qubits=4, locality=1),
+            executor=runtime,
+            config=PIPELINE_DEFAULT_CONFIG.merged(chunk_size=8),
+        ) as pipe,
+    ):
         pipe.fit(angles, y)
         pipe.predict(angles)
         pipe.predict(angles)
-        assert pipe.executor.runtime.pools_created == 1
-    assert pipe.executor._runtime is None  # context exit released the pool
+        assert runtime.pools_created == 1
 
 
 def test_pipeline_leaves_caller_owned_runtime_open(small_task):
     """A bare ExecutionRuntime may be shared; the pipeline must not kill it."""
-    from repro.hpc.runtime import ExecutionRuntime
-
     angles, y = small_task
     with ExecutionRuntime("thread", 2) as runtime:
         with HybridPipeline(
             strategy=ObservableConstruction(qubits=4, locality=1),
             executor=runtime,
-            chunk_size=8,
+            config=PIPELINE_DEFAULT_CONFIG.merged(chunk_size=8),
         ) as pipe:
             pipe.fit(angles, y)
             assert pipe.score(angles, y) > 0.5
@@ -166,32 +170,33 @@ def test_pipeline_leaves_caller_owned_runtime_open(small_task):
     assert runtime.closed
 
 
-def test_model_classes_close_persistent_executor(small_task):
+def test_model_classes_leave_device_pool_open(small_task):
     from repro.core.model import PostVariationalClassifier
 
     angles, y = small_task
-    ex = ParallelExecutor("thread", 2)
-    with PostVariationalClassifier(
-        strategy=ObservableConstruction(qubits=4, locality=1), executor=ex
-    ) as clf:
+    with QuantumDevice(ExecutionConfig(), pool="thread", max_workers=2) as device:
+        clf = PostVariationalClassifier(
+            strategy=ObservableConstruction(qubits=4, locality=1), device=device
+        )
         clf.fit(angles, y)
         assert clf.predict(angles).shape == y.shape
-    assert ex._runtime is None  # pool released on exit
+        # fit and predict share the device's one pool and never close it.
+        assert device.runtime.pools_created == 1
+        assert not device.closed
 
 
 def test_scheduling_policies_do_not_change_predictions(small_task):
     angles, y = small_task
     strategy = ObservableConstruction(qubits=4, locality=1)
     reference = HybridPipeline(strategy=strategy).fit(angles, y).predict(angles)
-    for policy in ("block", "cyclic", "lpt", "work_stealing"):
-        pipe = HybridPipeline(
-            strategy=strategy,
-            executor=ParallelExecutor("thread", 2),
-            chunk_size=8,
-            scheduling_policy=policy,
-        )
-        assert np.array_equal(pipe.fit(angles, y).predict(angles), reference)
-        pipe.close()
+    with ExecutionRuntime("thread", 2) as runtime:
+        for policy in ("block", "cyclic", "lpt", "work_stealing"):
+            pipe = HybridPipeline(
+                strategy=strategy,
+                executor=runtime,
+                config=PIPELINE_DEFAULT_CONFIG.merged(chunk_size=8, dispatch_policy=policy),
+            )
+            assert np.array_equal(pipe.fit(angles, y).predict(angles), reference)
 
 
 def test_unfitted_errors(small_task):

@@ -1,9 +1,17 @@
-"""Executor backend equivalence and ordering tests."""
+"""Executor backend equivalence and ordering tests.
+
+The executor is :class:`repro.hpc.runtime.ExecutionRuntime` configured by
+:class:`repro.hpc.runtime.ExecutorConfig`: one order-preserving ``map``
+over a persistent serial/thread/process pool.
+"""
+
+import os
+import time
 
 import numpy as np
 import pytest
 
-from repro.hpc.executor import ExecutorConfig, ParallelExecutor
+from repro.hpc import ExecutionRuntime, ExecutorConfig
 
 
 def square(x):
@@ -18,104 +26,54 @@ def test_config_validation():
 
 
 def test_serial_map():
-    ex = ParallelExecutor()
-    assert ex.map(square, [1, 2, 3]) == [1, 4, 9]
+    with ExecutionRuntime() as rt:
+        assert rt.backend == "serial"
+        assert rt.map(square, [1, 2, 3]) == [1, 4, 9]
 
 
 def test_empty_tasks():
-    assert ParallelExecutor("thread", 4).map(square, []) == []
+    with ExecutionRuntime("thread", 4) as rt:
+        assert rt.map(square, []) == []
+        assert rt.pools_created == 0
 
 
 @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 4), ("process", 2)])
 def test_backends_agree(backend, workers):
     tasks = list(range(20))
-    expected = [square(t) for t in tasks]
-    ex = ParallelExecutor(backend, workers)
-    assert ex.map(square, tasks) == expected
+    with ExecutionRuntime(backend, workers) as rt:
+        assert rt.map(square, tasks) == [square(t) for t in tasks]
 
 
 def test_order_preserved_despite_uneven_work():
     """Results must follow task order, not completion order."""
-    import time
 
     def slow_then_fast(x):
         time.sleep(0.02 if x == 0 else 0.0)
         return x
 
-    ex = ParallelExecutor("thread", 4)
-    assert ex.map(slow_then_fast, list(range(8))) == list(range(8))
-
-
-def test_starmap_thread():
-    ex = ParallelExecutor("thread", 2)
-    assert ex.starmap(lambda a, b: a + b, [(1, 2), (3, 4)]) == [3, 7]
-
-
-def add(a, b):
-    return a + b
-
-
-def test_starmap_process():
-    ex = ParallelExecutor("process", 2)
-    assert ex.starmap(add, [(1, 2), (3, 4)]) == [3, 7]
+    with ExecutionRuntime("thread", 4) as rt:
+        assert rt.map(slow_then_fast, list(range(8))) == list(range(8))
 
 
 def test_numpy_payloads_roundtrip():
-    ex = ParallelExecutor("thread", 3)
     arrays = [np.full(4, i) for i in range(6)]
-    out = ex.map(lambda a: a.sum(), arrays)
-    assert out == [0, 4, 8, 12, 16, 20]
-    ex.close()
+    with ExecutionRuntime("thread", 3) as rt:
+        assert rt.map(lambda a: a.sum(), arrays) == [0, 4, 8, 12, 16, 20]
 
 
 def test_auto_max_workers():
-    import os
-
     cpus = os.cpu_count() or 1
     assert ExecutorConfig(max_workers=None).max_workers == cpus
     assert ExecutorConfig(max_workers="auto").max_workers == cpus
-    assert ParallelExecutor("thread", None).max_workers == cpus
-    assert ParallelExecutor("thread", "auto").max_workers == cpus
+    assert ExecutionRuntime("thread", None).max_workers == cpus
+    assert ExecutionRuntime("thread", "auto").max_workers == cpus
     with pytest.raises(ValueError):
-        ParallelExecutor("thread", "all-of-them")
+        ExecutionRuntime("thread", "all-of-them")
 
 
 def test_persistent_pool_reused_across_maps():
-    with ParallelExecutor("thread", 2) as ex:
-        ex.map(square, [1, 2])
-        ex.map(square, [3, 4])
-        ex.starmap(lambda a, b: a + b, [(1, 2)])
-        assert ex.runtime.pools_created == 1
-
-
-def test_concurrent_runtime_access_builds_one_runtime():
-    """Threads sharing a facade must not race duplicate pools into being."""
-    import threading
-
-    ex = ParallelExecutor("thread", 2)
-    seen = []
-    barrier = threading.Barrier(6)
-
-    def grab():
-        barrier.wait()
-        seen.append(ex.runtime)
-
-    threads = [threading.Thread(target=grab) for _ in range(6)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len({id(r) for r in seen}) == 1
-    ex.close()
-
-
-def test_close_then_reuse_recreates_runtime():
-    ex = ParallelExecutor("thread", 2)
-    first = ex.runtime
-    ex.map(square, [1])
-    ex.close()
-    assert first.closed
-    # The facade stays usable: a fresh runtime is built lazily.
-    assert ex.map(square, [5]) == [25]
-    assert ex.runtime is not first
-    ex.close()
+    with ExecutionRuntime("thread", 2) as rt:
+        rt.map(square, [1, 2])
+        rt.map(square, [3, 4])
+        rt.run(square, [5])
+        assert rt.pools_created == 1

@@ -28,7 +28,7 @@ from repro.core.strategies import (
     ObservableConstruction,
 )
 from repro.data.encoding import encoding_template
-from repro.hpc.executor import ParallelExecutor
+from repro.hpc.runtime import ExecutionRuntime
 from repro.quantum.backends import (
     DensityMatrixBackend,
     DistributedStatevectorBackend,
@@ -94,7 +94,7 @@ def test_executor_backends_agree_bit_for_bit(angles, pool):
     """Batched programs pickle: every pool yields the same exact matrix."""
     strategy = ObservableConstruction(qubits=4, locality=1)
     reference = generate_features(strategy, angles, config=_cfg(vectorize="auto"))
-    with ParallelExecutor(backend=pool, max_workers=2) as executor:
+    with ExecutionRuntime(backend=pool, max_workers=2) as executor:
         via_pool = generate_features(
             strategy, angles, executor=executor, config=_cfg(vectorize="auto")
         )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ExecutionConfig
 from repro.core.features import generate_features
 from repro.core.strategies import AnsatzExpansion, HybridStrategy
 from repro.data.encoding import encode_batch
@@ -103,7 +104,9 @@ def test_noisy_features_bounded_by_ideal_identity(angles):
 
     strategy = ObservableConstruction(qubits=4, locality=1)
     q = generate_features(
-        strategy, angles[:3], backend=DensityMatrixBackend(NoiseModel.depolarizing(0.03))
+        strategy,
+        angles[:3],
+        config=ExecutionConfig(backend=DensityMatrixBackend(NoiseModel.depolarizing(0.03))),
     )
     assert np.allclose(q[:, 0], 1.0, atol=1e-10)
     assert np.all(q >= -1 - 1e-9) and np.all(q <= 1 + 1e-9)
@@ -118,7 +121,9 @@ def test_shadow_and_shot_estimators_agree_in_expectation(angles):
     exact = generate_features(strategy, angles[:2])
     shot_runs = np.mean(
         [
-            generate_features(strategy, angles[:2], estimator="shots", shots=600, seed=s)
+            generate_features(
+                strategy, angles[:2], config=ExecutionConfig(estimator="shots", shots=600, seed=s)
+            )
             for s in range(6)
         ],
         axis=0,
@@ -126,7 +131,9 @@ def test_shadow_and_shot_estimators_agree_in_expectation(angles):
     shadow_runs = np.mean(
         [
             generate_features(
-                strategy, angles[:2], estimator="shadows", snapshots=1200, seed=s
+                strategy,
+                angles[:2],
+                config=ExecutionConfig(estimator="shadows", snapshots=1200, seed=s),
             )
             for s in range(6)
         ],

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecutionConfig
 from repro.core.features import generate_features
 from repro.core.model import PostVariationalClassifier
 from repro.core.strategies import HybridStrategy, ObservableConstruction
@@ -100,7 +101,9 @@ def test_shot_noise_budget_controls_loss_shift(split):
     epsilon = 0.5
     eps_h = theorem4_required_entry_error(m, epsilon)
     shots = int(np.ceil(2.0 / eps_h**2 * np.log(2 * m * 30 / 0.05)))
-    q_noisy = generate_features(strategy, angles, estimator="shots", shots=shots, seed=3)
+    q_noisy = generate_features(
+        strategy, angles, config=ExecutionConfig(estimator="shots", shots=shots, seed=3)
+    )
     assert np.max(np.abs(q_noisy - q_exact)) < eps_h * 1.5  # sanity on the budget
 
     alpha_star = ConstrainedLeastSquares().fit(q_exact, y).coef_

@@ -18,10 +18,11 @@ reused across every sweep -- exercising pool persistence along the way.
 import numpy as np
 import pytest
 
+from repro.api import ExecutionConfig
 from repro.core.features import evaluate_features
 from repro.core.strategies import HybridStrategy
 from repro.data.encoding import encode_batch
-from repro.hpc.executor import ParallelExecutor
+from repro.hpc.runtime import ExecutionRuntime
 from repro.hpc.scheduler import SCHEDULING_POLICIES
 
 CHUNK = 2  # 6 samples -> 3 chunks per Ansatz: real multi-task schedules
@@ -37,20 +38,19 @@ def workload():
 @pytest.fixture(scope="module", params=["serial", "thread", "process"])
 def executor(request):
     workers = 1 if request.param == "serial" else 2
-    with ParallelExecutor(request.param, workers) as ex:
+    with ExecutionRuntime(request.param, workers) as ex:
         yield ex
 
 
 @pytest.mark.parametrize("policy", SCHEDULING_POLICIES)
 def test_exact_bit_for_bit_across_backends_and_policies(workload, executor, policy):
     strategy, states = workload
-    reference = evaluate_features(strategy, states, chunk_size=CHUNK)
+    reference = evaluate_features(strategy, states, config=ExecutionConfig(chunk_size=CHUNK))
     q = evaluate_features(
         strategy,
         states,
         executor=executor,
-        chunk_size=CHUNK,
-        dispatch_policy=policy,
+        config=ExecutionConfig(chunk_size=CHUNK, dispatch_policy=policy),
     )
     assert np.array_equal(q, reference)
 
@@ -65,32 +65,34 @@ def test_stochastic_seed_deterministic_across_schedules(
     workload, executor, policy, estimator, kwargs
 ):
     strategy, states = workload
-    reference = evaluate_features(
-        strategy, states, estimator=estimator, seed=7, chunk_size=CHUNK, **kwargs
-    )
+    cfg = ExecutionConfig(estimator=estimator, seed=7, chunk_size=CHUNK, **kwargs)
+    reference = evaluate_features(strategy, states, config=cfg)
     q = evaluate_features(
-        strategy,
-        states,
-        estimator=estimator,
-        seed=7,
-        chunk_size=CHUNK,
-        executor=executor,
-        dispatch_policy=policy,
-        **kwargs,
+        strategy, states, executor=executor, config=cfg.merged(dispatch_policy=policy)
     )
     assert np.array_equal(q, reference)
 
 
 def test_different_seed_changes_stochastic_matrix(workload):
     strategy, states = workload
-    a = evaluate_features(strategy, states, estimator="shots", shots=32, seed=7, chunk_size=CHUNK)
-    b = evaluate_features(strategy, states, estimator="shots", shots=32, seed=8, chunk_size=CHUNK)
+    a = evaluate_features(
+        strategy,
+        states,
+        config=ExecutionConfig(estimator="shots", shots=32, seed=7, chunk_size=CHUNK),
+    )
+    b = evaluate_features(
+        strategy,
+        states,
+        config=ExecutionConfig(estimator="shots", shots=32, seed=8, chunk_size=CHUNK),
+    )
     assert not np.array_equal(a, b)
 
 
 def test_process_pool_persisted_across_property_sweeps(workload, executor):
     """The module-scoped executor must have built at most one pool."""
     strategy, states = workload
-    evaluate_features(strategy, states, executor=executor, chunk_size=CHUNK)
+    evaluate_features(
+        strategy, states, executor=executor, config=ExecutionConfig(chunk_size=CHUNK)
+    )
     if executor.backend != "serial":
-        assert executor.runtime.pools_created == 1
+        assert executor.pools_created == 1

@@ -281,26 +281,14 @@ def test_feature_client_pins_tenant():
     asyncio.run(main())
 
 
-def test_feature_client_service_form_is_deprecated_shim():
-    async def main():
-        async with make_service(cache_results=False) as service:
-            with pytest.warns(DeprecationWarning, match="InProcessTransport"):
-                client = FeatureClient(service, tenant="team-a")
-            assert client.service is service  # the accessor still works
-            x = angles()
-            via_shim = await client.features("t", x, seed=3)
-            direct = await service.submit("t", x, tenant="team-a", seed=3)
-            assert np.array_equal(via_shim, direct)
-
-    asyncio.run(main())
-
-
 def test_feature_client_requires_exactly_one_target():
     service = make_service()
-    with pytest.raises(TypeError, match="exactly one"):
+    with pytest.raises(TypeError, match="transport"):
         FeatureClient()
-    with pytest.raises(TypeError, match="exactly one"):
-        FeatureClient(service, transport=InProcessTransport(service))
+    with pytest.raises(TypeError, match="positional"):
+        FeatureClient(service)  # the in-process form is transport=
+    with pytest.raises(TypeError, match="Transport"):
+        FeatureClient(transport=service)
 
 
 def test_admission_released_when_flush_fails(monkeypatch):

@@ -156,6 +156,42 @@ def test_tcp_response_bit_equal_to_in_process_and_standalone(execution):
     assert np.array_equal(over_tcp, standalone)
 
 
+def test_request_seed_is_tri_state_over_tcp(monkeypatch):
+    """Omitted = template seed (no "seed" key on the wire), int = that seed,
+    None = fresh entropy -- the same three states as in-process submit."""
+    import repro.serve.transport as transport_module
+
+    sent = []
+    pack = transport_module.pack_frame
+
+    def recording_pack(header, *args, **kwargs):
+        sent.append(header)
+        return pack(header, *args, **kwargs)
+
+    monkeypatch.setattr(transport_module, "pack_frame", recording_pack)
+    execution = ExecutionConfig(estimator="shots", shots=64, seed=7)
+
+    async def main():
+        service = make_service(execution, cache_results=False)
+        x = angles(k=2)
+        async with service, FeatureServer(service) as server:
+            host, port = server.address
+            async with await TcpTransport.connect(host, port) as transport:
+                omitted = await transport.submit("t", x)
+                seeded = await transport.submit("t", x, seed=7)
+                other = await transport.submit("t", x, seed=8)
+                fresh = await transport.submit("t", x, seed=None)
+        return omitted, seeded, other, fresh
+
+    omitted, seeded, other, fresh = asyncio.run(main())
+    assert np.array_equal(omitted, seeded)
+    assert not np.array_equal(omitted, other)
+    assert fresh.shape == omitted.shape
+    requests = [h for h in sent if h.get("type") == "submit"]
+    assert ["seed" in h for h in requests] == [False, True, True, True]
+    assert [h.get("seed") for h in requests[1:]] == [7, 8, None]
+
+
 def test_streamed_response_bit_equal():
     async def main():
         # Threshold 2 with 6 samples: the response must stream, and a
