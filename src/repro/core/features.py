@@ -13,15 +13,18 @@ Three estimators exercise the paper's three measurement models:
 * ``shadows`` -- classical-shadow estimation, one shadow batch per
   (data point, Ansatz) reused across all q observables (Proposition 2).
 
-The work grid (Ansatz instance x data chunk) is embarrassingly parallel and
-is dispatched through the persistent
-:class:`repro.hpc.runtime.ExecutionRuntime`.  Dispatch is *streaming*: a
-per-task cost model (chunk size x Ansatz depth x shot budget, priced by
-:func:`repro.hpc.cluster.task_costs`) orders submission via the scheduling
-policies, and each completed block is scattered into the preallocated Q
-matrix as its future resolves -- no end-of-sweep barrier.
-:func:`iter_feature_blocks` exposes the same stream to incremental
-consumers.
+The work grid (Ansatz instance x data chunk) is embarrassingly parallel.
+:class:`SweepPlan` plans it once per sweep -- the jobs, one RNG seed and one
+dispatch cost (chunk size x Ansatz depth x shot budget, priced by
+:func:`repro.hpc.cluster.task_costs`) per job -- and is the package's only
+planner: the serving layer (:mod:`repro.serve.engine`) plans each request
+with the same :meth:`SweepPlan.build`, so a served response and a standalone
+sweep share jobs and seeds by construction.  Dispatch runs through the
+persistent :class:`repro.hpc.runtime.ExecutionRuntime` and is *streaming*:
+the plan's costs order submission via the scheduling policies, and each
+completed block is scattered into the preallocated Q matrix as its future
+resolves -- no end-of-sweep barrier.  :func:`iter_feature_blocks` exposes
+the same stream to incremental consumers.
 
 Execution is configured through the unified API (:mod:`repro.api`): every
 entry point takes ``config=`` (an
@@ -33,13 +36,14 @@ Kraus) or ZNE-mitigated -- every backend runs through the *same* job grid,
 cost model (density evolution priced ~4^n vs 2^n) and streaming dispatch,
 so the noisy Q-matrix sweep parallelises exactly like the ideal one.
 
-Execution is per-sample-oracle or batched: with ``config.vectorize="auto"``
-on a backend that supports it, :func:`generate_features` skips the separate
-preparation pass entirely -- each (Ansatz instance, chunk) job encodes and
-evolves its raw angle chunk through one
+:func:`sweep_mode` makes the one execution-path choice for raw angles.
+With ``config.vectorize="auto"`` on a backend that supports it,
+:func:`generate_features` skips the separate preparation pass entirely
+(``"batched"``): each (Ansatz instance, chunk) job encodes and evolves its
+raw angle chunk through one
 :class:`~repro.quantum.batched.ParametricCompiledCircuit` stacked pass
 (shared fused blocks + per-sample angle chains).  The job grid and per-task
-seed derivation are identical to the per-sample path, which remains the
+seeds are the plan's either way, and the per-sample path remains the
 reference oracle (``tests/integration/test_batched_features.py``).
 
 All executor backends and policies produce identical matrices for
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -83,14 +87,20 @@ from repro.xp import get_namespace
 
 __all__ = [
     "FeatureJob",
+    "SweepPlan",
+    "bound_ansatz",
     "feature_jobs",
     "generate_features",
     "evaluate_features",
     "iter_feature_blocks",
     "feature_circuit_tasks",
     "measure_block",
+    "preflight_circuits",
     "prepare_states",
     "resolve_chunk_size",
+    "sweep_mode",
+    "sweep_programs",
+    "unbound_programs",
 ]
 
 
@@ -106,9 +116,9 @@ class FeatureJob:
 def feature_jobs(num_ansatze: int, num_samples: int, chunk_size: int) -> list[FeatureJob]:
     """The sweep's work grid: one job per (Ansatz instance, data chunk).
 
-    The single source of truth for job enumeration -- both the live
-    dispatch path and :meth:`HybridPipeline.circuit_tasks`' analytic
-    projection build on it, so the two can never silently diverge.
+    The single source of truth for job enumeration: :meth:`SweepPlan.build`
+    (and so every sweep and every served request) and
+    :meth:`HybridPipeline.circuit_tasks`' analytic projection build on it.
     """
     return [
         FeatureJob(a, lo, hi)
@@ -117,7 +127,29 @@ def feature_jobs(num_ansatze: int, num_samples: int, chunk_size: int) -> list[Fe
     ]
 
 
-def _bound_ansatz(strategy: Strategy, params: np.ndarray) -> Circuit | None:
+def sweep_mode(strategy: Strategy, cfg: ExecutionConfig) -> str:
+    """How :func:`generate_features` runs a raw-angle sweep under ``cfg``.
+
+    * ``"batched"`` -- encoder + Ansatz compile into ONE batched program
+      per instance and each job encodes *and* evolves its raw angle chunk
+      in stacked passes (``vectorize="auto"`` on a supporting backend, with
+      one Ansatz instance or a density representation, whose encoder stage
+      carries gate-level noise and ZNE folding);
+    * ``"shared_encoder"`` -- several statevector instances share one
+      batched-encoder pass, then every instance evolves the prepared batch;
+    * ``"prepared"`` -- per-sample preparation, then per-instance evolution
+      (the reference oracle).
+
+    The serving layer coalesces exactly the ``"batched"`` templates.
+    """
+    if cfg.vectorize != "auto" or not cfg.backend.supports_vectorize:
+        return "prepared"
+    if strategy.num_ansatze == 1 or cfg.backend.representation == "density":
+        return "batched"
+    return "shared_encoder"
+
+
+def bound_ansatz(strategy: Strategy, params: np.ndarray) -> Circuit | None:
     """The bound Ansatz instance, or None only when there is nothing to run.
 
     A circuit with gates but zero *parameters* (e.g. a fixed entangling
@@ -131,93 +163,142 @@ def _bound_ansatz(strategy: Strategy, params: np.ndarray) -> Circuit | None:
     return circuit.bind(params)
 
 
-def _parametric_programs(
-    strategy: Strategy,
-    compile: str | int,
-    template: Circuit,
-    backend: QuantumBackend,
-    array_backend: str = "numpy",
-) -> list:
-    """One batched template program per Ansatz instance (``vectorize`` path).
+def unbound_programs(strategy: Strategy) -> list[Circuit | None]:
+    """The cost model's view of every Ansatz instance, with nothing compiled.
 
-    Each program covers the *whole* per-sample circuit ``U(theta_a) S(x)``:
-    the encoder template's rotations stay as angle slots while the bound
-    Ansatz joins it, so one compile per parameter set serves every data
-    chunk (and, being picklable, every process worker).  The program *kind*
-    is the backend's choice (:meth:`QuantumBackend.batch_program`): fused
-    :class:`ParametricCompiledCircuit` for statevectors, fusion-free
-    batched density programs (per-scale folded stacks for ZNE) where Kraus
-    insertion points must survive.
+    Gate count is binding-independent, so the unbound Ansatz prices every
+    instance for projections and admission.  Only a genuinely empty circuit
+    is skipped by the sweep; a parameterless circuit with gates still runs
+    (and costs).
     """
-    return [
-        backend.batch_program(
-            template, _bound_ansatz(strategy, params), compile, array_backend
+    ansatz = strategy.ansatz
+    if ansatz is not None and ansatz.num_gates == 0:
+        ansatz = None
+    return [ansatz] * strategy.num_ansatze
+
+
+def sweep_programs(
+    strategy: Strategy, cfg: ExecutionConfig, template: Circuit | None = None
+) -> list:
+    """One executable program per Ansatz instance, built once per sweep.
+
+    Binding (and, when ``cfg.compile`` is on, fusion) happens here -- up
+    front and once per parameter set -- instead of once per (Ansatz, chunk)
+    job, so the sweep reuses each artifact across every data chunk and,
+    because the programs pickle, across process workers too.
+
+    With an encoder ``template`` (the ``"batched"`` mode) each program
+    covers the *whole* per-sample circuit ``U(theta_a) S(x)``: the
+    template's rotations stay as angle slots while the bound Ansatz joins
+    it.  The program *kind* is the backend's choice
+    (:meth:`QuantumBackend.batch_program`): fused
+    :class:`ParametricCompiledCircuit` for statevectors, fusion-free batched
+    density programs (per-scale folded stacks for ZNE) where Kraus insertion
+    points must survive.  Without a template, backends with gate-level noise
+    insertion evolve raw bound circuits (``supports_compile=False``); the
+    compile knob is still validated so a typo fails identically on every
+    backend.
+    """
+    backend = cfg.backend
+    width = resolve_fusion_width(cfg.compile)
+    if not backend.supports_compile:
+        width = None
+    programs: list = []
+    for params in strategy.parameter_sets():
+        program = bound_ansatz(strategy, params)
+        if template is not None:
+            program = backend.batch_program(
+                template, program, cfg.compile, cfg.resolved_array_backend
+            )
+        elif program is not None and width is not None:
+            program = compile_circuit(program, max_width=width)
+        programs.append(program)
+    return programs
+
+
+def preflight_circuits(strategy: Strategy, template: Circuit | None) -> list[Circuit]:
+    """What preflight lints for one sweep of ``strategy``.
+
+    The *unbound* encoder ``template`` (its rotation slots are exactly what
+    the batched engine must chain; ``None`` for prepared states, which have
+    already lost it) and the first bound Ansatz instance -- Ansatz gates
+    are bound before execution, so linting them unbound would spuriously
+    flag RPA003.
+    """
+    circuits = [] if template is None else [template]
+    for params in strategy.parameter_sets()[:1]:
+        bound = bound_ansatz(strategy, params)
+        if bound is not None:
+            circuits.append(bound)
+    return circuits
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """Algorithm 1's work grid for one sweep (Eq. 26), built by :meth:`build`.
+
+    ``jobs`` enumerate (Ansatz instance x data chunk), ansatz-major;
+    ``seeds`` hold one RNG seed per job (``None`` throughout for exact
+    estimation), keyed by job *index* so results do not depend on the
+    executor backend, policy or completion order; ``costs`` price each job
+    in the scheduler's units.  Plain picklable data: the serving layer ships
+    one plan per request to thread or process flush workers.
+    """
+
+    jobs: tuple[FeatureJob, ...]
+    seeds: tuple[int | None, ...]
+    costs: tuple[float, ...]
+
+    @classmethod
+    def build(
+        cls,
+        strategy: Strategy,
+        cfg: ExecutionConfig,
+        num_samples: int,
+        programs: Sequence,
+        seed: int | np.random.Generator | None,
+    ) -> SweepPlan:
+        """Plan ``num_samples`` rows of ``strategy`` under ``cfg``.
+
+        ``programs`` (one per Ansatz instance) price the jobs and ``seed``
+        roots the per-job RNG streams (a sweep passes ``cfg.seed``; a
+        served request its own seed).
+        """
+        jobs = feature_jobs(strategy.num_ansatze, num_samples, cfg.resolved_chunk_size)
+        if cfg.estimator == "exact":
+            seeds: tuple[int | None, ...] = (None,) * len(jobs)
+        else:
+            seeds = tuple(int(c.integers(0, 2**63)) for c in spawn_rngs(seed, len(jobs)))
+        tasks = feature_circuit_tasks(
+            jobs,
+            programs,
+            strategy.num_qubits,
+            strategy.num_observables,
+            cfg.estimator,
+            cfg.shots,
+            cfg.snapshots,
+            cfg.backend,
         )
-        for params in strategy.parameter_sets()
-    ]
-
-
-def _use_vectorized(cfg: ExecutionConfig) -> bool:
-    """Whether this config routes raw-angle sweeps through ``apply_batch``."""
-    return cfg.vectorize == "auto" and cfg.backend.supports_vectorize
+        return cls(tuple(jobs), seeds, tuple(task_costs(tasks).tolist()))
 
 
 def _run_preflight(
     strategy: Strategy,
-    angles: np.ndarray | None,
+    template: Circuit | None,
     cfg: ExecutionConfig,
     owner: str,
 ) -> None:
     """Static analysis at job-build time, per ``cfg.preflight``.
 
-    Lints what the sweep will actually run: the *unbound* encoder template
-    (its rotation slots are exactly what the batched engine must chain) and
-    the first bound Ansatz instance -- Ansatz gates are bound before
-    execution, so linting them unbound would spuriously flag RPA003.  In
-    mode ``"error"`` this raises before any state is prepared or any job
-    is submitted.
+    Lints :func:`preflight_circuits`; in mode ``"error"`` this raises
+    before any state is prepared or any job is submitted.
     """
+    if cfg.preflight == "off":
+        return
     from repro.analysis.preflight import run_preflight
 
-    circuits = []
-    if angles is not None:
-        from repro.data.encoding import encoding_template
-
-        circuits.append(encoding_template(angles.shape[1], angles.shape[2]))
-    for params in strategy.parameter_sets():
-        bound = _bound_ansatz(strategy, params)
-        if bound is not None:
-            circuits.append(bound)
-        break
-    run_preflight(
-        cfg, num_qubits=strategy.num_qubits, circuits=circuits, owner=owner
-    )
-
-
-def _ansatz_programs(
-    strategy: Strategy, compile: str | int, backend: QuantumBackend
-) -> list[Circuit | CompiledCircuit | None]:
-    """One executable program per Ansatz instance, prepared once per sweep.
-
-    Binding (and, when ``compile`` is on, fusion) happens here -- up front
-    and once per parameter set -- instead of once per (Ansatz, chunk) job,
-    so the Q-matrix sweep reuses each artifact across every data chunk and,
-    because :class:`CompiledCircuit` pickles, across process workers too.
-
-    Backends with gate-level noise insertion evolve raw circuits only
-    (``supports_compile=False``); the compile knob is a no-op for them, but
-    it is still validated so a typo fails identically on every backend.
-    """
-    width = resolve_fusion_width(compile)
-    if not backend.supports_compile:
-        width = None
-    programs: list[Circuit | CompiledCircuit | None] = []
-    for params in strategy.parameter_sets():
-        bound = _bound_ansatz(strategy, params)
-        if bound is not None and width is not None:
-            bound = compile_circuit(bound, max_width=width)
-        programs.append(bound)
-    return programs
+    circuits = preflight_circuits(strategy, template)
+    run_preflight(cfg, num_qubits=strategy.num_qubits, circuits=circuits, owner=owner)
 
 
 def _program_ops(program: Circuit | CompiledCircuit | ParametricCompiledCircuit | None) -> int:
@@ -236,41 +317,6 @@ def _program_ops(program: Circuit | CompiledCircuit | ParametricCompiledCircuit 
     return program.num_gates
 
 
-def _evaluate_block(
-    states: np.ndarray,
-    program: Circuit | CompiledCircuit | ParametricCompiledCircuit | None,
-    observables: list[PauliString],
-    estimator: str,
-    shots: int,
-    snapshots: int,
-    rng: np.random.Generator | None,
-    backend: QuantumBackend,
-    xp=None,
-) -> np.ndarray:
-    """Feature block for one Ansatz instance on a chunk of prepared states
-    (or, for a batched template program, of raw encoding angles).
-
-    Returns (chunk, q).  This is the module-level worker so the process
-    executor backend can pickle it via functools.partial-free closures.
-    ``xp`` is the resolved array namespace; ``None`` (the default config)
-    never reaches backend signatures, so third-party backends without the
-    keyword keep working.
-    """
-    # vectorize="auto" templates consume raw (chunk, rows, cols) angles and
-    # run encoding + Ansatz evolution in one stacked pass (evolve_batch).
-    evolve = (
-        backend.evolve_batch
-        if getattr(program, "consumes_angles", False)
-        else backend.evolve
-    )
-    evolved = (
-        evolve(states, program) if xp is None else evolve(states, program, xp=xp)
-    )
-    return measure_block(
-        evolved, observables, estimator, shots, snapshots, rng, backend
-    )
-
-
 def measure_block(
     evolved: np.ndarray,
     observables: list[PauliString],
@@ -281,7 +327,7 @@ def measure_block(
     backend: QuantumBackend,
 ) -> np.ndarray:
     """Feature block from *already-evolved* states: the measurement half of
-    :func:`_evaluate_block`, shared verbatim with the serving layer
+    every job, shared verbatim with the serving layer
     (:mod:`repro.serve.engine`), whose coalesced flushes must measure
     exactly like a standalone sweep to stay bit-equal per request.
 
@@ -309,70 +355,56 @@ def measure_block(
 class _BlockWorker:
     """Picklable task callable for the process executor backend.
 
-    Holds only the sweep-wide artifacts (programs, observables, seeds);
-    each task carries its *own* state chunk, so a process pool ships
-    O(chunk) state per submission rather than re-pickling the full
-    (d, ...) prepared batch with every task -- which for density states
-    (4^n entries each) would dominate the sweep.
+    Holds only the sweep-wide artifacts (programs, observables, measurement
+    settings); each task carries its *own* ``(job, seed, chunk)``, so a
+    process pool ships O(chunk) state per submission rather than
+    re-pickling the full (d, ...) prepared batch with every task -- which
+    for density states (4^n entries each) would dominate the sweep.
     """
 
-    def __init__(
-        self,
-        strategy: Strategy,
-        estimator: str,
-        shots: int,
-        snapshots: int,
-        seeds: list[int] | None,
-        compile: str | int,
-        backend: QuantumBackend,
-        template: Circuit | None = None,
-        array_backend: str = "numpy",
-    ):
+    def __init__(self, strategy: Strategy, programs: list, cfg: ExecutionConfig):
+        self.programs = programs
         self.observables = strategy.observables()
-        self.backend = backend
+        self.backend = cfg.backend
+        self.estimator = cfg.estimator
+        self.shots = cfg.shots
+        self.snapshots = cfg.snapshots
         # The already-resolved concrete namespace *name* (never "auto"):
         # plain strings pickle to process workers, and each worker resolves
         # its own process-wide namespace singleton lazily on first use.
-        self.array_backend = array_backend
-        # Bind/compile each Ansatz instance exactly once for the whole sweep
-        # (not per chunk); compiled programs pickle to process workers.
-        # With an encoder ``template`` (the vectorize="auto" path) each
-        # program is a batched template covering encoder + Ansatz, and tasks
-        # carry raw angle chunks instead of states.
-        if template is None:
-            self.programs = _ansatz_programs(strategy, compile, self.backend)
-        else:
-            self.programs = _parametric_programs(
-                strategy, compile, template, self.backend, array_backend
-            )
-        self.estimator = estimator
-        self.shots = shots
-        self.snapshots = snapshots
-        self.seeds = seeds
+        self.array_backend = cfg.resolved_array_backend
 
     def __call__(
-        self, task: tuple[int, FeatureJob, np.ndarray]
+        self, task: tuple[FeatureJob, int | None, np.ndarray]
     ) -> tuple[FeatureJob, np.ndarray]:
-        task_id, job, states = task
-        rng = None if self.seeds is None else np.random.default_rng(self.seeds[task_id])
+        job, seed, payload = task
+        program = self.programs[job.ansatz_index]
+        # Batched templates consume raw (chunk, rows, cols) angles and run
+        # encoding + Ansatz evolution in one stacked pass (evolve_batch).
+        evolve = (
+            self.backend.evolve_batch
+            if getattr(program, "consumes_angles", False)
+            else self.backend.evolve
+        )
+        # ``xp=None`` (the default numpy namespace) never reaches backend
+        # signatures, so third-party backends without the keyword keep working.
         xp = None if self.array_backend == "numpy" else get_namespace(self.array_backend)
-        block = _evaluate_block(
-            states,
-            self.programs[job.ansatz_index],
+        evolved = evolve(payload, program) if xp is None else evolve(payload, program, xp=xp)
+        block = measure_block(
+            evolved,
             self.observables,
             self.estimator,
             self.shots,
             self.snapshots,
-            rng,
+            None if seed is None else np.random.default_rng(seed),
             self.backend,
-            xp,
         )
         return job, block
 
 
 def feature_circuit_tasks(
     jobs: list[FeatureJob],
-    programs: list[Circuit | CompiledCircuit | None],
+    programs: Sequence[Circuit | CompiledCircuit | None],
     num_qubits: int,
     num_observables: int,
     estimator: str,
@@ -473,7 +505,7 @@ def _sweep_stream(
     executor: ExecutionRuntime | None,
     records: list[TaskCompletion] | None,
     template: Circuit | None = None,
-) -> tuple[Iterator[TaskCompletion], np.ndarray, ExecutionRuntime]:
+) -> tuple[Iterator[TaskCompletion], tuple[float, ...], ExecutionRuntime]:
     """Shared sweep setup: completion stream, cost vector, runtime.
 
     ``cfg`` is already validated (backend resolved, regime checked) -- the
@@ -482,54 +514,25 @@ def _sweep_stream(
     ``states`` is then the raw ``(d, rows, cols)`` angle batch and every
     job evolves its chunk through one
     :class:`~repro.quantum.batched.ParametricCompiledCircuit` pass.  The
-    job grid and the per-task seed derivation are identical either way, so
-    the two paths are directly comparable estimator by estimator.
+    :class:`SweepPlan` is built the same way either way, so the two paths
+    are directly comparable estimator by estimator.
     """
     runtime = _resolve_runtime(executor)
-    jobs = feature_jobs(
-        strategy.num_ansatze, states.shape[0], cfg.resolved_chunk_size
-    )
-    # Per-task independent RNG streams, keyed by task *index*: results do
-    # not depend on the executor backend, policy or completion order.
-    if cfg.estimator == "exact":
-        seeds = None
-    else:
-        children = spawn_rngs(cfg.seed, len(jobs))
-        seeds = [int(c.integers(0, 2**63)) for c in children]
-
-    worker = _BlockWorker(
-        strategy,
-        cfg.estimator,
-        cfg.shots,
-        cfg.snapshots,
-        seeds,
-        cfg.compile,
-        cfg.backend,
-        template=template,
-        array_backend=cfg.resolved_array_backend,
-    )
-    costs = task_costs(
-        feature_circuit_tasks(
-            jobs,
-            worker.programs,
-            strategy.num_qubits,
-            strategy.num_observables,
-            cfg.estimator,
-            cfg.shots,
-            cfg.snapshots,
-            cfg.backend,
-        )
-    )
+    programs = sweep_programs(strategy, cfg, template)
+    plan = SweepPlan.build(strategy, cfg, states.shape[0], programs, cfg.seed)
     # Each task ships its own chunk (a view in-process; O(chunk) pickled
     # bytes for process pools) instead of the whole prepared batch.
     stream = runtime.stream(
-        worker,
-        [(i, job, states[job.lo : job.hi]) for i, job in enumerate(jobs)],
-        costs=costs,
+        _BlockWorker(strategy, programs, cfg),
+        [
+            (job, seed, states[job.lo : job.hi])
+            for job, seed in zip(plan.jobs, plan.seeds, strict=True)
+        ],
+        costs=plan.costs,
         policy=cfg.dispatch_policy,
         records=records,
     )
-    return stream, costs, runtime
+    return stream, plan.costs, runtime
 
 
 def generate_features(
@@ -550,7 +553,7 @@ def generate_features(
     :class:`~repro.api.device.QuantumDevice`, which also supplies the
     runtime); with neither, the config defaults apply (exact estimator,
     ideal statevector backend, ``compile="off"`` -- the naive reference
-    semantics bit-for-bit).
+    semantics bit-for-bit).  A batch with no rows (d == 0) is rejected.
 
     ``executor`` binds the dispatch runtime (None for inline serial) and
     may accompany ``config=``; the runtime belongs to the caller and is
@@ -572,25 +575,21 @@ def generate_features(
         raise ValueError(
             f"angles encode {angles.shape[2]} qubits, strategy expects {strategy.num_qubits}"
         )
-    if cfg.preflight != "off":
-        _run_preflight(strategy, angles, cfg, owner="generate_features")
-    if _use_vectorized(cfg):
-        from repro.data.encoding import encoding_template
+    if angles.shape[0] == 0:
+        raise ValueError(f"angles has no rows: got shape {angles.shape}")
+    from repro.data.encoding import encoding_template
 
-        template = encoding_template(angles.shape[1], angles.shape[2])
-        if strategy.num_ansatze == 1 or cfg.backend.representation == "density":
-            # Encoder + Ansatz compile into ONE batched program per
-            # instance, and each job encodes *and* evolves its raw angle
-            # chunk in stacked passes -- no separate preparation, no
-            # intermediate prepared-state array.  Density-representation
-            # backends take this path even with many instances: their
-            # encoder stage carries gate-level noise (and ZNE folding), so
-            # the noiseless shared-encoder shortcut below cannot apply.
-            return _assemble_features(
-                strategy, angles, cfg, executor, out, return_report, template
-            )
-        # Multiple statevector instances share the encoding work: one
-        # batched-encoder pass (per-qubit angle chains: ~rows fewer
+    template = encoding_template(angles.shape[1], angles.shape[2])
+    _run_preflight(strategy, template, cfg, owner="generate_features")
+    mode = sweep_mode(strategy, cfg)
+    if mode == "batched":
+        # No separate preparation and no intermediate prepared-state array:
+        # every job encodes and evolves its raw angle chunk.
+        return _assemble_features(
+            strategy, angles, cfg, executor, out, return_report, template
+        )
+    if mode == "shared_encoder":
+        # One batched-encoder pass (per-qubit angle chains: ~rows fewer
         # state-sized kernels than the per-gate encode_batch), then the
         # standard chunked sweep reuses the prepared batch across every
         # Ansatz instance.  The batched engine is fusion by construction,
@@ -647,10 +646,7 @@ def evaluate_features(
     point :func:`generate_features` can fold encoding into the stacked pass.
     """
     cfg, executor = resolve_call(config, device, executor, owner="evaluate_features")
-    if cfg.preflight != "off":
-        # Prepared states have already lost their encoding template, so
-        # only the config/plan layer (+ the bound Ansatz) can be linted.
-        _run_preflight(strategy, None, cfg, owner="evaluate_features")
+    _run_preflight(strategy, None, cfg, owner="evaluate_features")
     states = cfg.backend.coerce_states(np.asarray(states))
     return _assemble_features(strategy, states, cfg, executor, out, return_report)
 
@@ -727,8 +723,7 @@ def iter_feature_blocks(
     first ``next()``.
     """
     cfg, executor = resolve_call(config, device, executor, owner="iter_feature_blocks")
-    if cfg.preflight != "off":
-        _run_preflight(strategy, None, cfg, owner="iter_feature_blocks")
+    _run_preflight(strategy, None, cfg, owner="iter_feature_blocks")
     states = cfg.backend.coerce_states(np.asarray(states))
     stream, _, _ = _sweep_stream(strategy, states, cfg, executor, None)
     return (completion.result for completion in stream)

@@ -24,6 +24,7 @@ from repro.core.features import (
     feature_circuit_tasks,
     feature_jobs,
     generate_features,
+    unbound_programs,
 )
 from repro.core.strategies import Strategy
 from repro.hpc.cluster import CircuitTask, ClusterModel
@@ -137,23 +138,17 @@ class HybridPipeline:
 
         Priced by the same cost model (chunk x Ansatz depth x shot budget)
         that orders live dispatch, so the analytic projection and the real
-        submission order agree by construction.
+        submission order agree by construction; the unbound Ansatz
+        (:func:`~repro.core.features.unbound_programs`) prices every
+        instance without compiling anything just for a projection.
         """
-        ansatz = self.strategy.ansatz
-        if ansatz is not None and ansatz.num_gates == 0:
-            # Only a genuinely empty circuit is skipped by the sweep; a
-            # parameterless circuit with gates still runs (and costs).
-            ansatz = None
         cfg, _ = self._execution()
         jobs = feature_jobs(
             self.strategy.num_ansatze, num_samples, cfg.resolved_chunk_size
         )
-        # Gate count is binding-independent, so the unbound Ansatz prices
-        # every instance without compiling anything just for a projection.
-        programs = [ansatz] * self.strategy.num_ansatze
         return feature_circuit_tasks(
             jobs,
-            programs,
+            unbound_programs(self.strategy),
             self.strategy.num_qubits,
             self.strategy.num_observables,
             cfg.estimator,

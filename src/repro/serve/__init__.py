@@ -42,12 +42,9 @@ from repro.serve.client import (
 )
 from repro.serve.engine import (
     FlushRequest,
-    RequestPlan,
     TemplateArtifacts,
     build_artifacts,
     execute_flush,
-    plan_request,
-    request_cost,
 )
 from repro.serve.fairness import (
     AdmissionController,
@@ -119,11 +116,8 @@ __all__ = [
     "MetricsSnapshot",
     "TenantStats",
     "LATENCY_WINDOW",
-    "RequestPlan",
     "FlushRequest",
     "TemplateArtifacts",
-    "plan_request",
     "build_artifacts",
-    "request_cost",
     "execute_flush",
 ]

@@ -9,24 +9,25 @@ requests happened to share its flush.  Two properties make that possible:
   concatenated angle stack produces, for each row, the same bits as
   evolving that row in any other batch composition (einsum/matmul over
   axis 0 never mixes rows);
-* the seed contract is **per request, not per batch**: each request
-  carries its own job-grid plan (:class:`RequestPlan`) whose seeds are
-  spawned exactly like a standalone sweep's
-  (``spawn_rngs(seed, p * nchunks)``, ansatz-major job order), and
-  measurement reuses :func:`repro.core.features.measure_block` verbatim.
+* each request carries the :class:`~repro.core.features.SweepPlan` a
+  standalone sweep of its rows builds -- the same
+  :meth:`~repro.core.features.SweepPlan.build` over the same programs,
+  so its jobs and per-job seeds (spawned from the *request* seed) are the
+  standalone sweep's by construction -- and every job is measured with
+  :func:`repro.core.features.measure_block`, the sweep's own measurement.
 
 So a flush concatenates the requests' angle batches, runs ONE
 ``evolve_batch`` per Ansatz program over the stack (this is the coalescing
 payoff -- compile-cache hits plus one stacked kernel pass instead of N),
 then splits the evolved rows back per request and measures each request's
-chunks under its own RNG streams.
+jobs under their own seeds.
 
 The fast path applies exactly when :func:`generate_features` itself would
-run the single-batched-program path (``vectorize="auto"`` on a supporting
-backend, and one Ansatz instance or a density-representation backend).
-Any other configuration falls back to per-request ``generate_features``
-inside the flush worker -- trivially bit-equal, still async and admitted,
-just without cross-request sharing (RPA113 lints the window in that case).
+run the single-batched-program path
+(``sweep_mode(strategy, cfg) == "batched"``).  Any other configuration
+falls back to per-request ``generate_features`` inside the flush worker --
+trivially bit-equal, still async and admitted, just without cross-request
+sharing (RPA113 lints the window in that case).
 
 Everything here is plain picklable data + a module-level function, so a
 flush ships to thread *or process* pool workers unchanged.  Flush workers
@@ -40,89 +41,54 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.api.config import ExecutionConfig
 from repro.core.features import (
-    _bound_ansatz,
-    _parametric_programs,
-    _use_vectorized,
-    feature_circuit_tasks,
-    feature_jobs,
+    SweepPlan,
+    bound_ansatz,
     generate_features,
     measure_block,
+    sweep_mode,
+    sweep_programs,
+    unbound_programs,
 )
 from repro.core.strategies import Strategy
 from repro.data.encoding import encoding_template
-from repro.hpc.cluster import task_costs
-from repro.hpc.partition import chunk_ranges
 from repro.quantum.batched import extend_template, template_fingerprint
 from repro.quantum.circuit import Circuit
-from repro.utils.rng import spawn_rngs
 from repro.xp import get_namespace
 
 __all__ = [
-    "RequestPlan",
     "FlushRequest",
     "TemplateArtifacts",
-    "plan_request",
     "build_artifacts",
-    "request_cost",
     "execute_flush",
 ]
 
 
 @dataclass(frozen=True)
-class RequestPlan:
-    """The job grid ONE request would have as a standalone sweep.
-
-    ``chunks`` are the request's own chunk ranges and ``seeds`` its own
-    per-job RNG seeds (ansatz-major order, ``None`` for exact estimation)
-    -- derived from the *request* seed exactly like
-    ``repro.core.features._sweep_stream`` derives them, which is what
-    keeps stochastic responses independent of batch composition.
-    """
-
-    num_samples: int
-    chunks: tuple[tuple[int, int], ...]
-    seeds: tuple[int, ...] | None
-
-
-def plan_request(
-    num_ansatze: int,
-    num_samples: int,
-    cfg: ExecutionConfig,
-    seed: int | None,
-) -> RequestPlan:
-    """Plan one request's chunks and seeds under ``cfg``."""
-    chunks = tuple(chunk_ranges(num_samples, cfg.resolved_chunk_size))
-    if cfg.estimator == "exact":
-        seeds = None
-    else:
-        children = spawn_rngs(seed, num_ansatze * len(chunks))
-        seeds = tuple(int(c.integers(0, 2**63)) for c in children)
-    return RequestPlan(num_samples=num_samples, chunks=chunks, seeds=seeds)
-
-
-@dataclass(frozen=True)
 class FlushRequest:
-    """One request's share of a flush: its angles, seed, and plan."""
+    """One request's share of a flush: its angles, seed, and sweep plan."""
 
     angles: np.ndarray
     seed: int | None
-    plan: RequestPlan
+    plan: SweepPlan
 
 
 @dataclass(frozen=True)
 class TemplateArtifacts:
     """Sweep-wide artifacts for one registered template, built once.
 
-    ``group_key`` is the coalescing identity: two registrations whose
-    batched templates share fingerprints, observables and
-    config-minus-seed coalesce into the same flushes (the per-request
-    seed lives in each :class:`FlushRequest`, never in the key).
+    ``programs`` are what each request's plan is priced with: the
+    standalone sweep's own batched programs on the fast path (and what the
+    flush runs), the unbound Ansatz
+    (:func:`~repro.core.features.unbound_programs`) on the fallback, which
+    compiles nothing at registration.  ``group_key`` is the coalescing
+    identity: two registrations whose batched templates share fingerprints,
+    observables and config-minus-seed coalesce into the same flushes (the
+    per-request seed lives in each :class:`FlushRequest`, never in the key).
     """
 
     strategy: Strategy
@@ -148,19 +114,15 @@ def build_artifacts(
     fingerprint-keyed parametric cache, so identical templates across
     registrations -- or service restarts in one process -- hit)."""
     template = encoding_template(rows, strategy.num_qubits)
-    fast_path = _use_vectorized(cfg) and (
-        strategy.num_ansatze == 1 or cfg.backend.representation == "density"
+    fast_path = sweep_mode(strategy, cfg) == "batched"
+    programs = (
+        sweep_programs(strategy, cfg, template)
+        if fast_path
+        else unbound_programs(strategy)
     )
-    programs: tuple = ()
-    if fast_path:
-        programs = tuple(
-            _parametric_programs(
-                strategy, cfg.compile, template, cfg.backend, cfg.resolved_array_backend
-            )
-        )
     observables = tuple(strategy.observables())
     fingerprints = tuple(
-        template_fingerprint(extend_template(template, _bound_ansatz(strategy, params)))
+        template_fingerprint(extend_template(template, bound_ansatz(strategy, params)))
         for params in strategy.parameter_sets()
     )
     group_key = (
@@ -174,43 +136,10 @@ def build_artifacts(
         template=template,
         cfg=cfg,
         fast_path=fast_path,
-        programs=programs,
+        programs=tuple(programs),
         observables=observables,
         group_key=group_key,
     )
-
-
-def request_cost(artifacts: TemplateArtifacts, num_samples: int) -> float:
-    """Admission price of one request, in the scheduler's cost units.
-
-    The same :class:`~repro.hpc.cluster.CircuitTask` model that orders the
-    runtime's dispatch prices admission, summed over the request's job
-    grid.  Fallback registrations are priced on the raw Ansatz (gate
-    count instead of fused-segment count) -- admission needs cost ratios,
-    not exact flops.
-    """
-    strategy = artifacts.strategy
-    cfg = artifacts.cfg
-    jobs = feature_jobs(strategy.num_ansatze, num_samples, cfg.resolved_chunk_size)
-    programs: Sequence[Any]
-    if artifacts.fast_path:
-        programs = artifacts.programs
-    else:
-        circuit = strategy.ansatz
-        if circuit is not None and circuit.num_gates == 0:
-            circuit = None
-        programs = [circuit] * strategy.num_ansatze
-    tasks = feature_circuit_tasks(
-        jobs,
-        list(programs),
-        strategy.num_qubits,
-        strategy.num_observables,
-        cfg.estimator,
-        cfg.shots,
-        cfg.snapshots,
-        cfg.backend,
-    )
-    return float(task_costs(tasks).sum())
 
 
 def execute_flush(
@@ -220,10 +149,10 @@ def execute_flush(
 
     Fast path: concatenate every request's angles, ONE
     ``backend.evolve_batch`` per Ansatz program over the stack, then
-    measure each request's chunk slices under its own plan seeds --
-    bit-equal to standalone sweeps by kernel row-stability.  Fallback:
-    per-request :func:`generate_features` under the request's seed (the
-    inline serial runtime; see the module docstring on nesting).
+    measure each request's jobs on their rows of the stack under their
+    plan seeds -- bit-equal to standalone sweeps by kernel row-stability.
+    Fallback: per-request :func:`generate_features` under the request's
+    seed (the inline serial runtime; see the module docstring on nesting).
     """
     cfg = artifacts.cfg
     if not artifacts.fast_path:
@@ -241,12 +170,12 @@ def execute_flush(
     name = cfg.resolved_array_backend
     xp = None if name == "numpy" else get_namespace(name)
     stacked = np.concatenate([request.angles for request in requests], axis=0)
-    offsets = np.cumsum([0] + [request.plan.num_samples for request in requests])
+    offsets = np.cumsum([0] + [len(request.angles) for request in requests])
     q = len(artifacts.observables)
-    num_ansatze = len(artifacts.programs)
     observables = list(artifacts.observables)
     outputs = [
-        np.empty((request.plan.num_samples, num_ansatze * q)) for request in requests
+        np.empty((len(request.angles), len(artifacts.programs) * q))
+        for request in requests
     ]
     for a, program in enumerate(artifacts.programs):
         evolve = backend.evolve_batch
@@ -254,21 +183,17 @@ def execute_flush(
             evolve(stacked, program) if xp is None else evolve(stacked, program, xp=xp)
         )
         for request, offset, out in zip(requests, offsets[:-1], outputs, strict=True):
-            nchunks = len(request.plan.chunks)
-            for c, (lo, hi) in enumerate(request.plan.chunks):
-                rng = (
-                    None
-                    if request.plan.seeds is None
-                    else np.random.default_rng(request.plan.seeds[a * nchunks + c])
-                )
+            for job, seed in zip(request.plan.jobs, request.plan.seeds, strict=True):
+                if job.ansatz_index != a:
+                    continue
                 block = measure_block(
-                    evolved[offset + lo : offset + hi],
+                    evolved[offset + job.lo : offset + job.hi],
                     observables,
                     cfg.estimator,
                     cfg.shots,
                     cfg.snapshots,
-                    rng,
+                    None if seed is None else np.random.default_rng(seed),
                     backend,
                 )
-                out[lo:hi, a * q : (a + 1) * q] = block
+                out[job.lo : job.hi, a * q : (a + 1) * q] = block
     return outputs

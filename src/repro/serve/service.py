@@ -9,8 +9,9 @@ predict requests from many tenants:
   (batched programs via the fingerprint-keyed compile cache, the
   coalescing group key, preflight lint) are built once here, not per
   request;
-* **submission** is async: a request is cache-checked, priced by the
-  scheduler's cost model, admitted against its tenant's bounds
+* **submission** is async: a request is cache-checked, planned (the
+  :class:`~repro.core.features.SweepPlan` a standalone sweep of its rows
+  builds), priced at that plan's cost, admitted against its tenant's bounds
   (:class:`~repro.serve.fairness.BackpressureError` at the door when
   full), then parked in the micro-batcher until its group flushes;
 * **flushing** bridges the event loop to the runtime pool:
@@ -34,6 +35,7 @@ import numpy as np
 
 from repro.api.config import ExecutionConfig, ServeConfig
 from repro.api.device import QuantumDevice
+from repro.core.features import SweepPlan, preflight_circuits
 from repro.quantum.batched import GLOBAL_PARAMETRIC_CACHE
 from repro.serve.batcher import MicroBatcher, PendingRequest
 from repro.serve.engine import (
@@ -41,8 +43,6 @@ from repro.serve.engine import (
     TemplateArtifacts,
     build_artifacts,
     execute_flush,
-    plan_request,
-    request_cost,
 )
 from repro.serve.fairness import AdmissionController, WeightedRoundRobin
 from repro.serve.metrics import MetricsSnapshot, ServiceMetrics
@@ -240,18 +240,10 @@ class FeatureService:
             raise TypeError(f"head must expose predict(features), got {head!r}")
         artifacts = build_artifacts(strategy, rows, execution)
         if execution.preflight != "off":
-            from repro.core.features import _bound_ansatz
-
-            circuits = [artifacts.template]
-            parameter_sets = strategy.parameter_sets()
-            if parameter_sets:
-                bound = _bound_ansatz(strategy, parameter_sets[0])
-                if bound is not None:
-                    circuits.append(bound)
             run_serve_preflight(
                 self.config.merged(execution=execution),
                 num_qubits=strategy.num_qubits,
-                circuits=circuits,
+                circuits=preflight_circuits(strategy, artifacts.template),
                 owner=f"FeatureService.register({name!r})",
             )
         self._registrations[name] = Registration(
@@ -329,8 +321,9 @@ class FeatureService:
     ) -> np.ndarray:
         """Features for ``x`` under ``template``; coalesces with peers.
 
-        ``x`` is ``(k, rows, cols)`` (or a single ``(rows, cols)`` sample,
-        returned as ``(m,)``).  ``seed`` defaults to the template's
+        ``x`` is ``(k, rows, cols)`` with ``k >= 1`` (or a single
+        ``(rows, cols)`` sample, returned as ``(m,)``); any other shape
+        raises ``ValueError`` before admission.  ``seed`` defaults to the template's
         execution seed; per-request seeds keep the standalone seed
         contract -- the response equals
         ``generate_features(strategy, x, config=execution.merged(seed=seed))``
@@ -365,6 +358,8 @@ class FeatureService:
                 f"template {template!r} expects (k, {registration.rows}, "
                 f"{registration.strategy.num_qubits}) angles, got {x.shape}"
             )
+        if x.shape[0] == 0:
+            raise ValueError(f"template {template!r} got no rows: angles of shape {x.shape}")
         if seed is TEMPLATE_SEED:
             seed = cfg.seed
         if isinstance(seed, np.random.Generator):
@@ -383,7 +378,12 @@ class FeatureService:
             if cached is not None:
                 self._metrics.record_cache_hit(tenant)
                 return cached[0] if single else cached
-        cost = request_cost(artifacts, x.shape[0])
+        # The plan a standalone sweep of these rows builds: its jobs and
+        # seeds drive the flush, its cost is the admission price.
+        plan = SweepPlan.build(
+            registration.strategy, cfg, x.shape[0], artifacts.programs, seed
+        )
+        cost = float(np.sum(plan.costs))
         try:
             self._admission.try_acquire(tenant, cost)
         except Exception:
@@ -391,16 +391,13 @@ class FeatureService:
             raise
         start = time.perf_counter()
         # Everything between admission and resolution runs under this
-        # try/finally: an exception anywhere (planning, enqueueing, the
-        # flush itself, a deadline, a cancelled caller) must release the
-        # tenant's admission units, or a failing group would permanently
-        # leak capacity and eventually backpressure a healthy tenant.
+        # try/finally: an exception anywhere (enqueueing, the flush itself,
+        # a deadline, a cancelled caller) must release the tenant's
+        # admission units, or a failing group would permanently leak
+        # capacity and eventually backpressure a healthy tenant.
         try:
             assert self._loop is not None and self._batcher is not None
             future: asyncio.Future = self._loop.create_future()
-            plan = plan_request(
-                registration.strategy.num_ansatze, x.shape[0], cfg, seed
-            )
             payload = FlushRequest(angles=x, seed=seed, plan=plan)
             pending = PendingRequest(tenant, payload, cost, future)
             self._batcher.add(artifacts.group_key, pending)

@@ -104,8 +104,13 @@ def test_api_surface_is_pinned():
 def test_removed_compatibility_names_stay_gone():
     core = importlib.import_module("repro.core")
     hpc = importlib.import_module("repro.hpc")
+    serve = importlib.import_module("repro.serve")
     assert not hasattr(core, "generate_features_noisy")
     assert not hasattr(hpc, "ParallelExecutor")
+    # Serve requests carry repro.core.features.SweepPlan; the serving
+    # layer's own copy of the job-grid planner is gone.
+    for name in ("RequestPlan", "plan_request", "request_cost"):
+        assert not hasattr(serve, name), name
     for module in ("repro.core.noisy_features", "repro.core.lifecycle", "repro.hpc.executor"):
         assert importlib.util.find_spec(module) is None, module
 

@@ -10,6 +10,7 @@ from repro.core.features import (
     feature_circuit_tasks,
     generate_features,
     iter_feature_blocks,
+    sweep_mode,
 )
 from repro.core.strategies import (
     AnsatzExpansion,
@@ -18,6 +19,7 @@ from repro.core.strategies import (
 )
 from repro.data.encoding import encode_batch
 from repro.hpc.runtime import ExecutionRuntime
+from repro.quantum.backends import DensityMatrixBackend
 from repro.quantum.observables import expectation
 from repro.quantum.statevector import run_circuit
 
@@ -146,6 +148,36 @@ def test_validation(angles):
         generate_features(s, angles[:, :, :3])  # wrong qubit count
     with pytest.raises(ValueError):
         generate_features(s, angles, config=ExecutionConfig(estimator="bogus"))
+
+
+@pytest.mark.parametrize(
+    "strategy,config,mode",
+    [
+        pytest.param(
+            ObservableConstruction(qubits=4, locality=1), ExecutionConfig(),
+            "prepared", id="per-sample",
+        ),
+        pytest.param(
+            ObservableConstruction(qubits=4, locality=1),
+            ExecutionConfig(vectorize="auto"), "batched", id="single-instance-batched",
+        ),
+        pytest.param(
+            HybridStrategy(order=1, locality=1), ExecutionConfig(vectorize="auto"),
+            "shared_encoder", id="shared-encoder",
+        ),
+        pytest.param(
+            HybridStrategy(order=1, locality=1),
+            ExecutionConfig(vectorize="auto", backend=DensityMatrixBackend()),
+            "batched", id="density-batched",
+        ),
+    ],
+)
+def test_zero_row_batch_rejected_on_every_path(strategy, config, mode):
+    assert sweep_mode(strategy, config) == mode
+    # shots=0 fails preflight (RPA106): the row check must come first.
+    config = config.merged(estimator="shots", shots=0, preflight="error")
+    with pytest.raises(ValueError, match=r"no rows: got shape \(0, 4, 4\)"):
+        generate_features(strategy, np.zeros((0, 4, 4)), config=config)
 
 
 # ---------------------------------------------------------------- streaming

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.api.config import ExecutionConfig
+from repro.api.device import QuantumDevice
 from repro.core.features import generate_features
 from repro.core.strategies import strategy_from_name
 from repro.quantum.backends import DensityMatrixBackend
@@ -75,14 +76,24 @@ CASES = [
 ]
 
 
+#: Flushes ship to process workers unchanged (FlushRequest and its
+#: SweepPlan pickle): one fast-path and one fallback case run there too.
+PROCESS_CASES = {"shots-statevector-fast-path", "exact-multi-ansatz-statevector-fallback"}
+POOL_CASES = [pytest.param(*case.values, "serial", id=case.id) for case in CASES] + [
+    pytest.param(*case.values, "process", id=f"{case.id}-process")
+    for case in CASES
+    if case.id in PROCESS_CASES
+]
+
+
 def _strategy(kind: str):
     if kind == "hybrid":
         return strategy_from_name("hybrid", num_qubits=QUBITS, layers=1)
     return strategy_from_name(kind, num_qubits=QUBITS)
 
 
-@pytest.mark.parametrize("kind,execution", CASES)
-def test_coalesced_responses_bit_equal_standalone(kind, execution):
+@pytest.mark.parametrize("kind,execution,pool", POOL_CASES)
+def test_coalesced_responses_bit_equal_standalone(kind, execution, pool):
     strategy = _strategy(kind)
     config = ServeConfig(
         batch_window_ms=10.0,
@@ -91,7 +102,13 @@ def test_coalesced_responses_bit_equal_standalone(kind, execution):
         cache_results=False,  # every request must really execute
         execution=execution,
     )
-    service = FeatureService(config)
+    # A spawned pool: forking a process that already runs threads warns.
+    device = (
+        QuantumDevice(execution, pool="process", max_workers=2, start_method="spawn")
+        if pool == "process"
+        else None
+    )
+    service = FeatureService(config, device=device)
     service.register("t", strategy, rows=ROWS)
 
     rng = np.random.default_rng(42)
@@ -110,7 +127,11 @@ def test_coalesced_responses_bit_equal_standalone(kind, execution):
             )
             return responses, service.metrics()
 
-    responses, metrics = asyncio.run(main())
+    try:
+        responses, metrics = asyncio.run(main())
+    finally:
+        if device is not None:
+            device.close()
     # The requests actually coalesced -- otherwise this tests nothing.
     assert metrics.coalesce_ratio > 1.0
     assert metrics.max_flush_size > 1

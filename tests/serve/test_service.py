@@ -18,7 +18,8 @@ from repro.serve import (
     ServeConfig,
     ServiceClosedError,
 )
-from repro.serve.engine import plan_request
+from repro.core.features import SweepPlan
+from repro.serve.batcher import MicroBatcher
 
 QUBITS = 3
 ROWS = 2
@@ -313,23 +314,70 @@ def test_admission_released_when_flush_fails(monkeypatch):
 
 
 def test_admission_released_when_planning_fails(monkeypatch):
-    def bad_plan(num_ansatze, num_samples, cfg, seed):
+    real_build = SweepPlan.build
+
+    def bad_build(*args, **kwargs):
         raise RuntimeError("planner exploded")
 
-    monkeypatch.setattr("repro.serve.service.plan_request", bad_plan)
+    monkeypatch.setattr(SweepPlan, "build", bad_build)
 
     async def main():
         service = make_service(max_queue_depth=1, cache_results=False)
         async with service:
             with pytest.raises(RuntimeError, match="planner exploded"):
                 await service.submit("t", angles(seed=1))
+            # The request is planned before admission: a planner failure
+            # holds no units, so a healthy retry is admitted at depth 0.
             assert service.metrics().queue_depth == 0
-            monkeypatch.setattr(
-                "repro.serve.service.plan_request", plan_request
-            )
+            monkeypatch.setattr(SweepPlan, "build", real_build)
+            assert (await service.submit("t", angles(seed=2))) is not None
+
+    asyncio.run(main())
+
+
+def test_admission_released_when_enqueue_fails(monkeypatch):
+    real_add = MicroBatcher.add
+
+    def bad_add(self, key, request):
+        raise RuntimeError("enqueue exploded")
+
+    monkeypatch.setattr(MicroBatcher, "add", bad_add)
+
+    async def main():
+        service = make_service(max_queue_depth=1, cache_results=False)
+        async with service:
+            with pytest.raises(RuntimeError, match="enqueue exploded"):
+                await service.submit("t", angles(seed=1))
+            assert service.metrics().queue_depth == 0
+            monkeypatch.setattr(MicroBatcher, "add", real_add)
             # Capacity leaked between try_acquire and enqueue would make
             # this healthy retry bounce at depth 1.
             assert (await service.submit("t", angles(seed=2))) is not None
+
+    asyncio.run(main())
+
+
+def test_zero_row_request_rejected_before_admission():
+    """Alone or sharing a window with a peer, an empty batch is refused at
+    the door: it never takes admission, never reaches a flush."""
+    empty = np.zeros((0, ROWS, QUBITS))
+
+    async def main():
+        service = make_service(batch_window_ms=20.0, cache_results=False)
+        async with service:
+            with pytest.raises(ValueError, match="no rows"):
+                await service.submit("t", empty)
+            peer, alone = await asyncio.gather(
+                service.submit("t", angles(seed=3)),
+                service.submit("t", empty),
+                return_exceptions=True,
+            )
+            assert isinstance(alone, ValueError) and "no rows" in str(alone)
+            p, q = service.template_info("t")["layout"]
+            assert peer.shape == (2, p * q)
+            metrics = service.metrics()
+            assert metrics.errors_total == 0
+            assert metrics.queue_depth == 0
 
     asyncio.run(main())
 

@@ -324,6 +324,8 @@ def test_error_codes_map_to_typed_exceptions():
                         await transport.submit(
                             "t", np.zeros((2, ROWS, QUBITS + 1))
                         )
+                    with pytest.raises(ValueError, match="no rows"):
+                        await transport.submit("t", np.zeros((0, ROWS, QUBITS)))
                     first = asyncio.ensure_future(
                         transport.submit("t", angles(seed=1))
                     )
