@@ -4,10 +4,11 @@ Run as ``python -m repro.analysis.astlint src/`` (CI does) or through
 ``repro lint <paths>``.  Three invariants, each with a stable code:
 
 * **RPA301 / RPA304 / RPA305 -- kernel hygiene.**  The hot kernels
-  (:data:`KERNEL_BASENAMES`) are parameterized over an ``xp`` array
-  namespace (:mod:`repro.xp`).  A function that accepts ``xp`` but never
-  branches on it while calling NumPy contraction kernels directly has
-  silently pinned the hot path to the host (RPA301); importing an
+  (:data:`KERNEL_BASENAMES`) have one body, written against an ``xp``
+  array namespace (:mod:`repro.xp`).  A function that accepts ``xp`` but
+  calls a NumPy contraction kernel directly has pinned that contraction to
+  the host -- or carries a second, NumPy-only copy of the body beside the
+  ``xp`` one (RPA301); importing an
   accelerator library (torch/cupy) instead of going through ``repro.xp``
   breaks the lazy-detection contract (RPA304); and drawing global
   randomness (``np.random.*`` / the ``random`` module) inside a kernel
@@ -63,7 +64,7 @@ TYPED_SCOPES = ("repro/api/", "repro/analysis/", "repro/xp.py")
 _ACCELERATOR_MODULES = frozenset({"torch", "cupy", "cupyx"})
 
 #: NumPy contraction kernels whose direct use inside an ``xp``-parameterized
-#: function (that never consults ``xp``) pins the hot path to the host.
+#: function pins the hot path to the host.
 _NP_HOT_CALLS = frozenset({"einsum", "tensordot", "matmul", "moveaxis"})
 
 _FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
@@ -103,12 +104,6 @@ def _all_args(node: _FunctionNode) -> list[ast.arg]:
     if args.kwarg is not None:
         every.append(args.kwarg)
     return every
-
-
-def _mentions_name(node: ast.AST, name: str) -> bool:
-    return any(
-        isinstance(sub, ast.Name) and sub.id == name for sub in ast.walk(node)
-    )
 
 
 def _check_kernel_hygiene(
@@ -155,12 +150,6 @@ def _check_kernel_hygiene(
     for func in _functions(tree):
         if not any(arg.arg == "xp" for arg in _all_args(func)):
             continue
-        consults_xp = any(
-            isinstance(sub, ast.If) and _mentions_name(sub.test, "xp")
-            for sub in ast.walk(func)
-        )
-        if consults_xp:
-            continue
         for sub in ast.walk(func):
             if (
                 isinstance(sub, ast.Call)
@@ -171,14 +160,13 @@ def _check_kernel_hygiene(
             ):
                 yield Diagnostic(
                     "RPA301",
-                    f"{func.name}() takes an xp namespace but never "
-                    f"branches on it and calls "
-                    f"np.{sub.func.attr}() directly: the hot path is "
+                    f"{func.name}() takes an xp namespace but calls "
+                    f"np.{sub.func.attr}() directly: that contraction is "
                     f"pinned to host NumPy regardless of the configured "
                     f"array backend",
-                    fix_hint="guard the NumPy body with the native fast "
-                    "path (if xp is None or xp.native) and route the "
-                    "generic path through xp ops",
+                    fix_hint=f"call xp.{sub.func.attr}() instead; xp=None "
+                    f"means the NumPy namespace, so one body serves every "
+                    f"backend",
                     location=f"{path}:{sub.lineno}",
                 )
 

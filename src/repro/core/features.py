@@ -207,9 +207,7 @@ def sweep_programs(
     for params in strategy.parameter_sets():
         program = bound_ansatz(strategy, params)
         if template is not None:
-            program = backend.batch_program(
-                template, program, cfg.compile, cfg.resolved_array_backend
-            )
+            program = backend.batch_program(template, program, cfg.compile)
         elif program is not None and width is not None:
             program = compile_circuit(program, max_width=width)
         programs.append(program)
@@ -596,11 +594,8 @@ def generate_features(
         # so evolution is pinned to a concrete fusion width even under
         # compile="off".
         width = resolve_fusion_width(cfg.compile) or DEFAULT_FUSION_WIDTH
-        name = cfg.resolved_array_backend
-        xp = None if name == "numpy" else get_namespace(name)
-        states = compile_parametric(
-            template, max_width=width, array_backend=name
-        ).apply_batch(angles, xp=xp)
+        xp = get_namespace(cfg.resolved_array_backend)
+        states = compile_parametric(template, max_width=width).apply_batch(angles, xp=xp)
         return _assemble_features(
             strategy, states, cfg.merged(compile=width), executor, out, return_report
         )

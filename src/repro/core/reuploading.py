@@ -73,13 +73,15 @@ class ReuploadingClassifier:
         for q in range(n):
             states = apply_matrix_batch(states, H, (q,))
         blocks = theta.reshape(self.reuploads, n)
-        from repro.quantum.gates import rx_batch, rz_batch
+        from repro.quantum.gates import rotation_batch
 
         for r in range(self.reuploads):
             for row in range(angles.shape[1]):
-                maker = rz_batch if row % 2 == 0 else rx_batch
+                kind = "rz" if row % 2 == 0 else "rx"
                 for q in range(n):
-                    states = apply_matrix_batch(states, maker(angles[:, row, q]), (q,))
+                    states = apply_matrix_batch(
+                        states, rotation_batch(kind, angles[:, row, q]), (q,)
+                    )
             states = run_circuit(self._block.bind(blocks[r]), state=states)
         return np.asarray(expectation(states, self._observable))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.quantum.circuit import Circuit
-from repro.quantum.gates import H, rx_batch, rz_batch
+from repro.quantum.gates import H, rotation_batch
 from repro.quantum.statevector import apply_matrix_batch, zero_state
 
 __all__ = [
@@ -90,7 +90,7 @@ def encode_batch(features: np.ndarray) -> np.ndarray:
     for q in range(cols):
         states = apply_matrix_batch(states, H, (q,))
     for r in range(rows):
-        maker = rz_batch if r % 2 == 0 else rx_batch
+        kind = "rz" if r % 2 == 0 else "rx"
         for q in range(cols):
-            states = apply_matrix_batch(states, maker(feats[:, r, q]), (q,))
+            states = apply_matrix_batch(states, rotation_batch(kind, feats[:, r, q]), (q,))
     return states

@@ -73,6 +73,7 @@ from repro.quantum.observables import PauliString, expectation
 from repro.quantum.sampling import estimate_from_probabilities, measure_pauli_batch
 from repro.quantum.shadows import collect_shadows, estimate_pauli
 from repro.quantum.statevector import run_circuit
+from repro.xp import get_namespace
 
 __all__ = [
     "QuantumBackend",
@@ -178,7 +179,6 @@ class QuantumBackend(ABC):
         template: Circuit,
         ansatz: Circuit | None,
         compile: str | int = "auto",
-        array_backend: str = "numpy",
     ):
         """Compile encoder ``template`` + bound ``ansatz`` into the program
         :meth:`evolve_batch` consumes (the ``vectorize="auto"`` artifact).
@@ -294,7 +294,9 @@ class StatevectorBackend(QuantumBackend):
         if program is None:
             return states
         if isinstance(program, CompiledCircuit):
-            return program.apply(states, xp=xp)
+            # Device arrays stay inside the kernel: callers measure NumPy.
+            xp = xp or get_namespace("numpy")
+            return xp.to_numpy(program.apply(states, xp=xp))
         # Raw-circuit evolution is the naive reference walk and stays on the
         # host namespace regardless of ``xp`` (it is never the hot path).
         return run_circuit(program, state=states)
@@ -304,16 +306,11 @@ class StatevectorBackend(QuantumBackend):
         template: Circuit,
         ansatz: Circuit | None,
         compile: str | int = "auto",
-        array_backend: str = "numpy",
     ) -> ParametricCompiledCircuit:
         # The batched engine is fusion by construction, so compile="off"
         # only means "no explicit width choice" -- the default applies.
         width = resolve_fusion_width(compile) or DEFAULT_FUSION_WIDTH
-        return compile_parametric(
-            extend_template(template, ansatz),
-            max_width=width,
-            array_backend=array_backend,
-        )
+        return compile_parametric(extend_template(template, ansatz), max_width=width)
 
     def evolve_batch(
         self, angles: np.ndarray, program: ParametricCompiledCircuit, *, xp=None
@@ -491,7 +488,6 @@ class DensityMatrixBackend(QuantumBackend):
         template: Circuit,
         ansatz: Circuit | None,
         compile: str | int = "auto",
-        array_backend: str = "numpy",
     ) -> BatchedDensityProgram:
         # Validate the knob so a typo fails identically on every backend;
         # fusion itself never applies here (supports_compile=False).
@@ -500,7 +496,6 @@ class DensityMatrixBackend(QuantumBackend):
             extend_template(template, ansatz),
             self.noise_model,
             cache=GLOBAL_PARAMETRIC_CACHE,
-            array_backend=array_backend,
         )
 
     def evolve_batch(
@@ -682,7 +677,6 @@ class MitigatedBackend(QuantumBackend):
         template: Circuit,
         ansatz: Circuit | None,
         compile: str | int = "auto",
-        array_backend: str = "numpy",
     ) -> MitigatedBatchProgram:
         if not isinstance(self.backend, DensityMatrixBackend):
             raise NotImplementedError(
@@ -691,14 +685,10 @@ class MitigatedBackend(QuantumBackend):
             )
         resolve_fusion_width(compile)  # validate the knob; fusion never applies
         noise = self.backend.noise_model
-        encoder = compile_density_template(
-            template, noise, cache=GLOBAL_PARAMETRIC_CACHE, array_backend=array_backend
-        )
+        encoder = compile_density_template(template, noise, cache=GLOBAL_PARAMETRIC_CACHE)
         suffix = None
         if ansatz is not None:
-            suffix = compile_density_template(
-                ansatz, noise, cache=GLOBAL_PARAMETRIC_CACHE, array_backend=array_backend
-            )
+            suffix = compile_density_template(ansatz, noise, cache=GLOBAL_PARAMETRIC_CACHE)
         programs = []
         for s in self.scales:
             # Per-segment folding, exactly as the per-sample path: encoder

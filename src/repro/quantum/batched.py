@@ -26,7 +26,9 @@ against sample-at-a-time bind+evolve to 1e-10 on random templates.
 
 Segment reordering is support-disjoint only (two operations acting on
 disjoint qubit sets commute), so the compiled program is exactly equivalent
-to the source template.
+to the source template.  Like every kernel, :meth:`apply_batch` has one body
+written against an optional array namespace ``xp`` (:mod:`repro.xp`;
+``None`` is NumPy).
 """
 
 from __future__ import annotations
@@ -43,15 +45,9 @@ from repro.quantum.compile import (
     _block_unitary,
     resolve_fusion_width,
 )
-from repro.quantum.gates import (
-    gate_matrix,
-    phase_batch,
-    rotation_batch_xp,
-    rx_batch,
-    ry_batch,
-    rz_batch,
-)
+from repro.quantum.gates import BATCHED_ROTATIONS, gate_matrix, rotation_batch
 from repro.quantum.transpile import fuse_blocks
+from repro.xp import get_namespace
 
 __all__ = [
     "BATCHED_ROTATIONS",
@@ -77,19 +73,6 @@ def resolve_vectorize(knob: str | None) -> str:
         return "auto"
     raise ValueError(f'vectorize must be "auto" or "off", got {knob!r}')
 
-
-#: Single-qubit rotations that may stay parametric in a batched template:
-#: gate name -> vectorised ``(batch, 2, 2)`` matrix builder (the shared
-#: implementations in :mod:`repro.quantum.gates`).  Unbound multi-qubit
-#: rotations must be bound before compilation -- the sweep only ever keeps
-#: *encoding* rotations symbolic, which are single-qubit by construction
-#: (Fig. 7).
-BATCHED_ROTATIONS = {
-    "rx": rx_batch,
-    "ry": ry_batch,
-    "rz": rz_batch,
-    "phase": phase_batch,
-}
 
 #: Chain factor tag for a bound single-qubit gate folded into an AngleChain.
 _FIXED = "fixed"
@@ -122,30 +105,19 @@ class AngleChain:
     def matrices(self, angles: np.ndarray, *, xp=None) -> np.ndarray:
         """The composed per-sample matrix stack, shape ``(batch, 2, 2)``.
 
-        With a non-native ``xp`` namespace, ``angles`` may already be a
-        device tensor and the composition runs on that device.
+        ``angles`` is the ``(batch, num_slots)`` chunk on ``xp``'s device
+        (:mod:`repro.xp`; ``None`` is NumPy); the composition runs there.
         """
-        if xp is None or xp.native:
-            out: np.ndarray | None = None
-            for kind, payload in self.factors:
-                m = (
-                    payload
-                    if kind == _FIXED
-                    else BATCHED_ROTATIONS[kind](angles[:, payload])
-                )
-                # (2,2) @ (B,2,2) and (B,2,2) @ (B,2,2) both broadcast; factors
-                # apply left-to-right, so later factors multiply from the left.
-                out = m if out is None else np.matmul(m, out)
-            if out.ndim == 2:  # defensive: an all-fixed chain (never built today)
-                out = np.broadcast_to(out, (angles.shape[0], 2, 2))
-            return out
+        xp = xp or get_namespace("numpy")
         out = None
         for kind, payload in self.factors:
             m = (
                 xp.to_device_cached(payload)
                 if kind == _FIXED
-                else rotation_batch_xp(kind, angles[:, payload], xp)
+                else rotation_batch(kind, angles[:, payload], xp)
             )
+            # (2,2) @ (B,2,2) and (B,2,2) @ (B,2,2) both broadcast; factors
+            # apply left-to-right, so later factors multiply from the left.
             out = m if out is None else xp.matmul(m, out)
         return out
 
@@ -196,11 +168,11 @@ class ParametricCompiledCircuit:
         defaults to a |0...0> batch; when given it must be
         ``(batch, 2**n)``.  Returns ``(batch, 2**n)`` evolved states.
 
-        ``xp`` selects the array namespace (:mod:`repro.xp`): ``None`` or
-        native NumPy keeps this body bit-identical to the reference; any
-        other namespace moves the angle chunk to its device once, runs the
-        same segment walk there, and returns NumPy.
+        ``xp`` selects the array namespace (:mod:`repro.xp`; ``None`` is
+        NumPy): the angle chunk moves to its device once, the segment walk
+        runs there, and the result returns as NumPy.
         """
+        xp = xp or get_namespace("numpy")
         angles = np.asarray(angles, dtype=float)
         if angles.ndim > 2:
             angles = angles.reshape(angles.shape[0], -1)
@@ -211,16 +183,15 @@ class ParametricCompiledCircuit:
             )
         b = angles.shape[0]
         dim = 2**self.num_qubits
-        if xp is not None and not xp.native:
-            return self._apply_batch_xp(angles, states, xp, b, dim)
+        angles = xp.to_device(angles)
         if states is None:
-            tensor = np.zeros((b,) + (2,) * self.num_qubits, dtype=np.complex128)
+            tensor = xp.zeros((b,) + (2,) * self.num_qubits)
             tensor[(slice(None),) + (0,) * self.num_qubits] = 1.0
         else:
-            states = np.asarray(states, dtype=np.complex128)
-            if states.shape != (b, dim):
+            states = xp.ascomplex(states)
+            if tuple(states.shape) != (b, dim):
                 raise ValueError(
-                    f"states shape {states.shape} != expected {(b, dim)}"
+                    f"states shape {tuple(states.shape)} != expected {(b, dim)}"
                 )
             tensor = states.reshape((b,) + (2,) * self.num_qubits)
         # The batch stays in (B, 2, ..., 2) tensor form across all segments;
@@ -229,50 +200,13 @@ class ParametricCompiledCircuit:
         for seg in self.segments:
             if isinstance(seg, AngleChain):
                 axis = 1 + seg.qubit
-                moved = np.moveaxis(tensor, axis, 1)
-                shape = moved.shape
-                flat = moved.reshape(b, 2, -1)
-                flat = np.einsum("bij,bjr->bir", seg.matrices(angles), flat)
-                tensor = np.moveaxis(flat.reshape(shape), 1, axis)
-            else:
-                k = seg.width
-                gate = seg.matrix.reshape((2,) * (2 * k))
-                axes = [1 + q for q in seg.qubits]
-                tensor = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), axes))
-                tensor = np.moveaxis(tensor, range(k), axes)
-        return np.ascontiguousarray(tensor.reshape(b, dim))
-
-    def _apply_batch_xp(self, angles, states, xp, b, dim):
-        """Generic device body of :meth:`apply_batch` (validated inputs)."""
-        a_dev = xp.to_device(angles)
-        if states is None:
-            tensor = xp.zeros((b,) + (2,) * self.num_qubits)
-            tensor[(slice(None),) + (0,) * self.num_qubits] = 1.0
-        else:
-            states = xp.ascomplex(states)
-            if tuple(int(s) for s in states.shape) != (b, dim):
-                raise ValueError(
-                    f"states shape {tuple(states.shape)} != expected {(b, dim)}"
-                )
-            tensor = states.reshape((b,) + (2,) * self.num_qubits)
-        for seg in self.segments:
-            if isinstance(seg, AngleChain):
-                axis = 1 + seg.qubit
                 moved = xp.moveaxis(tensor, axis, 1)
                 shape = tuple(moved.shape)
                 flat = moved.reshape(b, 2, -1)
-                flat = xp.einsum(
-                    "bij,bjr->bir", seg.matrices(a_dev, xp=xp), flat
-                )
+                flat = xp.einsum("bij,bjr->bir", seg.matrices(angles, xp=xp), flat)
                 tensor = xp.moveaxis(flat.reshape(shape), 1, axis)
             else:
-                k = seg.width
-                gate = xp.to_device_cached(seg.matrix).reshape((2,) * (2 * k))
-                axes = [1 + q for q in seg.qubits]
-                tensor = xp.tensordot(
-                    gate, tensor, axes=(list(range(k, 2 * k)), axes)
-                )
-                tensor = xp.moveaxis(tensor, tuple(range(k)), tuple(axes))
+                tensor = seg.apply_tensor(tensor, xp)
         return xp.to_numpy(xp.ascontiguous(tensor.reshape(b, dim)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -351,7 +285,6 @@ def compile_parametric(
     circuit: Circuit,
     max_width: int | str = DEFAULT_FUSION_WIDTH,
     cache: CompileCache | None = GLOBAL_PARAMETRIC_CACHE,
-    array_backend: str = "numpy",
 ) -> ParametricCompiledCircuit:
     """Compile a (possibly unbound) template into a batched program.
 
@@ -366,10 +299,9 @@ def compile_parametric(
     operations only, so the program is exactly equivalent to the source.
     Unbound rotations outside :data:`BATCHED_ROTATIONS` (controlled
     rotations) raise -- bind them first.  Compiled templates are cached
-    under their :func:`template_fingerprint` plus ``array_backend`` (the
-    namespace the program will execute under; artifacts stay host NumPy
-    but entries never cross namespaces).  Pass ``cache=None`` to force a
-    fresh compilation.
+    under their :func:`template_fingerprint`; the program is host NumPy and
+    runs under any array namespace (``apply_batch(angles, xp=...)``).  Pass
+    ``cache=None`` to force a fresh compilation.
     """
     width = resolve_fusion_width(max_width)
     if width is None:
@@ -377,7 +309,7 @@ def compile_parametric(
             'compile_parametric called with compilation disabled ("off")'
         )
     if cache is not None:
-        key = ("parametric", width, array_backend) + template_fingerprint(circuit)
+        key = ("parametric", width) + template_fingerprint(circuit)
         return cache.get_by_key(
             key, lambda: compile_parametric(circuit, width, cache=None)
         )

@@ -22,7 +22,9 @@ Two pieces:
   reuse compiled artifacts across the whole Q-matrix sweep.  Compiled
   programs are plain dataclasses of NumPy arrays, hence picklable, so one
   parent-side compile is shipped to every
-  :class:`~repro.hpc.runtime.ExecutionRuntime` process worker.
+  :class:`~repro.hpc.runtime.ExecutionRuntime` process worker.  They carry
+  no array namespace: one cached program runs under NumPy, CuPy or torch
+  (``apply(states, xp=...)``, :mod:`repro.xp`).
 
 The fusion-width trade-off: a block on ``k`` qubits costs one
 ``(2^k, 2^k) @ (batch, 2^k, 2^(n-k))`` contraction, so wider blocks amortise
@@ -44,6 +46,7 @@ from repro.quantum.circuit import Circuit, Operation
 from repro.quantum.gates import gate_matrix
 from repro.quantum.statevector import apply_matrix_batch, zero_state
 from repro.quantum.transpile import fuse_blocks
+from repro.xp import get_namespace
 
 __all__ = [
     "DEFAULT_FUSION_WIDTH",
@@ -97,6 +100,21 @@ class FusedBlock:
     def width(self) -> int:
         return len(self.qubits)
 
+    def apply_tensor(self, tensor, xp):
+        """Contract this block into a ``(batch, 2, ..., 2)`` state tensor.
+
+        tensordot output: the ``k`` gate-output axes first, then the
+        untouched axes in original relative order; moveaxis restores the
+        layout (``qubits`` is sorted ascending, matching the gate's local
+        big-endian ordering).  The matrix reaches ``xp``'s device through
+        the namespace's constant memo.
+        """
+        k = self.width
+        gate = xp.to_device_cached(self.matrix).reshape((2,) * (2 * k))
+        axes = [1 + q for q in self.qubits]
+        tensor = xp.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), axes))
+        return xp.moveaxis(tensor, tuple(range(k)), tuple(axes))
+
 
 @dataclass(frozen=True)
 class CompiledCircuit:
@@ -128,54 +146,26 @@ class CompiledCircuit:
         """Evolve ``states`` (1-D state or ``(batch, 2**n)``) through the program.
 
         The batch stays in ``(batch, 2, ..., 2)`` tensor form across all
-        blocks -- one BLAS-grade :func:`numpy.tensordot` per fused block and
-        a single contiguity copy at the end, instead of the per-gate
-        reshape/copy round-trips of the naive engine.
+        blocks -- one BLAS-grade tensordot per fused block and a single
+        contiguity copy at the end, instead of the per-gate reshape/copy
+        round-trips of the naive engine.
 
-        ``xp`` selects the array namespace (:mod:`repro.xp`): ``None`` or
-        native NumPy keeps this body bit-identical; otherwise the same
-        tensordot walk runs on that library, with block matrices moved
-        host->device once per namespace via the constant memo.
+        ``xp`` selects the array namespace (:mod:`repro.xp`; ``None`` is
+        NumPy); states stay on its device.
         """
-        if xp is None or xp.native:
-            states = np.asarray(states, dtype=np.complex128)
-            squeeze = states.ndim == 1
-            batch = states[None, :] if squeeze else states
-            if batch.ndim != 2 or batch.shape[1] != 2**self.num_qubits:
-                raise ValueError(
-                    f"state shape {states.shape} incompatible with {self.num_qubits} qubits"
-                )
-            b, dim = batch.shape
-            tensor = batch.reshape((b,) + (2,) * self.num_qubits)
-            for block in self.blocks:
-                k = block.width
-                gate = block.matrix.reshape((2,) * (2 * k))
-                axes = [1 + q for q in block.qubits]
-                # tensordot output: k gate-output axes first, then the untouched
-                # axes in original relative order; moveaxis restores the layout
-                # (block.qubits is sorted ascending, matching the gate's local
-                # big-endian ordering).
-                tensor = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), axes))
-                tensor = np.moveaxis(tensor, range(k), axes)
-            out = np.ascontiguousarray(tensor.reshape(b, dim))
-            return out[0] if squeeze else out
-
+        xp = xp or get_namespace("numpy")
         states = xp.ascomplex(states)
         squeeze = states.ndim == 1
         batch = states[None, :] if squeeze else states
-        if batch.ndim != 2 or int(batch.shape[1]) != 2**self.num_qubits:
+        if batch.ndim != 2 or batch.shape[1] != 2**self.num_qubits:
             raise ValueError(
                 f"state shape {tuple(states.shape)} incompatible with "
                 f"{self.num_qubits} qubits"
             )
-        b, dim = (int(s) for s in batch.shape)
+        b, dim = batch.shape
         tensor = batch.reshape((b,) + (2,) * self.num_qubits)
         for block in self.blocks:
-            k = block.width
-            gate = xp.to_device_cached(block.matrix).reshape((2,) * (2 * k))
-            axes = [1 + q for q in block.qubits]
-            tensor = xp.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), axes))
-            tensor = xp.moveaxis(tensor, tuple(range(k)), tuple(axes))
+            tensor = block.apply_tensor(tensor, xp)
         out = xp.ascontiguous(tensor.reshape(b, dim))
         return out[0] if squeeze else out
 
@@ -311,12 +301,12 @@ class CacheInfo:
 class CompileCache:
     """Thread-safe LRU map from circuit fingerprint to compiled program.
 
-    Keys come from :meth:`Circuit.fingerprint` plus the fusion width and the
-    array-backend name, so the same structure bound at different angles
-    occupies distinct entries while a re-bound identical circuit hits, and
-    switching ``array_backend`` mid-session can never serve a program
-    associated with another library's device state.  Bounded so long sweeps
-    over per-sample encoders cannot grow memory without limit.
+    Keys come from :meth:`Circuit.fingerprint` plus the fusion width, so the
+    same structure bound at different angles occupies distinct entries while
+    a re-bound identical circuit hits.  Programs hold only host NumPy
+    arrays, so one entry serves every array namespace (each namespace
+    memoises its own device copies).  Bounded so long sweeps over
+    per-sample encoders cannot grow memory without limit.
     """
 
     def __init__(self, maxsize: int = 256):
@@ -328,11 +318,9 @@ class CompileCache:
         self._hits = 0
         self._misses = 0
 
-    def get(
-        self, circuit: Circuit, max_width: int, array_backend: str = "numpy"
-    ) -> CompiledCircuit:
+    def get(self, circuit: Circuit, max_width: int) -> CompiledCircuit:
         """Fetch (or compile and insert) the fused program for ``circuit``."""
-        key = (max_width, array_backend) + circuit.fingerprint()
+        key = (max_width,) + circuit.fingerprint()
         return self.get_by_key(key, lambda: _compile_bound(circuit, max_width))
 
     def get_by_key(self, key: tuple, factory):
@@ -383,16 +371,14 @@ def compile_circuit(
     max_width: int | str = DEFAULT_FUSION_WIDTH,
     params: Sequence[float] | None = None,
     cache: CompileCache | None = GLOBAL_COMPILE_CACHE,
-    array_backend: str = "numpy",
 ) -> CompiledCircuit:
     """Compile ``circuit`` into a fused program.
 
     ``max_width`` accepts the same values as the ``compile`` knob minus
     ``"off"`` (``"auto"`` or an int >= 1).  Unbound circuits require
-    ``params``.  Pass ``cache=None`` to force a fresh compilation.
-    ``array_backend`` names the array namespace the program will execute
-    under -- it only partitions the cache (compiled artifacts are always
-    host NumPy), so programs can never leak across namespaces.
+    ``params``.  Pass ``cache=None`` to force a fresh compilation.  The
+    program is host NumPy and runs under any array namespace
+    (``apply(states, xp=...)``).
     """
     width = resolve_fusion_width(max_width)
     if width is None:
@@ -407,7 +393,7 @@ def compile_circuit(
         raise ValueError("params given for an already-bound circuit")
     if cache is None:
         return _compile_bound(circuit, width)
-    return cache.get(circuit, width, array_backend)
+    return cache.get(circuit, width)
 
 
 def compile_cache_info() -> CacheInfo:

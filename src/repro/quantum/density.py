@@ -26,6 +26,10 @@ unitary folding that :func:`repro.quantum.mitigation.fold_circuit` applies
 per sample -- ``C (C^dag C)^k`` at step level, with slot steps inverted by
 negating their angle sign -- so :class:`MitigatedBackend` can run each fold
 scale as one batched pass.
+
+Both engines and the Kraus kernels under them have one body written
+against an optional array namespace ``xp`` (:mod:`repro.xp`; ``None`` is
+NumPy); the engines return NumPy.
 """
 
 from __future__ import annotations
@@ -39,9 +43,11 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.quantum.circuit import Circuit, Parameter
-from repro.quantum.gates import gate_matrix, rotation_batch_xp
+from repro.quantum.gates import BATCHED_ROTATIONS, gate_matrix, rotation_batch
 from repro.quantum.observables import PauliString, PauliSum
+from repro.quantum.statevector import apply_matrix_batch
 from repro.utils.validation import check_power_of_two, check_square
+from repro.xp import get_namespace
 
 __all__ = [
     "pure_density",
@@ -74,22 +80,15 @@ def apply_unitary(
     Implemented with the fast statevector kernel: ``K rho`` applies K to each
     column of rho (batched), and right-multiplication by ``K^dag`` is applying
     ``conj(K)`` to each row.  ``xp`` selects the array namespace
-    (:mod:`repro.xp`); ``None``/native NumPy keeps the reference body.
+    (:mod:`repro.xp`; ``None`` is NumPy); ``rho`` stays on its device.
     """
-    from repro.quantum.statevector import apply_matrix_batch
-
-    if xp is None or xp.native:
-        rho = check_square(np.asarray(rho, dtype=np.complex128), "rho")
-        left = apply_matrix_batch(np.ascontiguousarray(rho.T), matrix, qubits).T  # K rho
-        return apply_matrix_batch(
-            np.ascontiguousarray(left), np.conj(np.asarray(matrix)), qubits
-        )  # (K rho) K^dag
-    rho = xp.ascomplex(rho)
+    xp = xp or get_namespace("numpy")
+    rho = check_square(xp.ascomplex(rho), "rho")
     matrix = xp.ascomplex(matrix)
     left = xp.ascontiguous(
         apply_matrix_batch(xp.ascontiguous(rho.T), matrix, qubits, xp=xp).T
-    )
-    return apply_matrix_batch(left, xp.conj(matrix), qubits, xp=xp)
+    )  # K rho
+    return apply_matrix_batch(left, xp.conj(matrix), qubits, xp=xp)  # (K rho) K^dag
 
 
 def apply_kraus(
@@ -101,6 +100,8 @@ def apply_kraus(
     accumulator instead of allocating (and re-allocating) a zeros array per
     Kraus operator.
     """
+    xp = xp or get_namespace("numpy")
+    rho = xp.ascomplex(rho)
     out = None
     for k in kraus_ops:
         term = apply_unitary(rho, k, qubits, xp=xp)
@@ -109,9 +110,7 @@ def apply_kraus(
         else:
             out += term
     if out is None:  # empty channel: preserve the historical zeros result
-        if xp is None or xp.native:
-            return np.zeros_like(np.asarray(rho, dtype=np.complex128))
-        return xp.zeros(tuple(int(s) for s in rho.shape))
+        return xp.zeros(tuple(rho.shape))
     return out
 
 
@@ -126,11 +125,12 @@ def run_circuit_density(
 
     ``noise_model`` (see :mod:`repro.quantum.noise`) is queried after every
     gate for the Kraus channel to insert; ``None`` gives ideal evolution.
-    With a non-native ``xp`` namespace the walk runs on that device and the
-    result returns as NumPy.
+    The walk runs on ``xp``'s device (:mod:`repro.xp`; ``None`` is NumPy)
+    and the result returns as NumPy.
     """
     if not circuit.is_bound:
         raise ValueError("run_circuit_density requires a bound circuit")
+    xp = xp or get_namespace("numpy")
     dim = 2**circuit.num_qubits
     if rho is None:
         rho = np.zeros((dim, dim), dtype=np.complex128)
@@ -139,15 +139,13 @@ def run_circuit_density(
         rho = np.asarray(rho, dtype=np.complex128)
         if rho.shape != (dim, dim):
             raise ValueError(f"rho shape {rho.shape} != ({dim}, {dim})")
-    native = xp is None or xp.native
-    if not native:
-        rho = xp.to_device(rho)
+    rho = xp.to_device(rho)
     for op in circuit:
         rho = apply_unitary(rho, gate_matrix(op.gate, op.param), op.qubits, xp=xp)
         if noise_model is not None:
             for kraus, qubits in noise_model.channels_after(op):
                 rho = apply_kraus(rho, kraus, qubits, xp=xp)
-    return rho if native else xp.to_numpy(rho)
+    return xp.to_numpy(rho)
 
 
 def expectation_density(rho: np.ndarray, observable) -> float:
@@ -270,20 +268,10 @@ class BatchedDensityProgram:
         )
 
 
-def _slot_rotations() -> dict:
-    # Shared with the batched statevector engine: the single-qubit rotations
-    # that may stay symbolic.  Imported lazily to keep this module's import
-    # graph light (batched builds on compile/statevector, not on density).
-    from repro.quantum.batched import BATCHED_ROTATIONS
-
-    return BATCHED_ROTATIONS
-
-
 def compile_density_template(
     circuit: Circuit,
     noise_model=None,
     cache=None,
-    array_backend: str = "numpy",
 ) -> BatchedDensityProgram:
     """Compile a (possibly unbound) circuit into a batched density program.
 
@@ -294,7 +282,8 @@ def compile_density_template(
 
     ``cache`` is a :class:`~repro.quantum.compile.CompileCache`; pass the
     process-wide parametric cache to share its LRU.  Keys include the
-    noise-model content hash and ``array_backend``.
+    noise-model content hash; the program is host NumPy and runs under any
+    array namespace (``run_batched_density(..., xp=...)``).
     """
     if cache is not None:
         from repro.quantum.batched import template_fingerprint
@@ -302,12 +291,10 @@ def compile_density_template(
         key = (
             "density-batched",
             None if noise_model is None else hash(noise_model),
-            array_backend,
         ) + template_fingerprint(circuit)
         return cache.get_by_key(
             key, lambda: compile_density_template(circuit, noise_model)
         )
-    rotations = _slot_rotations()
     steps: list[DensityStep] = []
     for op in circuit.operations:
         channels: tuple = ()
@@ -317,11 +304,11 @@ def compile_density_template(
                 for kraus, qs in noise_model.channels_after(op)
             )
         if isinstance(op.param, Parameter):
-            if op.gate not in rotations or len(op.qubits) != 1:
+            if op.gate not in BATCHED_ROTATIONS or len(op.qubits) != 1:
                 raise ValueError(
                     f"cannot keep {op.gate!r} parametric in a batched density "
                     f"template: only single-qubit rotations "
-                    f"{sorted(rotations)} may stay unbound"
+                    f"{sorted(BATCHED_ROTATIONS)} may stay unbound"
                 )
             steps.append(
                 DensityStep(op.gate, op.qubits, None, op.param.index, 1.0, channels)
@@ -482,12 +469,10 @@ def run_batched_density(
     as in ``apply_batch``); returns ``(batch, 2^n, 2^n)`` NumPy density
     matrices.  The whole batch advances gate by gate -- identical insertion
     semantics to :func:`run_circuit_density`, but each gate/Kraus operator
-    is one ``(B, 4^n)``-sized kernel instead of ``B`` Python walks.
+    is one ``(B, 4^n)``-sized kernel instead of ``B`` Python walks.  ``xp``
+    selects the array namespace (:mod:`repro.xp`; ``None`` is NumPy).
     """
-    from repro.xp import get_namespace
-
-    if xp is None:
-        xp = get_namespace("numpy")
+    xp = xp or get_namespace("numpy")
     angles = np.asarray(angles, dtype=float)
     if angles.ndim > 2:
         angles = angles.reshape(angles.shape[0], -1)
@@ -499,8 +484,7 @@ def run_batched_density(
     b = angles.shape[0]
     n = program.num_qubits
     dim = 2**n
-    a_dev = angles if xp.native else xp.to_device(angles)
-    rotations = _slot_rotations()
+    angles = xp.to_device(angles)
 
     # Vectorized rho: one size-4 axis per qubit (row bit, column bit), so
     # |0..0><0..0| is the all-zeros index.  See :func:`_superop_tensor`.
@@ -508,12 +492,7 @@ def run_batched_density(
     rho[(slice(None),) + (0,) * n] = 1.0
     for step in program.steps:
         if step.matrix is None:
-            slot_angles = step.sign * a_dev[:, step.slot]
-            mats = (
-                rotations[step.gate](slot_angles)
-                if xp.native
-                else rotation_batch_xp(step.gate, slot_angles, xp)
-            )
+            mats = rotation_batch(step.gate, step.sign * angles[:, step.slot], xp)
             superops = xp.einsum("bij,bkl->bikjl", mats, xp.conj(mats)).reshape(
                 b, 4, 4
             )

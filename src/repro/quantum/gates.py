@@ -10,6 +10,9 @@ Two registries are exposed:
 * :data:`FIXED_GATES` -- parameter-free gates, name -> matrix.
 * :data:`PARAMETRIC_GATES` -- name -> callable(theta) returning the matrix.
 
+:func:`rotation_batch` builds the per-sample ``(batch, 2, 2)`` stacks of the
+:data:`BATCHED_ROTATIONS` under any array namespace (:mod:`repro.xp`).
+
 Rotation gates follow the physics convention ``R_P(theta) = exp(-i theta P/2)``
 so that the parameter-shift rule of Mitarai et al. (shift +-pi/2) applies
 exactly (paper Sec. IV.A).
@@ -20,6 +23,8 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
+
+from repro.xp import get_namespace
 
 __all__ = [
     "I2",
@@ -41,11 +46,8 @@ __all__ = [
     "cry",
     "crz",
     "phase",
-    "rx_batch",
-    "ry_batch",
-    "rz_batch",
-    "phase_batch",
-    "rotation_batch_xp",
+    "BATCHED_ROTATIONS",
+    "rotation_batch",
     "FIXED_GATES",
     "PARAMETRIC_GATES",
     "GATE_NUM_QUBITS",
@@ -82,79 +84,6 @@ def rx(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
 
 
-def rx_batch(angles: np.ndarray) -> np.ndarray:
-    """``(batch, 2, 2)`` stack of RX matrices, one per angle.
-
-    The vectorised builders are the single source of the per-sample
-    rotation math shared by the Fig. 7 encoder kernel
-    (:func:`repro.data.encoding.encode_batch`) and the batched engine's
-    angle slots (:data:`repro.quantum.batched.BATCHED_ROTATIONS`).
-    """
-    c, s = np.cos(angles / 2), np.sin(angles / 2)
-    out = np.zeros((angles.size, 2, 2), dtype=np.complex128)
-    out[:, 0, 0] = c
-    out[:, 1, 1] = c
-    out[:, 0, 1] = -1j * s
-    out[:, 1, 0] = -1j * s
-    return out
-
-
-def ry_batch(angles: np.ndarray) -> np.ndarray:
-    """``(batch, 2, 2)`` stack of RY matrices, one per angle."""
-    c, s = np.cos(angles / 2), np.sin(angles / 2)
-    out = np.zeros((angles.size, 2, 2), dtype=np.complex128)
-    out[:, 0, 0] = c
-    out[:, 1, 1] = c
-    out[:, 0, 1] = -s
-    out[:, 1, 0] = s
-    return out
-
-
-def rz_batch(angles: np.ndarray) -> np.ndarray:
-    """``(batch, 2, 2)`` stack of RZ matrices, one per angle."""
-    e = np.exp(-0.5j * angles)
-    out = np.zeros((angles.size, 2, 2), dtype=np.complex128)
-    out[:, 0, 0] = e
-    out[:, 1, 1] = e.conjugate()
-    return out
-
-
-def phase_batch(angles: np.ndarray) -> np.ndarray:
-    """``(batch, 2, 2)`` stack of phase gates, one per angle."""
-    out = np.zeros((angles.size, 2, 2), dtype=np.complex128)
-    out[:, 0, 0] = 1.0
-    out[:, 1, 1] = np.exp(1j * angles)
-    return out
-
-
-def rotation_batch_xp(kind: str, angles, xp) -> np.ndarray:
-    """xp-generic ``(batch, 2, 2)`` rotation stacks (see the ``*_batch``
-    builders above for the NumPy fast path these mirror).
-
-    ``angles`` may already live on ``xp``'s device; all trig runs in
-    complex128 from the start, so the same expression works on libraries
-    (torch) that refuse complex-scalar x float-tensor arithmetic.
-    """
-    a = xp.ascomplex(angles)
-    if kind == "rx":
-        c, s = xp.cos(a / 2.0), xp.sin(a / 2.0)
-        rows = (c, -1j * s), (-1j * s, c)
-    elif kind == "ry":
-        c, s = xp.cos(a / 2.0), xp.sin(a / 2.0)
-        rows = (c, -s), (s, c)
-    elif kind == "rz":
-        e = xp.exp(-0.5j * a)
-        rows = (e, 0.0 * e), (0.0 * e, xp.conj(e))
-    elif kind == "phase":
-        e = xp.exp(1j * a)
-        rows = (1.0 + 0.0 * e, 0.0 * e), (0.0 * e, e)
-    else:
-        raise KeyError(f"unknown batched rotation {kind!r}")
-    return xp.stack(
-        [xp.stack(list(row), axis=-1) for row in rows], axis=-2
-    )
-
-
 def ry(theta: float) -> np.ndarray:
     """Rotation about Y: ``exp(-i theta Y / 2)``."""
     c, s = np.cos(theta / 2), np.sin(theta / 2)
@@ -170,6 +99,45 @@ def rz(theta: float) -> np.ndarray:
 def phase(theta: float) -> np.ndarray:
     """Diagonal phase gate ``diag(1, e^{i theta})``."""
     return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=np.complex128)
+
+
+#: Single-qubit rotations :func:`rotation_batch` builds per sample: the
+#: gates a batched template may keep as angle slots.  Unbound multi-qubit
+#: rotations must be bound before compilation -- the sweep only ever keeps
+#: *encoding* rotations symbolic, which are single-qubit by construction
+#: (Fig. 7).
+BATCHED_ROTATIONS: frozenset[str] = frozenset({"rx", "ry", "rz", "phase"})
+
+
+def rotation_batch(kind: str, angles: np.ndarray, xp=None) -> np.ndarray:
+    """``(batch, 2, 2)`` stack of ``kind`` rotation matrices, one per angle.
+
+    The single source of the per-sample rotation math shared by the Fig. 7
+    encoder kernel (:func:`repro.data.encoding.encode_batch`), the batched
+    engine's angle slots (:class:`repro.quantum.batched.AngleChain`) and
+    the stacked density walker.  ``angles`` is a 1-D real array on ``xp``'s
+    device (:mod:`repro.xp`; ``None`` is NumPy); the trig runs on the real
+    angles and lands in complex zeros by slice assignment.
+    """
+    xp = xp or get_namespace("numpy")
+    out = xp.zeros((angles.shape[0], 2, 2))
+    if kind in ("rx", "ry"):
+        c, s = xp.cos(angles / 2), xp.sin(angles / 2)
+        out[:, 0, 0] = out[:, 1, 1] = c
+        if kind == "rx":
+            out[:, 0, 1] = out[:, 1, 0] = -1j * s
+        else:
+            out[:, 0, 1], out[:, 1, 0] = -s, s
+    elif kind == "rz":
+        e = xp.exp(-0.5j * angles)
+        out[:, 0, 0] = e
+        out[:, 1, 1] = xp.conj(e)
+    elif kind == "phase":
+        out[:, 0, 0] = 1.0
+        out[:, 1, 1] = xp.exp(1j * angles)
+    else:
+        raise KeyError(f"unknown batched rotation {kind!r}")
+    return out
 
 
 def _controlled(u: np.ndarray) -> np.ndarray:

@@ -13,6 +13,8 @@ Conventions
 * Qubit 0 is the most significant bit of a computational-basis index.
 * States are C-contiguous ``complex128``; kernels preserve contiguity
   (cache-friendliness per the optimisation guide).
+* A kernel that takes ``xp`` has one body written against that array
+  namespace (:mod:`repro.xp`); ``xp=None`` is NumPy.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.quantum.circuit import Circuit
 from repro.quantum.gates import gate_matrix
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_power_of_two
+from repro.xp import get_namespace
 
 __all__ = [
     "zero_state",
@@ -93,44 +96,12 @@ def apply_matrix_batch(
     ``(batch, 2**k, 2**k)`` (a distinct matrix per batch element -- used by
     data-encoding layers where each sample carries its own rotation angle).
 
-    ``xp`` selects the array namespace (:mod:`repro.xp`).  ``None`` -- or a
-    native NumPy namespace -- runs the original NumPy body unchanged
-    (bit-identical); any other namespace runs the same contraction through
-    that library's ops, and inputs/outputs stay on its device.
+    ``xp`` selects the array namespace (:mod:`repro.xp`; ``None`` is
+    NumPy); inputs and output stay on its device.
     """
-    if xp is None or xp.native:
-        states = np.ascontiguousarray(states, dtype=np.complex128)
-        b, dim = states.shape
-        n = check_power_of_two(dim, "state dimension")
-        qubits = [int(q) for q in qubits]
-        k = len(qubits)
-        if len(set(qubits)) != k:
-            raise ValueError(f"duplicate qubits {qubits}")
-        for q in qubits:
-            if not 0 <= q < n:
-                raise ValueError(f"qubit {q} out of range for n={n}")
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        per_sample = matrix.ndim == 3
-        expected = (b, 2**k, 2**k) if per_sample else (2**k, 2**k)
-        if matrix.shape != expected:
-            raise ValueError(f"matrix shape {matrix.shape} != expected {expected}")
-
-        # Move target qubit axes to the front (after batch), apply, move back.
-        tensor = states.reshape((b,) + (2,) * n)
-        src = [1 + q for q in qubits]
-        dst = list(range(1, 1 + k))
-        tensor = np.moveaxis(tensor, src, dst)
-        rest = tensor.shape[1 + k :]
-        tensor = tensor.reshape(b, 2**k, -1)
-        spec = "bij,bjr->bir" if per_sample else "ij,bjr->bir"
-        tensor = np.einsum(spec, matrix, tensor)
-        tensor = tensor.reshape((b,) + (2,) * k + rest)
-        tensor = np.moveaxis(tensor, dst, src)
-        return np.ascontiguousarray(tensor.reshape(b, dim))
-
-    # Generic device path: identical contraction, the namespace's ops.
-    states = xp.ascomplex(states)
-    b, dim = (int(s) for s in states.shape)
+    xp = xp or get_namespace("numpy")
+    states = xp.ascontiguous(xp.ascomplex(states))
+    b, dim = states.shape
     n = check_power_of_two(dim, "state dimension")
     qubits = [int(q) for q in qubits]
     k = len(qubits)
@@ -144,6 +115,8 @@ def apply_matrix_batch(
     expected = (b, 2**k, 2**k) if per_sample else (2**k, 2**k)
     if tuple(matrix.shape) != expected:
         raise ValueError(f"matrix shape {tuple(matrix.shape)} != expected {expected}")
+
+    # Move target qubit axes to the front (after batch), apply, move back.
     tensor = states.reshape((b,) + (2,) * n)
     src = [1 + q for q in qubits]
     dst = list(range(1, 1 + k))

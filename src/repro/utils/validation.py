@@ -32,8 +32,11 @@ def check_probability(value: float, name: str = "probability") -> float:
 
 
 def check_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate that ``matrix`` is 2-D and square."""
-    arr = np.asarray(matrix)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    return arr
+    """Validate that ``matrix`` is 2-D and square; returns it unchanged.
+
+    Reads only ``.ndim`` / ``.shape``, so device arrays (CuPy, torch)
+    validate without a host copy.
+    """
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {tuple(matrix.shape)}")
+    return matrix

@@ -1,15 +1,18 @@
 """Array-namespace shim: one tensor abstraction over NumPy / CuPy / torch.
 
 Every hot kernel (fused-block tensordots, the batched structure-shared
-engine, Kraus application, the stacked density walker) takes an optional
-``xp`` namespace.  With ``xp=None`` -- or the native NumPy namespace -- the
-kernels run their original NumPy bodies, bit-identical to the pre-shim
-behaviour.  Any other namespace routes the same contractions through that
-library's ops (``torch.tensordot``, ``cupy.einsum``, ...), with device
-transfer at the edges: constant gate matrices move host->device once per
-namespace via an id-keyed memo (:meth:`ArrayNamespace.to_device_cached`),
-angles move once per chunk at the job boundary, and results come back as
-NumPy so the rest of the pipeline never sees a foreign array.
+engine, Kraus application, the stacked density walker) has one body,
+written against an optional ``xp`` namespace.  ``xp=None`` means the
+process-wide NumPy namespace (``get_namespace("numpy")``), whose ops are
+NumPy's own, so the default path computes exactly what plain NumPy code
+would.  Any other namespace runs the same body through that library's ops
+(``torch.tensordot``, ``cupy.einsum``, ...), with device transfer at the
+edges: constant gate matrices move host->device once per namespace via an
+id-keyed memo (:meth:`ArrayNamespace.to_device_cached`; NumPy has nothing
+to transfer and keeps no memo), angles move once per chunk at the job
+boundary, and results come back as NumPy so the rest of the pipeline never
+sees a foreign array.  Compiled programs hold only host NumPy arrays, so
+one program serves every namespace.
 
 Backend selection is a config knob
 (``ExecutionConfig(array_backend="numpy"|"cupy"|"torch"|"auto")``,
@@ -22,15 +25,12 @@ faster than NumPy, so auto never picks it
 
 CuPy and torch are detected lazily and imported only when actually
 selected; the shim itself depends on nothing beyond NumPy.
-:func:`generic_numpy_namespace` returns a NumPy-backed namespace with
-``native=False`` -- it drives the kernels' generic (device) code path on
-plain CPU NumPy, which is how the equivalence suite covers that path even
-where CuPy/torch are absent.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import threading
 from collections import OrderedDict
 from collections.abc import Sequence
 from typing import Any
@@ -41,7 +41,6 @@ __all__ = [
     "ARRAY_BACKENDS",
     "ArrayNamespace",
     "backend_available",
-    "generic_numpy_namespace",
     "get_namespace",
     "resolve_array_backend",
     "validate_array_backend",
@@ -50,10 +49,11 @@ __all__ = [
 #: Legal values of the ``array_backend`` knob, in documentation order.
 ARRAY_BACKENDS = ("auto", "numpy", "cupy", "torch")
 
-#: Entries kept in each namespace's host->device constant-matrix memo.
-#: Compiled programs hold at most a few hundred distinct gate matrices;
-#: strong references to the source arrays keep ids stable (an id-keyed
-#: cache on a dead object could alias a new one).
+#: Entries kept in each device namespace's host->device constant-matrix memo.
+#: One sweep can hold more distinct block matrices (an order-2 expansion of
+#: the 4-qubit Fig. 8 Ansatz compiles to 774), so entries are evicted
+#: mid-sweep.  Strong references to the source arrays keep ids stable (an
+#: id-keyed cache on a dead object could alias a new one).
 _DEVICE_CACHE_SIZE = 512
 
 
@@ -116,25 +116,21 @@ def resolve_array_backend(knob: Any) -> str:
 class ArrayNamespace:
     """Minimal array-API surface the quantum kernels contract against.
 
-    Concrete subclasses adapt one library.  ``native`` is True only for
-    the NumPy namespace that backs plain ``np.ndarray`` inputs directly --
-    kernels use it to keep their original (bit-identical) NumPy fast path.
+    Concrete subclasses adapt one library; every kernel runs the same body
+    under any of them.
     """
 
     name: str
-    native: bool
 
-    def __init__(
-        self, name: str, native: bool, device_cache_size: int = _DEVICE_CACHE_SIZE
-    ) -> None:
+    def __init__(self, name: str, device_cache_size: int = _DEVICE_CACHE_SIZE) -> None:
         if device_cache_size < 1:
             raise ValueError(
                 f"device_cache_size={device_cache_size} must be >= 1"
             )
         self.name = name
-        self.native = native
         self.device_cache_size = int(device_cache_size)
         self._device_cache: OrderedDict[int, tuple[Any, Any]] = OrderedDict()
+        self._device_cache_lock = threading.Lock()
 
     # ------------------------------------------------------------ transfer
     def to_device(self, array: Any) -> Any:
@@ -149,18 +145,23 @@ class ArrayNamespace:
         Keyed by ``id`` with a strong reference to the source array and an
         identity re-check on hit, so a recycled id can never serve a stale
         device copy.  NumPy arrays are unhashable and must not be compared
-        by value here (that would cost the copy we are avoiding).
+        by value here (that would cost the copy we are avoiding).  A lock
+        guards the memo -- sweeps on a thread pool share one namespace and
+        evict each other's entries -- while the transfer itself runs
+        outside it.
         """
         key = id(array)
-        hit = self._device_cache.get(key)
-        if hit is not None and hit[0] is array:
-            self._device_cache.move_to_end(key)
-            return hit[1]
+        with self._device_cache_lock:
+            hit = self._device_cache.get(key)
+            if hit is not None and hit[0] is array:
+                self._device_cache.move_to_end(key)
+                return hit[1]
         device = self.to_device(array)
-        self._device_cache[key] = (array, device)
-        self._device_cache.move_to_end(key)
-        while len(self._device_cache) > self.device_cache_size:
-            self._device_cache.popitem(last=False)
+        with self._device_cache_lock:
+            self._device_cache[key] = (array, device)
+            self._device_cache.move_to_end(key)
+            while len(self._device_cache) > self.device_cache_size:
+                self._device_cache.popitem(last=False)
         return device
 
     # ------------------------------------------------------------ dtype/alloc
@@ -188,9 +189,6 @@ class ArrayNamespace:
     def conj(self, array: Any) -> Any:
         raise NotImplementedError
 
-    def stack(self, arrays: Sequence[Any], axis: int = 0) -> Any:
-        raise NotImplementedError
-
     def ascontiguous(self, array: Any) -> Any:
         raise NotImplementedError
 
@@ -204,21 +202,18 @@ class ArrayNamespace:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ArrayNamespace({self.name!r}, native={self.native})"
+        return f"ArrayNamespace({self.name!r})"
 
 
 class _NumpyNamespace(ArrayNamespace):
-    """NumPy adapter.  ``native=True`` is the kernel fast-path marker; the
-    ``native=False`` variant exists to exercise the generic device path on
-    CPU (:func:`generic_numpy_namespace`)."""
-
-    def __init__(
-        self, native: bool = True, device_cache_size: int = _DEVICE_CACHE_SIZE
-    ) -> None:
-        super().__init__("numpy", native, device_cache_size)
+    """NumPy adapter: the namespace every kernel runs under for ``xp=None``."""
 
     def to_device(self, array):
         return np.asarray(array)
+
+    def to_device_cached(self, array: np.ndarray) -> Any:
+        # Host arrays need no transfer, so there is nothing to memoise.
+        return array
 
     def to_numpy(self, array):
         return np.asarray(array)
@@ -244,9 +239,6 @@ class _NumpyNamespace(ArrayNamespace):
     def conj(self, array):
         return np.conj(array)
 
-    def stack(self, arrays, axis=0):
-        return np.stack(arrays, axis=axis)
-
     def ascontiguous(self, array):
         return np.ascontiguousarray(array)
 
@@ -266,7 +258,7 @@ class _CupyNamespace(ArrayNamespace):
     def __init__(self) -> None:
         import cupy
 
-        super().__init__("cupy", False)
+        super().__init__("cupy")
         self._cp = cupy
 
     def to_device(self, array):
@@ -296,9 +288,6 @@ class _CupyNamespace(ArrayNamespace):
     def conj(self, array):
         return self._cp.conj(array)
 
-    def stack(self, arrays, axis=0):
-        return self._cp.stack(arrays, axis=axis)
-
     def ascontiguous(self, array):
         return self._cp.ascontiguousarray(array)
 
@@ -316,7 +305,7 @@ class _TorchNamespace(ArrayNamespace):
     """Torch adapter (CUDA when available, else CPU tensors).
 
     Differences papered over here so kernels stay library-agnostic:
-    ``tensordot(dims=)`` / ``movedim`` / ``stack(dim=)`` spellings, and
+    ``tensordot(dims=)`` / ``movedim`` spellings, and
     conjugation via the lazy conj bit (``resolve_conj`` before handing a
     tensor back to NumPy).
     """
@@ -324,7 +313,7 @@ class _TorchNamespace(ArrayNamespace):
     def __init__(self) -> None:
         import torch
 
-        super().__init__("torch", False)
+        super().__init__("torch")
         self._torch = torch
         self._device = torch.device("cuda" if torch.cuda.is_available() else "cpu")
 
@@ -365,9 +354,6 @@ class _TorchNamespace(ArrayNamespace):
     def conj(self, array):
         return self._torch.conj(array)
 
-    def stack(self, arrays, axis=0):
-        return self._torch.stack(list(arrays), dim=axis)
-
     def ascontiguous(self, array):
         return array.contiguous()
 
@@ -381,34 +367,24 @@ class _TorchNamespace(ArrayNamespace):
         return self._torch.exp(array)
 
 
-_NAMESPACES: dict[str, ArrayNamespace] = {}
+#: One namespace per library per process.  NumPy's always exists: it is
+#: what ``xp=None`` means in every kernel.
+_NAMESPACES: dict[str, ArrayNamespace] = {"numpy": _NumpyNamespace("numpy")}
 
 
 def get_namespace(name: str) -> ArrayNamespace:
     """The process-wide namespace for ``name`` (resolving ``"auto"``).
 
     One instance per library per process, so the device-constant memo is
-    shared by every kernel call on that backend.
+    shared by every kernel call on that backend.  A concrete name already
+    in use costs one dict lookup (kernels call ``get_namespace("numpy")``
+    for ``xp=None``).
     """
-    name = resolve_array_backend(name)
     namespace = _NAMESPACES.get(name)
     if namespace is None:
-        if name == "numpy":
-            namespace = _NumpyNamespace()
-        elif name == "cupy":
-            namespace = _CupyNamespace()
-        else:
-            namespace = _TorchNamespace()
-        _NAMESPACES[name] = namespace
+        resolved = resolve_array_backend(name)
+        namespace = _NAMESPACES.get(resolved)
+        if namespace is None:
+            namespace = _CupyNamespace() if resolved == "cupy" else _TorchNamespace()
+            _NAMESPACES[resolved] = namespace
     return namespace
-
-
-def generic_numpy_namespace() -> ArrayNamespace:
-    """A fresh NumPy-backed namespace with ``native=False``.
-
-    Forces the kernels' generic device path (transfer memo, xp ops) while
-    staying on CPU NumPy -- the equivalence suite runs it everywhere, so
-    the path CuPy/torch exercise is covered even when neither is
-    installed.
-    """
-    return _NumpyNamespace(native=False)

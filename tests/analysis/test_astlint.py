@@ -28,7 +28,9 @@ def evolve(states, xp):
     return np.einsum("ij,bj->bi", states, states)
 """
 
-RPA301_PASS = """
+# A second, NumPy-only copy of the body behind a branch is still a finding:
+# one body serves every namespace.
+RPA301_TRIGGER_BRANCHED = """
 import numpy as np
 
 def evolve(states, xp):
@@ -37,9 +39,18 @@ def evolve(states, xp):
     return xp.einsum("ij,bj->bi", states, states)
 """
 
+RPA301_PASS = """
+from repro.xp import get_namespace
+
+def evolve(states, xp=None):
+    xp = xp or get_namespace("numpy")
+    return xp.einsum("ij,bj->bi", states, states)
+"""
+
 
 def test_rpa301_trigger_and_pass():
     assert "RPA301" in lint_source(RPA301_TRIGGER, KERNEL_PATH).codes()
+    assert "RPA301" in lint_source(RPA301_TRIGGER_BRANCHED, KERNEL_PATH).codes()
     assert "RPA301" not in lint_source(RPA301_PASS, KERNEL_PATH).codes()
     # Only kernel modules are held to the xp-routing invariant.
     assert "RPA301" not in lint_source(RPA301_TRIGGER, PLAIN_PATH).codes()

@@ -1,39 +1,48 @@
-"""repro.xp shim: knob validation, "auto" resolution, kernel equivalence.
+"""repro.xp shim: knob validation, "auto" resolution, the device-constant
+memo, and kernel equivalence.
 
-The equivalence suite runs every hot kernel through the generic (device)
-code path and compares against the native NumPy body.  The generic path is
-always exercised via :func:`generic_numpy_namespace` (NumPy-backed,
-``native=False``); torch and CuPy join the parameterization whenever they
-are installed (the CI torch leg) and are *skipped*, never failed, when
-absent.
+Every hot kernel has one body written against an ``xp`` namespace.  The
+equivalence suite runs each kernel under every available namespace and
+compares it with an *independent* NumPy reference (a different engine or a
+dense ``np.kron`` construction), so it still checks something when the
+namespace is NumPy itself.  NumPy always runs; torch and CuPy join the
+parameterization whenever they are installed (the CI torch leg) and are
+*skipped*, never failed, when absent.  The NumPy namespace keeps no
+device memo, so the memo tests use a test-only namespace whose
+``to_device`` copies like a host->GPU transfer.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import repro.xp as xp_module
 from repro.api import ExecutionConfig
-from repro.core.features import generate_features
-from repro.core.strategies import ObservableConstruction
+from repro.core.ansatz import fig8_ansatz
+from repro.core.features import generate_features, sweep_mode
+from repro.core.strategies import AnsatzExpansion, ObservableConstruction
 from repro.data.encoding import encoding_template
 from repro.quantum.backends import DensityMatrixBackend
-from repro.quantum.batched import compile_parametric
+from repro.quantum.batched import compile_parametric, extend_template
 from repro.quantum.circuit import Circuit
 from repro.quantum.compile import CompileCache, compile_circuit
 from repro.quantum.density import (
     apply_kraus,
+    apply_unitary,
     compile_density_template,
     run_batched_density,
     run_circuit_density,
 )
+from repro.quantum.gates import H
 from repro.quantum.noise import NoiseModel, depolarizing_channel
-from repro.quantum.statevector import apply_matrix_batch, zero_state
+from repro.quantum.statevector import apply_matrix_batch, run_circuit
 from repro.xp import (
     ARRAY_BACKENDS,
     backend_available,
-    generic_numpy_namespace,
     get_namespace,
     resolve_array_backend,
     validate_array_backend,
@@ -101,26 +110,48 @@ def test_backend_tuple_spelling():
     assert not backend_available("definitely_not_a_module_xyz")
 
 
-def test_get_namespace_singletons():
+def test_get_namespace_singletons(monkeypatch):
     a = get_namespace("numpy")
     assert a is get_namespace("numpy")
-    assert a.native and a.name == "numpy"
-    g = generic_numpy_namespace()
-    assert not g.native and g.name == "numpy"
-    assert g is not generic_numpy_namespace()  # fresh memo per instance
+    assert a.name == "numpy"
+    _accelerators_absent(monkeypatch)
+    assert get_namespace("auto") is a
 
 
 # ------------------------------------------------------------- transfer memo
+class _CopyingNamespace(xp_module._NumpyNamespace):
+    """NumPy ops, but ``to_device`` copies like a host->GPU transfer and the
+    base class's constant memo is live (the NumPy namespace keeps none)."""
+
+    def __init__(self, device_cache_size: int = 512):
+        super().__init__("copying-numpy", device_cache_size)
+
+    def to_device(self, array):
+        return np.array(array, copy=True)
+
+    to_device_cached = xp_module.ArrayNamespace.to_device_cached
+
+
+def test_numpy_namespace_keeps_no_device_memo():
+    """Host arrays need no transfer: the NumPy namespace hands constants
+    back as they are and memoises nothing."""
+    ns = get_namespace("numpy")
+    a = np.eye(2, dtype=np.complex128)
+    assert ns.to_device_cached(a) is a
+    assert len(ns._device_cache) == 0
+
+
 def test_to_device_cached_memoizes_by_identity():
-    ns = generic_numpy_namespace()
+    ns = _CopyingNamespace()
     a = np.eye(2, dtype=np.complex128)
     d1 = ns.to_device_cached(a)
+    assert d1 is not a
     assert ns.to_device_cached(a) is d1
 
 
 def test_to_device_cached_rejects_stale_id_hits():
     """A recycled id must never serve another array's device copy."""
-    ns = generic_numpy_namespace()
+    ns = _CopyingNamespace()
     a = np.eye(2, dtype=np.complex128)
     b = np.zeros((2, 2), dtype=np.complex128)
     sentinel = object()
@@ -131,7 +162,7 @@ def test_to_device_cached_rejects_stale_id_hits():
 
 
 def test_to_device_cached_bounded():
-    ns = generic_numpy_namespace()
+    ns = _CopyingNamespace()
     arrays = [np.full((1,), i, dtype=np.complex128) for i in range(600)]
     for a in arrays:
         ns.to_device_cached(a)
@@ -140,7 +171,7 @@ def test_to_device_cached_bounded():
 
 def test_to_device_cached_evicts_least_recently_used():
     """The bound is an LRU, not FIFO: a re-touched entry survives eviction."""
-    ns = xp_module._NumpyNamespace(native=False, device_cache_size=3)
+    ns = _CopyingNamespace(device_cache_size=3)
     keep = np.full((1,), -1.0, dtype=np.complex128)
     kept_device = ns.to_device_cached(keep)
     fillers = [np.full((1,), i, dtype=np.complex128) for i in range(4)]
@@ -157,8 +188,8 @@ def test_to_device_cached_evicts_least_recently_used():
 
 def test_device_cache_size_validated():
     with pytest.raises(ValueError, match="device_cache_size"):
-        xp_module._NumpyNamespace(native=False, device_cache_size=0)
-    ns = xp_module._NumpyNamespace(native=False, device_cache_size=1)
+        _CopyingNamespace(device_cache_size=0)
+    ns = _CopyingNamespace(device_cache_size=1)
     a = np.eye(2, dtype=np.complex128)
     b = np.zeros((2, 2), dtype=np.complex128)
     ns.to_device_cached(a)
@@ -167,9 +198,43 @@ def test_device_cache_size_validated():
     assert id(b) in ns._device_cache
 
 
+def test_to_device_cached_survives_concurrent_eviction():
+    """Sweeps on a thread pool share one namespace and evict each other's
+    entries (an order-2 expansion holds more block matrices than the memo
+    keeps).  Under a tiny switch interval an unguarded memo loses the race
+    between lookup and ``move_to_end`` and raises ``KeyError``."""
+    ns = _CopyingNamespace(device_cache_size=2)
+    # One more array than the memo holds: every thread both hits and evicts.
+    arrays = [np.full((1,), i, dtype=np.complex128) for i in range(3)]
+    errors: list[Exception] = []
+
+    def hammer(offset):
+        try:
+            for i in range(20_000):
+                a = arrays[(i + offset) % len(arrays)]
+                if ns.to_device_cached(a)[0] != a[0]:
+                    raise AssertionError(f"stale device copy for {a[0]}")
+        except Exception as exc:  # surfaced by the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(ns._device_cache) <= 2
+
+
 # ------------------------------------------------------- kernel equivalence
 def _xp_params():
-    params = [pytest.param("generic", id="generic-numpy")]
+    params = [pytest.param("numpy", id="numpy")]
     for name in ("torch", "cupy"):
         params.append(
             pytest.param(
@@ -185,8 +250,6 @@ def _xp_params():
 
 @pytest.fixture(params=_xp_params())
 def xp(request):
-    if request.param == "generic":
-        return generic_numpy_namespace()
     return get_namespace(request.param)
 
 
@@ -200,99 +263,112 @@ def _bound_circuit(n=3):
     return c
 
 
-def test_apply_matrix_batch_matches_native(xp):
+def _random_states(rng, batch, dim):
+    states = rng.normal(size=(batch, dim)) + 1j * rng.normal(size=(batch, dim))
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+def _dense(matrix, qubits, n):
+    """``matrix`` on ``qubits`` of an ``n``-qubit register as a dense
+    operator: ``np.kron`` with the identity on the other qubits, then the
+    tensor axes permuted back into register order."""
+    rest = [q for q in range(n) if q not in qubits]
+    full = np.kron(matrix, np.eye(2 ** len(rest)))
+    perm = list(np.argsort(list(qubits) + rest))
+    tensor = full.reshape((2,) * (2 * n)).transpose(perm + [n + p for p in perm])
+    return tensor.reshape(2**n, 2**n)
+
+
+def test_apply_matrix_batch_matches_reference(xp):
     rng = np.random.default_rng(3)
-    states = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    states = _random_states(rng, 6, 8)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    native = apply_matrix_batch(states, q, (0, 2))
+    reference = states @ _dense(q, (0, 2), 3).T
     via_xp = xp.to_numpy(
         apply_matrix_batch(xp.to_device(states), xp.to_device(q), (0, 2), xp=xp)
     )
-    assert np.abs(via_xp - native).max() < 1e-12
+    assert np.abs(via_xp - reference).max() < 1e-12
 
 
-def test_compiled_circuit_apply_matches_native(xp):
-    program = compile_circuit(_bound_circuit(), cache=None)
-    states = zero_state(3, batch=4)
-    native = program.apply(states)
+def test_compiled_circuit_apply_matches_reference(xp):
+    """Fused blocks against the naive per-gate walk."""
+    circuit = _bound_circuit()
+    program = compile_circuit(circuit, cache=None)
+    states = _random_states(np.random.default_rng(4), 4, 8)
+    reference = run_circuit(circuit, state=states)
     via_xp = xp.to_numpy(program.apply(xp.to_device(states), xp=xp))
-    assert np.abs(via_xp - native).max() < 1e-12
+    assert np.abs(via_xp - reference).max() < 1e-12
 
 
-def test_apply_batch_matches_native(xp):
-    template = encoding_template(3, 3)
+def test_apply_batch_matches_reference(xp):
+    """The batched engine (angle chains + fused blocks) against per-sample
+    bind + naive walk."""
+    template = extend_template(encoding_template(3, 3), _bound_circuit())
     program = compile_parametric(template, cache=None)
     rng = np.random.default_rng(5)
     angles = rng.uniform(0, 2 * np.pi, size=(7, 9))
-    native = program.apply_batch(angles)
+    reference = np.stack([run_circuit(template.bind(row)) for row in angles])
     via_xp = program.apply_batch(angles, xp=xp)
-    assert np.abs(np.asarray(via_xp) - native).max() < 1e-12
+    assert np.abs(np.asarray(via_xp) - reference).max() < 1e-12
 
 
-def test_run_batched_density_matches_native(xp):
+def test_run_batched_density_matches_reference(xp):
+    """The stacked superoperator walk against per-sample Kraus walks."""
     template = encoding_template(2, 2)
     noise = NoiseModel.depolarizing(0.02)
     program = compile_density_template(template, noise)
     rng = np.random.default_rng(6)
     angles = rng.uniform(0, 2 * np.pi, size=(5, 4))
-    native = run_batched_density(program, angles)
+    reference = np.stack(
+        [run_circuit_density(template.bind(row), noise_model=noise) for row in angles]
+    )
     via_xp = run_batched_density(program, angles, xp=xp)
-    assert np.abs(via_xp - native).max() < 1e-12
+    assert np.abs(via_xp - reference).max() < 1e-12
 
 
-def test_apply_kraus_matches_native(xp):
+def test_apply_kraus_matches_reference(xp):
     rng = np.random.default_rng(7)
-    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-    psi /= np.linalg.norm(psi)
+    psi = _random_states(rng, 1, 8)[0]
     rho = np.outer(psi, psi.conj())
     kraus = depolarizing_channel(0.1)
-    native = apply_kraus(rho, kraus, [1])
+    reference = sum(
+        d @ rho @ d.conj().T for d in (_dense(k, (1,), 3) for k in kraus)
+    )
     via_xp = xp.to_numpy(apply_kraus(xp.to_device(rho), kraus, [1], xp=xp))
-    assert np.abs(via_xp - native).max() < 1e-12
+    assert np.abs(via_xp - reference).max() < 1e-12
 
 
-def test_run_circuit_density_matches_native(xp):
+def test_run_circuit_density_matches_reference(xp):
+    """The per-gate Kraus walk against the stacked superoperator walk."""
     circuit = _bound_circuit()
     noise = NoiseModel.depolarizing(0.01)
-    native = run_circuit_density(circuit, noise_model=noise)
+    program = compile_density_template(circuit, noise)
+    reference = run_batched_density(program, np.zeros((1, 0)))[0]
     via_xp = run_circuit_density(circuit, noise_model=noise, xp=xp)
-    assert np.abs(via_xp - native).max() < 1e-12
+    assert np.abs(via_xp - reference).max() < 1e-12
+
+
+def test_apply_unitary_rejects_non_square_rho(xp):
+    """The one kernel body validates rho under every namespace (the removed
+    device copy skipped the check and returned a (4, 2) array)."""
+    for shape in [(4, 2), (4,)]:
+        rho = xp.to_device(np.zeros(shape, dtype=np.complex128))
+        with pytest.raises(ValueError, match="rho must be square"):
+            apply_unitary(rho, H, (0,), xp=xp)
 
 
 # --------------------------------------------------------- cache partition
-def test_compile_cache_partitions_by_array_backend():
-    """Two devices with different array backends in one process must never
-    share a compiled program entry (device constants are memoized per
-    namespace, and a cached program served across namespaces would leak
-    one device's constants into the other's schedule)."""
-    cache = CompileCache(maxsize=8)
-    circuit = _bound_circuit()
-    a = cache.get(circuit, 4, "numpy")
-    b = cache.get(circuit, 4, "torch")
-    assert a is not b
-    assert cache.get(circuit, 4, "numpy") is a
-    assert cache.get(circuit, 4, "torch") is b
-
-
-def test_parametric_cache_partitions_by_array_backend():
-    cache = CompileCache(maxsize=8)
-    template = encoding_template(2, 2)
-    a = compile_parametric(template, cache=cache, array_backend="numpy")
-    b = compile_parametric(template, cache=cache, array_backend="torch")
-    assert a is not b
-    assert compile_parametric(template, cache=cache, array_backend="numpy") is a
-
-
 def test_density_cache_partitions_by_backend_and_noise():
+    """Ideal and noisy templates never share an entry (the key carries the
+    noise model's content hash)."""
     cache = CompileCache(maxsize=8)
     template = encoding_template(2, 2)
     noise = NoiseModel.depolarizing(0.01)
     ideal = compile_density_template(template, None, cache=cache)
     noisy = compile_density_template(template, noise, cache=cache)
-    other = compile_density_template(template, None, cache=cache, array_backend="torch")
-    assert ideal is not noisy and ideal is not other
+    assert ideal is not noisy
     assert compile_density_template(template, None, cache=cache) is ideal
+    assert compile_density_template(template, noise, cache=cache) is noisy
 
 
 # ------------------------------------------------------------- end to end
@@ -314,26 +390,43 @@ def test_sweep_results_identical_across_spellings():
 
 
 @pytest.mark.skipif(not backend_available("torch"), reason="torch not installed")
-@pytest.mark.parametrize("backend", ["statevector", "density"])
-def test_torch_sweep_matches_numpy(backend):
+@pytest.mark.parametrize(
+    ("backend", "mode"),
+    [
+        ("statevector", "batched"),
+        ("density", "batched"),
+        ("statevector", "shared_encoder"),
+        ("statevector", "prepared"),
+    ],
+)
+def test_torch_sweep_matches_numpy(backend, mode):
+    """Every sweep mode under torch matches NumPy.  The multi-instance
+    modes evolve through ``CompiledCircuit.apply`` under torch on the very
+    programs the NumPy sweep just cached: compiled programs carry no
+    namespace."""
     rng = np.random.default_rng(10)
     angles = rng.uniform(0, 2 * np.pi, size=(6, 2, 2))
-    strategy = ObservableConstruction(qubits=2, locality=1)
     exec_backend = (
         DensityMatrixBackend(NoiseModel.depolarizing(0.01))
         if backend == "density"
         else None
     )
-    reference = generate_features(
-        strategy, angles,
-        config=ExecutionConfig(
-            backend=exec_backend, vectorize="auto", array_backend="numpy"
-        ),
+    if mode == "batched":
+        strategy = ObservableConstruction(qubits=2, locality=1)
+        knobs = {"vectorize": "auto"}
+    else:
+        strategy = AnsatzExpansion(circuit=fig8_ansatz(2, 1), order=1)
+        knobs = (
+            {"vectorize": "auto"}
+            if mode == "shared_encoder"
+            else {"vectorize": "off", "compile": "auto"}
+        )
+    reference_cfg = ExecutionConfig(
+        backend=exec_backend, array_backend="numpy", **knobs
     )
+    assert sweep_mode(strategy, reference_cfg) == mode
+    reference = generate_features(strategy, angles, config=reference_cfg)
     via_torch = generate_features(
-        strategy, angles,
-        config=ExecutionConfig(
-            backend=exec_backend, vectorize="auto", array_backend="torch"
-        ),
+        strategy, angles, config=reference_cfg.merged(array_backend="torch")
     )
     assert np.abs(via_torch - reference).max() < 1e-10
