@@ -52,7 +52,7 @@ def build_service(*, batch_window_ms: float, max_batch_size: int) -> FeatureServ
         batch_window_ms=batch_window_ms,
         max_batch_size=max_batch_size,
         pool="serial",
-        cache_results=False,  # measure execution, not cache hits
+        result_cache_size=0,  # measure execution, not cache hits
         execution=ExecutionConfig(vectorize="auto", compile="auto"),
     )
     service = FeatureService(config)
@@ -157,7 +157,7 @@ def test_served_shots_bit_equal_standalone():
             batch_window_ms=10.0,
             max_batch_size=64,
             pool="serial",
-            cache_results=False,
+            result_cache_size=0,
             execution=execution,
         )
     )

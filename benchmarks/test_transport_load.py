@@ -60,7 +60,7 @@ def build_service() -> FeatureService:
         batch_window_ms=10.0,
         max_batch_size=64,
         pool="serial",
-        cache_results=False,  # measure execution + wire, not cache hits
+        result_cache_size=0,  # measure execution + wire, not cache hits
         execution=ExecutionConfig(vectorize="auto", compile="auto"),
     )
     service = FeatureService(config)
@@ -191,7 +191,7 @@ def test_tcp_shots_bit_equal_standalone():
             batch_window_ms=10.0,
             max_batch_size=64,
             pool="serial",
-            cache_results=False,
+            result_cache_size=0,
             execution=execution,
         )
     )

@@ -63,13 +63,14 @@ def _registry(*specs: CodeSpec) -> dict[str, CodeSpec]:
 
 
 #: The stable code table.  Codes are append-only: retiring a check keeps its
-#: code reserved (never recycle a number for a different meaning).
+#: code reserved (never recycle a number for a different meaning) and marks
+#: its title ``retired:``; no analyzer emits a retired code.
 DIAGNOSTIC_CODES: dict[str, CodeSpec] = _registry(
     # ------------------------------------------------- program lint (RPA0xx)
     CodeSpec("RPA001", "operation wires out of range or duplicated", ERROR),
     CodeSpec("RPA002", "malformed operation (unknown gate / wrong arity / bad parameter)", ERROR),
     CodeSpec("RPA003", "template defeats batched vectorized execution", WARNING),
-    CodeSpec("RPA004", "gate outside the sharded fast-gate table (dense fallback)", WARNING),
+    CodeSpec("RPA004", "retired: gate outside the sharded fast-gate table", WARNING),
     CodeSpec("RPA005", "noise channel can never fire on this circuit", WARNING),
     CodeSpec("RPA006", "Kraus set is not trace-preserving", ERROR),
     # -------------------------------------------- config/plan lint (RPA1xx)
@@ -79,15 +80,15 @@ DIAGNOSTIC_CODES: dict[str, CodeSpec] = _registry(
     CodeSpec("RPA104", "chunk size below the dispatch-overhead crossover", WARNING),
     CodeSpec("RPA105", "vectorize requested but backend runs per-sample", WARNING),
     CodeSpec("RPA106", "stochastic estimator with a zero measurement budget", ERROR),
-    CodeSpec("RPA107", "sharded execution without the grouped compiled engine", INFO),
+    CodeSpec("RPA107", "retired: sharded execution without the grouped compiled engine", INFO),
     # ------------------------------------------- serve-plan lint (RPA11x)
     CodeSpec("RPA110", "micro-batch window is zero or negative", WARNING),
-    CodeSpec("RPA111", "result caching enabled with a zero-entry cache", WARNING),
+    CodeSpec("RPA111", "retired: result caching enabled with a zero-entry cache", WARNING),
     CodeSpec("RPA112", "tenant fairness weight starves a tenant", ERROR),
     CodeSpec("RPA113", "micro-batching without vectorized execution", WARNING),
     CodeSpec("RPA114", "request deadline shorter than the batch window", WARNING),
     CodeSpec("RPA115", "max_frame_bytes cannot carry one feature row", ERROR),
-    CodeSpec("RPA116", "stream threshold set on a non-streaming transport", WARNING),
+    CodeSpec("RPA116", "retired: stream threshold set on a non-streaming transport", WARNING),
     # ------------------------------------------------ codebase lint (RPA3xx)
     CodeSpec("RPA301", "xp-parameterized kernel hardwires NumPy ops", ERROR),
     CodeSpec("RPA302", "frozen-dataclass mutation outside __post_init__", ERROR),

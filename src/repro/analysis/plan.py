@@ -14,7 +14,7 @@ surprise.
 
 Severities follow the admission rule: *provably wrong at runtime* (RPA101,
 RPA106) is an error; *legal but likely not what you meant / will be slow*
-is a warning; *informational plan notes* (RPA107) are info.
+is a warning.
 """
 
 from __future__ import annotations
@@ -44,17 +44,18 @@ _STOCHASTIC_ESTIMATORS = ("shots", "shadows")
 
 def _lint_shards(config: ExecutionConfig, num_qubits: int | None) -> list[Diagnostic]:
     """RPA101: the slab decomposition needs >= 1 amplitude per shard."""
-    if num_qubits is None or config.shards <= 2**num_qubits:
+    shards = config.backend.shards
+    if num_qubits is None or shards <= 2**num_qubits:
         return []
     return [
         Diagnostic(
             "RPA101",
-            f"shards={config.shards} exceeds the 2^{num_qubits} = "
+            f"shards={shards} exceeds the 2^{num_qubits} = "
             f"{2**num_qubits} amplitudes of a {num_qubits}-qubit register; "
             f"the slab decomposition needs at least one amplitude per shard",
             fix_hint=f"use shards <= {2**num_qubits} (and ideally "
             f"<< for useful slab sizes), or widen the circuit",
-            location="config.shards",
+            location="config.backend.shards",
         )
     ]
 
@@ -176,25 +177,6 @@ def _lint_budget(config: ExecutionConfig) -> list[Diagnostic]:
     return found
 
 
-def _lint_shard_compile(config: ExecutionConfig) -> list[Diagnostic]:
-    """RPA107: sharded execution without the grouped compiled engine."""
-    from repro.quantum.compile import resolve_fusion_width
-
-    if config.shards <= 1 or resolve_fusion_width(config.compile) is not None:
-        return []
-    return [
-        Diagnostic(
-            "RPA107",
-            f"shards={config.shards} with compile='off' walks the circuit "
-            f"gate-by-gate; the grouped compiled engine runs fused blocks "
-            f"communication-free between slab remaps and exchanges less "
-            f"volume",
-            fix_hint="set compile='auto' to enable shard-group planning",
-            location="config.compile",
-        )
-    ]
-
-
 def lint_config(
     config: ExecutionConfig, *, num_qubits: int | None = None
 ) -> DiagnosticReport:
@@ -210,7 +192,6 @@ def lint_config(
     found += _lint_chunking(config)
     found += _lint_vectorize(config)
     found += _lint_budget(config)
-    found += _lint_shard_compile(config)
     return DiagnosticReport.collect(found)
 
 
@@ -244,23 +225,6 @@ def _lint_batch_window(config: ServeConfig) -> list[Diagnostic]:
             fix_hint="use a small positive window (1-10 ms) to let "
             "in-flight peers share evolve_batch calls",
             location="serve.batch_window_ms",
-        )
-    ]
-
-
-def _lint_result_cache(config: ServeConfig) -> list[Diagnostic]:
-    """RPA111: caching switched on with nowhere to store a result."""
-    if not config.cache_results or config.result_cache_size > 0:
-        return []
-    return [
-        Diagnostic(
-            "RPA111",
-            "cache_results=True with result_cache_size=0: every lookup "
-            "misses and every store is dropped, so the cache is pure "
-            "bookkeeping overhead",
-            fix_hint="set result_cache_size >= 1, or cache_results=False "
-            "to document that caching is off",
-            location="serve.result_cache_size",
         )
     ]
 
@@ -355,48 +319,23 @@ def _lint_frame_bytes(
     ]
 
 
-def _lint_stream_threshold(config: ServeConfig) -> list[Diagnostic]:
-    """RPA116: a stream threshold on a non-streaming transport is dead."""
-    transport = config.transport
-    if (
-        transport is None
-        or transport.streaming
-        or transport.stream_threshold_rows is None
-    ):
-        return []
-    return [
-        Diagnostic(
-            "RPA116",
-            f"transport.stream_threshold_rows="
-            f"{transport.stream_threshold_rows} with streaming=False: the "
-            f"threshold can never trigger, and responses above "
-            f"max_frame_bytes fail instead of streaming",
-            fix_hint="set streaming=True (the default), or drop "
-            "stream_threshold_rows to document single-frame responses",
-            location="serve.transport.stream_threshold_rows",
-        )
-    ]
-
-
 def lint_serve_config(
     config: ServeConfig, *, num_qubits: int | None = None
 ) -> DiagnosticReport:
     """Cross-field lint of one (already-validated) serving config.
 
-    Merges the serve-layer checks (RPA110-RPA116) with the nested
+    Merges the serve-layer checks (RPA110-RPA115) with the nested
     execution config's plan lint, so ``repro lint --serve`` and
     :meth:`ServeConfig.diagnose` see the whole plan a service would run.
-    The transport checks (RPA114-RPA116) only apply when the config
+    The transport checks (RPA114, RPA115) only apply when the config
     carries a :class:`~repro.api.config.TransportConfig`.
     """
     execution = config.execution
     assert execution is not None  # ServeConfig canonicalized it
     report = lint_config(execution, num_qubits=num_qubits)
     found = _lint_batch_window(config)
-    found += _lint_result_cache(config)
     found += _lint_tenant_weights(config)
     found += _lint_serve_vectorize(config)
     found += _lint_transport_timeout(config)
     found += _lint_frame_bytes(config, num_qubits)
-    found += _lint_stream_threshold(config)
     return report + DiagnosticReport.collect(found)

@@ -104,9 +104,7 @@ def run_preflight(
     report = lint_config(config, num_qubits=num_qubits)
     noise_model = _backend_noise_model(config)
     for circuit in circuits:
-        report = report + lint_circuit(
-            circuit, shards=config.shards, noise_model=noise_model
-        )
+        report = report + lint_circuit(circuit, noise_model=noise_model)
     if mode == "error" and not report.ok:
         raise PreflightError(report, owner)
     for diagnostic in report:
@@ -140,9 +138,7 @@ def run_serve_preflight(
     report = lint_serve_config(config, num_qubits=num_qubits)
     noise_model = _backend_noise_model(execution)
     for circuit in circuits:
-        report = report + lint_circuit(
-            circuit, shards=execution.shards, noise_model=noise_model
-        )
+        report = report + lint_circuit(circuit, noise_model=noise_model)
     if mode == "error" and not report.ok:
         raise PreflightError(report, owner)
     for diagnostic in report:

@@ -2,12 +2,13 @@
 
 Analyzes a :class:`~repro.quantum.circuit.Circuit` -- bound or an unbound
 template -- the way a compiler front-end would: structural validity first
-(wires, gate table, parameter shape), then plan-dependent admissibility
-(does every gate stay on the sharded fast path?  will the batched engine
-accept the template, or silently fall back per-sample?), then the noise
-model's physical consistency (trace preservation, channels that can never
-fire).  Nothing here prepares a single amplitude, so a mis-built job is
-rejected at admission instead of ``4^n`` stacked passes into a sweep.
+(wires, gate table, parameter shape), then batched admissibility (will the
+batched engine accept the template, or silently fall back per-sample?),
+then the noise model's physical consistency (trace preservation, channels
+that can never fire).  Nothing here prepares a single amplitude, so a
+mis-built job is rejected at admission instead of ``4^n`` stacked passes
+into a sweep.  Sharding is not a program property: a sharded sweep always
+runs the grouped compiled engine, whatever gates the circuit uses.
 
 ``Circuit.append`` already validates most structural properties at build
 time, but the IR is deliberately open -- the library itself constructs
@@ -28,13 +29,7 @@ from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.circuit import Circuit
 
-__all__ = ["SHARD_FAST_GATES", "lint_circuit", "lint_noise_model"]
-
-#: Multi-qubit gates with a specialised global-qubit exchange kernel in the
-#: distributed engine (:mod:`repro.quantum.distributed`): anything else on a
-#: global qubit pays the generic dense fallback -- ``2^|G|`` full-slab
-#: pairwise exchanges per application.
-SHARD_FAST_GATES = frozenset({"cnot", "cx", "cz"})
+__all__ = ["lint_circuit", "lint_noise_model"]
 
 
 def _op_location(circuit: Circuit, index: int) -> str:
@@ -153,40 +148,6 @@ def _lint_vectorize(circuit: Circuit) -> list[Diagnostic]:
     return found
 
 
-def _lint_sharding(circuit: Circuit, shards: int) -> list[Diagnostic]:
-    """RPA004: gates off the sharded fast path for this ``shards`` setting.
-
-    With ``2^g`` shards the engine has specialised exchange kernels for
-    single-qubit gates and :data:`SHARD_FAST_GATES` at any position; every
-    other multi-qubit gate that lands on a global qubit routes through the
-    dense fallback (``2^|G|`` full-slab exchanges).  Qubit placement moves
-    under the group planner's remaps, so this is a may-hit warning keyed on
-    gate identity, deduplicated per gate name.
-    """
-    if shards <= 1:
-        return []
-    seen: set[str] = set()
-    found: list[Diagnostic] = []
-    g = max(shards.bit_length() - 1, 0)
-    for index, op in enumerate(circuit.operations):
-        if len(op.qubits) < 2 or op.gate in SHARD_FAST_GATES or op.gate in seen:
-            continue
-        seen.add(op.gate)
-        found.append(
-            Diagnostic(
-                "RPA004",
-                f"gate {op.gate!r} has no specialised exchange kernel under "
-                f"shards={shards} ({g} global qubit(s)) and may pay the dense "
-                f"fallback (full-slab pairwise exchanges)",
-                fix_hint="prefer cnot/cz-based decompositions, or rely on the "
-                "grouped compiled engine (compile='auto') to keep such gates "
-                "on local qubits",
-                location=_op_location(circuit, index),
-            )
-        )
-    return found
-
-
 def lint_noise_model(
     noise_model: Any, circuit: Circuit | None = None, atol: float = 1e-10
 ) -> DiagnosticReport:
@@ -252,19 +213,16 @@ def _kraus_defect(kraus: Sequence[Any], atol: float) -> str | None:
 def lint_circuit(
     circuit: Circuit,
     *,
-    shards: int = 1,
     noise_model: Any = None,
     kraus_atol: float = 1e-10,
 ) -> DiagnosticReport:
     """Full program lint of one circuit/template under a plan context.
 
     Pure inspection -- no state preparation, no binding, no compilation.
-    ``shards`` enables the distributed-plan checks (RPA004) and
-    ``noise_model`` the channel checks (RPA005/RPA006); both default to
-    "not part of the plan".
+    ``noise_model`` enables the channel checks (RPA005/RPA006); it
+    defaults to "not part of the plan".
     """
     found = _lint_operations(circuit)
     found += _lint_vectorize(circuit)
-    found += _lint_sharding(circuit, int(shards))
     report = DiagnosticReport.collect(found)
     return report + lint_noise_model(noise_model, circuit, atol=kraus_atol)

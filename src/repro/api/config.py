@@ -27,9 +27,7 @@ import numpy as np
 
 from repro.hpc.scheduler import SCHEDULING_POLICIES
 from repro.quantum.backends import (
-    DistributedStatevectorBackend,
     QuantumBackend,
-    StatevectorBackend,
     backend_from_dict,
     backend_to_dict,
     resolve_backend,
@@ -106,19 +104,14 @@ class ExecutionConfig:
     * ``compile``         -- circuit engine: ``"auto"``/``"off"``/width;
     * ``dispatch_policy`` -- live submission order policy;
     * ``backend``         -- execution regime (``None`` -> ideal
-      statevector; normalized to an instance at construction);
+      statevector; normalized to an instance at construction).  Sharded
+      execution is a regime like density or mitigation:
+      ``backend=DistributedStatevectorBackend(shards=k)``;
     * ``vectorize``       -- batched structure-shared execution:
       ``"auto"`` compiles each (encoder, Ansatz instance) template once and
       evolves whole data chunks per stacked pass on backends that support
       it (:class:`~repro.quantum.batched.ParametricCompiledCircuit`);
       ``"off"`` keeps the per-sample reference path;
-    * ``shards``          -- statevector slab count for distributed
-      execution (power of two).  ``shards > 1`` with the default backend
-      substitutes a
-      :class:`~repro.quantum.backends.DistributedStatevectorBackend`;
-      constructing with a distributed backend mirrors its shard count into
-      this field, so the two spellings stay consistent (a conflicting
-      explicit pair raises);
     * ``array_backend``   -- the array namespace the hot kernels run under
       (:mod:`repro.xp`): ``"numpy"`` (default, bit-identical to the
       historical path), ``"cupy"`` / ``"torch"`` (must be installed), or
@@ -145,36 +138,11 @@ class ExecutionConfig:
     dispatch_policy: str = "work_stealing"
     backend: QuantumBackend | None = None
     vectorize: str | None = "off"
-    shards: int = 1
     array_backend: str = "numpy"
     preflight: str | None = "off"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "backend", resolve_backend(self.backend))
-        shards = self.shards
-        if isinstance(shards, bool) or not isinstance(shards, (int, np.integer)):
-            raise ValueError(f"shards must be an int >= 1, got {shards!r}")
-        shards = int(shards)
-        if shards < 1 or shards & (shards - 1):
-            raise ValueError(f"shards={shards} must be a power of two >= 1")
-        if isinstance(self.backend, DistributedStatevectorBackend):
-            if shards == 1:
-                shards = self.backend.shards
-            elif shards != self.backend.shards:
-                raise ValueError(
-                    f"shards={shards} conflicts with the distributed backend's "
-                    f"shards={self.backend.shards}; set one (or make them agree)"
-                )
-        elif shards > 1:
-            if type(self.backend) is not StatevectorBackend:
-                raise ValueError(
-                    f"shards={shards} requires the ideal statevector backend; "
-                    f"backend {self.backend.name!r} has no sharded execution path"
-                )
-            object.__setattr__(
-                self, "backend", DistributedStatevectorBackend(shards=shards)
-            )
-        object.__setattr__(self, "shards", shards)
         check_regime(self.estimator, self.backend)
         if self.chunk_size is not None:
             if isinstance(self.chunk_size, bool) or not isinstance(
@@ -239,7 +207,7 @@ class ExecutionConfig:
 
         Pure inspection regardless of the ``preflight`` knob (that knob
         only decides what happens at job-build time).  ``num_qubits``
-        enables the register-width checks (shards vs ``2^n``).
+        enables the register-width checks (the backend's shards vs ``2^n``).
         """
         from repro.analysis.plan import lint_config
 
@@ -287,7 +255,6 @@ class ExecutionConfig:
             "dispatch_policy": self.dispatch_policy,
             "backend": backend_to_dict(self.backend),
             "vectorize": self.vectorize,
-            "shards": self.shards,
             "array_backend": self.array_backend,
             "preflight": self.preflight,
         }
@@ -393,21 +360,17 @@ class TransportConfig:
       default.  A deadline shorter than the batch window is lintable
       (RPA114) but constructible;
     * ``max_frame_bytes``       -- per-frame size bound (header +
-      payload) enforced on both read and write; a bound too small to
-      carry one feature row lints at error severity (RPA115);
-    * ``stream_threshold_rows`` -- responses with more than this many
-      feature rows stream as one frame per ansatz block instead of a
-      single ``result`` frame; ``None`` streams only when a request asks;
-    * ``streaming``             -- master switch for chunked responses; a
-      threshold configured while this is off lints (RPA116).
+      payload) enforced on both read and write.  It also decides
+      streaming: a 2-D response streams as one frame per ansatz block
+      exactly when a single ``result`` frame would exceed it.  A bound
+      too small to carry one feature row lints at error severity
+      (RPA115).
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     request_timeout_s: float | None = 30.0
     max_frame_bytes: int = 16 * 2**20
-    stream_threshold_rows: int | None = None
-    streaming: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.host, str) or not self.host:
@@ -428,14 +391,6 @@ class TransportConfig:
         object.__setattr__(
             self, "max_frame_bytes", _require_count("max_frame_bytes", self.max_frame_bytes, 1)
         )
-        if self.stream_threshold_rows is not None:
-            object.__setattr__(
-                self,
-                "stream_threshold_rows",
-                _require_count("stream_threshold_rows", self.stream_threshold_rows, 1),
-            )
-        if not isinstance(self.streaming, bool):
-            raise ValueError(f"streaming must be a bool, got {self.streaming!r}")
 
     # ---------------------------------------------------------- combinators
     def merged(self, **overrides: Any) -> TransportConfig:
@@ -452,8 +407,6 @@ class TransportConfig:
             "port": self.port,
             "request_timeout_s": self.request_timeout_s,
             "max_frame_bytes": self.max_frame_bytes,
-            "stream_threshold_rows": self.stream_threshold_rows,
-            "streaming": self.streaming,
         }
 
     @classmethod
@@ -508,10 +461,9 @@ class ServeConfig:
     * ``tenant_weights``     -- weighted-round-robin shares for named
       tenants (unnamed tenants weigh 1.0); canonicalized to a sorted tuple
       of ``(name, weight)`` pairs;
-    * ``cache_results``      -- serve repeated ``(template, x, config)``
-      requests from a bounded LRU result cache;
-    * ``result_cache_size``  -- LRU entry bound (0 disables storage;
-      RPA111 lints the combination with ``cache_results=True``);
+    * ``result_cache_size``  -- entry bound of the LRU cache that serves
+      repeated ``(template, x, config)`` requests; ``0`` turns the cache
+      off (no key hashing, no lookup);
     * ``result_cache_ttl_s`` -- optional time-to-live per cached entry;
     * ``pool`` / ``max_workers`` -- the worker pool of the service-owned
       :class:`~repro.api.device.QuantumDevice` (ignored when a device is
@@ -530,7 +482,6 @@ class ServeConfig:
     max_queue_depth: int = 256
     max_queue_cost: float | None = None
     tenant_weights: Any = ()
-    cache_results: bool = True
     result_cache_size: int = 1024
     result_cache_ttl_s: float | None = None
     pool: str = "thread"
@@ -567,8 +518,6 @@ class ServeConfig:
                 _require_number("max_queue_cost", self.max_queue_cost, minimum=0, strict=True),
             )
         object.__setattr__(self, "tenant_weights", _canonical_weights(self.tenant_weights))
-        if not isinstance(self.cache_results, bool):
-            raise ValueError(f"cache_results must be a bool, got {self.cache_results!r}")
         object.__setattr__(
             self,
             "result_cache_size",
@@ -596,7 +545,7 @@ class ServeConfig:
     def diagnose(self, *, num_qubits: int | None = None) -> Any:
         """Serve-plan lint of this config: a
         :class:`~repro.analysis.diagnostics.DiagnosticReport` merging the
-        serve-layer checks (RPA110-RPA113) with the nested execution
+        serve-layer checks (RPA110-RPA115) with the nested execution
         config's plan lint.  Pure inspection regardless of the nested
         ``preflight`` knob."""
         from repro.analysis.plan import lint_serve_config
@@ -636,7 +585,6 @@ class ServeConfig:
             "max_queue_depth": self.max_queue_depth,
             "max_queue_cost": self.max_queue_cost,
             "tenant_weights": dict(self.tenant_weights),
-            "cache_results": self.cache_results,
             "result_cache_size": self.result_cache_size,
             "result_cache_ttl_s": self.result_cache_ttl_s,
             "pool": self.pool,

@@ -153,8 +153,8 @@ class QuantumDevice:
 
         Lints the bound config (:func:`~repro.analysis.plan.lint_config`)
         and, when ``program`` is given, the circuit under this config's
-        plan -- sharding table, batched-template admissibility, the
-        backend's noise channels
+        plan -- batched-template admissibility, the backend's noise
+        channels
         (:func:`~repro.analysis.program.lint_circuit`).  Always returns
         the report regardless of the config's ``preflight`` knob; raising
         is the knob's job at job-build time, not this inspector's.
@@ -168,9 +168,7 @@ class QuantumDevice:
         report = lint_config(self.config, num_qubits=num_qubits)
         if program is not None:
             report = report + lint_circuit(
-                program,
-                shards=self.config.shards,
-                noise_model=_backend_noise_model(self.config),
+                program, noise_model=_backend_noise_model(self.config)
             )
         return report
 

@@ -21,22 +21,24 @@ Execution flags (``--estimator``, ``--shots``, ``--snapshots``,
 {ideal,noisy,mitigated}``, ``--noise-p1``, ``--vectorize {auto,off}``,
 ``--shards``, ``--array-backend {auto,numpy,cupy,torch}``) build one
 :class:`~repro.api.config.ExecutionConfig` shared by every model in the
-run; ``repro config`` prints the resolved config as JSON (the same wire
-form ``ExecutionConfig.from_json`` accepts).
+run (``--shards k`` with ``k > 1`` selects the backend
+``DistributedStatevectorBackend(shards=k)``); ``repro config`` prints the
+resolved config as JSON (the same wire form ``ExecutionConfig.from_json``
+accepts).
 
 Serve flags (``--window-ms``, ``--max-batch``, ``--queue-depth``,
-``--queue-cost``, ``--tenant-weight NAME=W`` repeatable, ``--no-cache``,
-``--cache-size``, ``--cache-ttl``, ``--pool {serial,thread,process}``,
-``--workers``) build one :class:`~repro.api.config.ServeConfig` around the
-execution flags; transport flags (``--listen [HOST:PORT]``,
-``--request-timeout``, ``--max-frame-bytes``, ``--stream-threshold``,
-``--no-stream``) nest a :class:`~repro.api.config.TransportConfig` inside
-it.  ``repro serve`` runs a multi-tenant load test through the
-micro-batching feature service -- in-process by default; with ``--listen``
-it starts a real TCP server and drives the same load through a socket
-client -- and prints the load report plus the service metrics snapshot as
-JSON; ``repro lint --serve`` lints the combined
-serve+transport+execution plan (codes RPA11x).
+``--queue-cost``, ``--tenant-weight NAME=W`` repeatable, ``--cache-size``
+(``0`` turns the result cache off), ``--cache-ttl``, ``--pool
+{serial,thread,process}``, ``--workers``) build one
+:class:`~repro.api.config.ServeConfig` around the execution flags;
+transport flags (``--listen [HOST:PORT]``, ``--request-timeout``,
+``--max-frame-bytes``, which also decides when a response streams) nest a
+:class:`~repro.api.config.TransportConfig` inside it.  ``repro serve``
+runs a multi-tenant load test through the micro-batching feature service
+-- in-process by default; with ``--listen`` it starts a real TCP server
+and drives the same load through a socket client -- and prints the load
+report plus the service metrics snapshot as JSON; ``repro lint --serve``
+lints the combined serve+transport+execution plan (codes RPA11x).
 
 Each experiment subcommand is a reduced-size version of the corresponding
 benchmark (see benchmarks/ for the full definitions and assertions).
@@ -142,8 +144,8 @@ def _add_execution_flags(
     )
     group.add_argument(
         "--shards", type=_int_at_least(1), default=1,
-        help="statevector slab count for sharded distributed execution "
-        "(power of two; >1 requires the ideal backend; default: 1)",
+        help="statevector slab count: >1 selects the sharded distributed "
+        "backend (power of two; ideal regime only; default: 1)",
     )
     group.add_argument(
         "--array-backend", choices=["auto", "numpy", "cupy", "torch"],
@@ -199,11 +201,8 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
         "tenants get weight 1)",
     )
     group.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    group.add_argument(
         "--cache-size", type=_int_at_least(0), default=1024,
-        help="result-cache entries (default: 1024)",
+        help="result-cache entries; 0 turns the cache off (default: 1024)",
     )
     group.add_argument(
         "--cache-ttl", type=float, default=None,
@@ -231,17 +230,8 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--max-frame-bytes", type=_int_at_least(1), default=16 * 2**20,
-        help="wire frame size bound in bytes (default: 16 MiB)",
-    )
-    group.add_argument(
-        "--stream-threshold", type=_int_at_least(1), default=None,
-        metavar="ROWS",
-        help="stream responses above this many rows as per-ansatz blocks "
-        "(default: stream only when a single frame would not fit)",
-    )
-    group.add_argument(
-        "--no-stream", action="store_true",
-        help="never stream responses (oversized responses then fail)",
+        help="wire frame size bound in bytes; a response larger than one "
+        "frame streams as per-ansatz blocks (default: 16 MiB)",
     )
 
 
@@ -272,8 +262,6 @@ def _serve_config_from_args(args: argparse.Namespace):
             port=port,
             request_timeout_s=args.request_timeout or None,
             max_frame_bytes=args.max_frame_bytes,
-            stream_threshold_rows=args.stream_threshold,
-            streaming=not args.no_stream,
         )
         return ServeConfig(
             execution=execution,
@@ -282,7 +270,6 @@ def _serve_config_from_args(args: argparse.Namespace):
             max_queue_depth=args.queue_depth,
             max_queue_cost=args.queue_cost,
             tenant_weights=tuple(args.tenant_weight),
-            cache_results=not args.no_cache,
             result_cache_size=args.cache_size,
             result_cache_ttl_s=args.cache_ttl,
             pool=args.pool,
@@ -302,12 +289,21 @@ def _config_from_args(args: argparse.Namespace):
     those as clean CLI errors too, not tracebacks.
     """
     from repro.api import ExecutionConfig
-    from repro.quantum.backends import DensityMatrixBackend, MitigatedBackend
+    from repro.quantum.backends import (
+        DensityMatrixBackend,
+        DistributedStatevectorBackend,
+        MitigatedBackend,
+    )
     from repro.quantum.noise import NoiseModel
 
     try:
         backend = None
         if args.backend in ("noisy", "mitigated"):
+            if args.shards > 1:
+                raise ValueError(
+                    f"--shards {args.shards} requires --backend ideal; "
+                    f"--backend {args.backend} has no sharded execution path"
+                )
             p1 = 0.002 if args.noise_p1 is None else args.noise_p1
             noisy = DensityMatrixBackend(NoiseModel.depolarizing(p1))
             backend = MitigatedBackend(noisy) if args.backend == "mitigated" else noisy
@@ -317,6 +313,8 @@ def _config_from_args(args: argparse.Namespace):
             raise ValueError(
                 "--noise-p1 requires --backend noisy or mitigated"
             )
+        elif args.shards > 1:
+            backend = DistributedStatevectorBackend(shards=args.shards)
         return ExecutionConfig(
             estimator=args.estimator,
             shots=args.shots,
@@ -327,7 +325,6 @@ def _config_from_args(args: argparse.Namespace):
             dispatch_policy=args.policy,
             backend=backend,
             vectorize=args.vectorize,
-            shards=args.shards,
             array_backend=args.array_backend,
         )
     except ValueError as exc:

@@ -426,7 +426,6 @@ def feature_circuit_tasks(
     # Sampling repeats per fold scale on mitigated backends, exactly like
     # the evolutions -- the projection must price both.
     reps = backend.circuit_repetitions
-    num_shards = int(getattr(backend, "shards", 1))
     shots_per_circuit = 0 if estimator == "exact" else (
         shots * q * reps if estimator == "shots" else snapshots * reps
     )
@@ -450,7 +449,7 @@ def feature_circuit_tasks(
                 shots=shots_per_circuit,
                 result_bytes=8 * chunk * q,
                 classical_flops=flops,
-                num_shards=num_shards,
+                num_shards=backend.shards,
             )
         )
     return tasks

@@ -131,6 +131,11 @@ class QuantumBackend(ABC):
     #: mitigation, which runs one folded copy per noise scale).  Feeds the
     #: pipeline's resource accounting.
     circuit_repetitions: int = 1
+    #: Statevector slabs one evolution is split across (1 except for the
+    #: sharded :class:`DistributedStatevectorBackend`).  Read by the cost
+    #: model (``CircuitTask.num_shards``) and the register-width lint
+    #: (RPA101).
+    shards: int = 1
 
     # ------------------------------------------------------------ preparation
     def prepare(self, angles: np.ndarray) -> np.ndarray:
@@ -625,6 +630,11 @@ class MitigatedBackend(QuantumBackend):
     @property
     def circuit_repetitions(self) -> int:  # type: ignore[override]
         return len(self.scales) * self.backend.circuit_repetitions
+
+    @property
+    def shards(self) -> int:  # type: ignore[override]
+        # Every folded copy runs on the wrapped backend's slabs.
+        return self.backend.shards
 
     def evolution_cost_weight(self, num_qubits: int) -> float:
         # One evolution per scale, each `scale` times the gates.

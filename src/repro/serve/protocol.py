@@ -18,13 +18,13 @@ computed -- the serving layer's equality contract extends to the wire.
 Message types (``header["type"]``), client -> server::
 
     hello    {version}                      open the session
-    submit   {id, template, tenant, seed?, timeout_s?, stream?, array}
+    submit   {id, template, tenant, seed?, timeout_s?, array}
     predict  {id, template, tenant, seed?, timeout_s?, array}
 
 and server -> client::
 
     welcome  {version, templates: {name: {rows, cols, layout, head}}}
-    result   {id, array}                    one-frame response
+    result   {id, array}                    response that fits one frame
     begin    {id, shape}                    streamed response opens
     block    {id, ansatz, lo, hi, array}    one ansatz-block slice
     end      {id}                           streamed response closes

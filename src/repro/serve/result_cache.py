@@ -64,9 +64,10 @@ class ResultCache:
     """Thread-safe LRU with optional per-entry TTL.
 
     ``maxsize=0`` disables storage entirely (every ``get`` misses, every
-    ``put`` is dropped) -- the spelling the service uses when
-    ``cache_results=False``.  ``ttl_s`` bounds entry age against ``clock``
-    (injectable for tests; defaults to the monotonic clock).
+    ``put`` is dropped); a service configured with
+    ``result_cache_size=0`` skips the cache altogether.  ``ttl_s`` bounds
+    entry age against ``clock`` (injectable for tests; defaults to the
+    monotonic clock).
     """
 
     def __init__(

@@ -145,10 +145,7 @@ class FeatureService:
         self._registrations: dict[str, Registration] = {}
         self._artifacts_by_key: dict[Any, TemplateArtifacts] = {}
         self._metrics = ServiceMetrics()
-        self._cache = ResultCache(
-            config.result_cache_size if config.cache_results else 0,
-            config.result_cache_ttl_s,
-        )
+        self._cache = ResultCache(config.result_cache_size, config.result_cache_ttl_s)
         self._admission = AdmissionController(
             config.max_queue_depth, config.max_queue_cost
         )
@@ -368,9 +365,10 @@ class FeatureService:
         self._metrics.record_request(tenant)
         # Stochastic estimators with seed None draw fresh entropy per call;
         # caching would freeze one draw, so those requests bypass the cache.
+        # A zero-size cache is off: no key hashing, no lookup.
         stochastic = cfg.estimator != "exact"
         cache_key = None
-        if self.config.cache_results and not (stochastic and seed is None):
+        if self._cache.maxsize and not (stochastic and seed is None):
             cache_key = result_key(
                 artifacts.group_key, x, seed if stochastic else None
             )

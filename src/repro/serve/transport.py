@@ -19,12 +19,14 @@ Deadlines and disconnects map onto the service's withdrawal paths:
 * a client that disconnects mid-request has its server-side tasks
   cancelled, which withdraws its requests the same way.
 
-Responses bigger than one frame -- or past ``stream_threshold_rows`` --
-stream as one ``block`` frame per (ansatz, chunk) slice, the same block
-decomposition ``iter_feature_blocks`` yields, bracketed by ``begin`` /
-``end``.  :meth:`FeatureServer.stop` drains gracefully: the listener
-closes first (no new connections), in-flight requests run to completion,
-then connections close.
+The frame bound decides streaming: a 2-D response whose single
+``result`` frame would exceed ``max_frame_bytes`` streams as one ``block``
+frame per (ansatz, chunk) slice, the same block decomposition
+``iter_feature_blocks`` yields, bracketed by ``begin`` / ``end``; an
+oversized 1-D response fails that request with a ``protocol`` error.
+:meth:`FeatureServer.stop` drains gracefully: the listener closes first
+(no new connections), in-flight requests run to completion, then
+connections close.
 
 :class:`TcpTransport` is the client half: it implements the
 :class:`~repro.serve.client.Transport` protocol over a socket, caching
@@ -119,13 +121,17 @@ class _Connection:
         self.tasks: set[asyncio.Task] = set()
 
     async def send(self, header: dict[str, Any], payload: bytes = b"") -> None:
-        """Write one frame; drain for backpressure.
+        """Write one frame (see :meth:`write`)."""
+        await self.write(pack_frame(header, payload))
 
-        No write lock: each frame is packed into ONE bytes object and
+    async def write(self, frame: bytes) -> None:
+        """Write one packed frame; drain for backpressure.
+
+        No write lock: each frame is ONE bytes object and
         ``StreamWriter.write`` appends it atomically on the loop, so
         concurrent senders cannot interleave frame fragments.
         """
-        self.writer.write(pack_frame(header, payload))
+        self.writer.write(frame)
         await self.writer.drain()
 
 
@@ -298,24 +304,11 @@ class FeatureServer:
             seed = header["seed"] if "seed" in header else TEMPLATE_SEED
             timeout_s = header.get("timeout_s", self.config.request_timeout_s)
             template = str(header.get("template", ""))
-            if kind == "predict":
-                result = await self.service.predict(
-                    template, x, tenant=tenant, seed=seed, timeout_s=timeout_s
-                )
-                await self._send_result(
-                    connection, request_id, template, result, stream=False
-                )
-            else:
-                result = await self.service.submit(
-                    template, x, tenant=tenant, seed=seed, timeout_s=timeout_s
-                )
-                await self._send_result(
-                    connection,
-                    request_id,
-                    template,
-                    result,
-                    stream=bool(header.get("stream", False)),
-                )
+            serve = self.service.predict if kind == "predict" else self.service.submit
+            result = await serve(
+                template, x, tenant=tenant, seed=seed, timeout_s=timeout_s
+            )
+            await self._send_result(connection, request_id, template, result)
         except asyncio.CancelledError:
             raise
         except (ConnectionError, BrokenPipeError):
@@ -340,29 +333,21 @@ class FeatureServer:
         request_id: Any,
         template: str,
         result: np.ndarray,
-        *,
-        stream: bool,
     ) -> None:
+        """One ``result`` frame, or a stream when that frame would not fit."""
         result = np.ascontiguousarray(result, dtype=np.float64)
         meta, payload = encode_array(result)
-        single_frame = FRAME_OVERHEAD + _HEADER_SLACK + len(payload)
-        threshold = self.config.stream_threshold_rows
-        must_stream = single_frame > self.config.max_frame_bytes
-        want_stream = stream or (
-            threshold is not None and result.ndim == 2 and result.shape[0] > threshold
-        )
-        if result.ndim == 2 and self.config.streaming and (must_stream or want_stream):
+        frame = pack_frame({"type": "result", "id": request_id, "array": meta}, payload)
+        if len(frame) <= self.config.max_frame_bytes:
+            await connection.write(frame)
+        elif result.ndim == 2:
             await self._stream_result(connection, request_id, template, result)
-            return
-        if must_stream:
+        else:
             raise ProtocolError(
-                f"response of {len(payload)} bytes exceeds max_frame_bytes="
-                f"{self.config.max_frame_bytes} and streaming cannot carry it "
-                f"(ndim={result.ndim}, streaming={self.config.streaming})"
+                f"response of {len(frame)} bytes exceeds max_frame_bytes="
+                f"{self.config.max_frame_bytes} and a {result.ndim}-D "
+                f"response cannot stream"
             )
-        await connection.send(
-            {"type": "result", "id": request_id, "array": meta}, payload
-        )
 
     async def _stream_result(
         self,
@@ -505,11 +490,8 @@ class TcpTransport:
         tenant: str = "default",
         seed: Any = TEMPLATE_SEED,
         timeout_s: float | None = None,
-        stream: bool = False,
     ) -> np.ndarray:
-        return await self._request(
-            "submit", template, x, tenant, seed, timeout_s, stream
-        )
+        return await self._request("submit", template, x, tenant, seed, timeout_s)
 
     async def predict(
         self,
@@ -520,9 +502,7 @@ class TcpTransport:
         seed: Any = TEMPLATE_SEED,
         timeout_s: float | None = None,
     ) -> np.ndarray:
-        return await self._request(
-            "predict", template, x, tenant, seed, timeout_s, False
-        )
+        return await self._request("predict", template, x, tenant, seed, timeout_s)
 
     async def _request(
         self,
@@ -532,7 +512,6 @@ class TcpTransport:
         tenant: str,
         seed: Any,
         timeout_s: float | None,
-        stream: bool,
     ) -> np.ndarray:
         if self._closed:
             raise ConnectionError("transport is closed")
@@ -550,8 +529,6 @@ class TcpTransport:
             header["seed"] = None if seed is None else int(seed)
         if timeout_s is not None:
             header["timeout_s"] = float(timeout_s)
-        if stream:
-            header["stream"] = True
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
         try:

@@ -27,9 +27,9 @@ def test_lint_flags_bad_plan_json(capsys):
 
 
 def test_lint_strict_counts_any_finding(capsys):
-    # shards without compile='auto' is info-severity RPA107: exit 0 normally,
-    # 1 under --strict.
-    args = ["lint", "--shards", "2", "--num-qubits", "4", "--compile", "off"]
+    # A chunk below the dispatch crossover is warning-only RPA104: exit 0
+    # normally, 1 under --strict.
+    args = ["lint", "--chunk-size", "2"]
     assert main(args) == 0
     assert main(args + ["--strict"]) == 1
     capsys.readouterr()

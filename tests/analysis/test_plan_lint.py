@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis.plan import MIN_EFFICIENT_CHUNK, lint_config
 from repro.api.config import ExecutionConfig
+from repro.quantum.backends import DistributedStatevectorBackend
 
 
 def test_default_config_is_clean():
@@ -14,16 +15,16 @@ def test_default_config_is_clean():
 
 # --------------------------------------------- RPA101 (shards > register)
 def test_rpa101_shards_exceed_register():
-    cfg = ExecutionConfig(shards=8, compile="auto")
+    cfg = ExecutionConfig(backend=DistributedStatevectorBackend(shards=8), compile="auto")
     report = lint_config(cfg, num_qubits=2)
     assert "RPA101" in report.codes()
     assert not report.ok
     (finding,) = [d for d in report if d.code == "RPA101"]
-    assert finding.location == "config.shards"
+    assert finding.location == "config.backend.shards"
 
 
 def test_rpa101_not_without_width_or_when_it_fits():
-    cfg = ExecutionConfig(shards=8, compile="auto")
+    cfg = ExecutionConfig(backend=DistributedStatevectorBackend(shards=8), compile="auto")
     assert "RPA101" not in lint_config(cfg).codes()  # width unknown: skip
     assert "RPA101" not in lint_config(cfg, num_qubits=5).codes()
 
@@ -75,7 +76,9 @@ def test_rpa104_not_at_crossover_or_default():
 
 # ------------------------------------- RPA105 (vectorize unsupported)
 def test_rpa105_vectorize_on_per_sample_backend():
-    cfg = ExecutionConfig(vectorize="auto", shards=2, compile="auto")
+    cfg = ExecutionConfig(
+        vectorize="auto", backend=DistributedStatevectorBackend(shards=2), compile="auto"
+    )
     if cfg.backend.supports_vectorize:
         pytest.skip("distributed backend grew a batched engine")
     assert "RPA105" in lint_config(cfg).codes()
@@ -106,17 +109,3 @@ def test_rpa106_not_when_budget_positive_or_unused():
         ExecutionConfig(estimator="exact", shots=0)
     ).codes()
 
-
-# ------------------------------------- RPA107 (shards without compile)
-def test_rpa107_sharded_without_compiled_engine():
-    cfg = ExecutionConfig(shards=2, compile="off")
-    report = lint_config(cfg)
-    assert "RPA107" in report.codes()
-    assert report.ok  # info only
-
-
-def test_rpa107_not_with_compile_or_unsharded():
-    assert "RPA107" not in lint_config(
-        ExecutionConfig(shards=2, compile="auto")
-    ).codes()
-    assert "RPA107" not in lint_config(ExecutionConfig(compile="off")).codes()

@@ -19,10 +19,21 @@ from repro.analysis.preflight import (
     run_preflight,
 )
 from repro.api import ExecutionConfig, QuantumDevice
+from repro.core.ansatz import hardware_efficient_ansatz
 from repro.core.features import generate_features, prepare_states
-from repro.core.strategies import ObservableConstruction
+from repro.core.strategies import AnsatzExpansion, ObservableConstruction
+from repro.quantum.backends import (
+    DensityMatrixBackend,
+    DistributedStatevectorBackend,
+    MitigatedBackend,
+)
+from repro.quantum.noise import NoiseModel
 
 QUBITS = 2
+
+
+def sharded(shards, **kwargs):
+    return ExecutionConfig(backend=DistributedStatevectorBackend(shards=shards), **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -58,13 +69,13 @@ def test_config_validates_and_serializes_preflight():
 # ------------------------------------------------------- run_preflight
 def test_off_mode_short_circuits():
     # shards=32 >> 2^2 would be an error; "off" never analyzes.
-    cfg = ExecutionConfig(shards=32, compile="auto")
+    cfg = sharded(32, compile="auto")
     report = run_preflight(cfg, num_qubits=QUBITS)
     assert report.clean
 
 
 def test_error_mode_raises_with_report():
-    cfg = ExecutionConfig(shards=32, compile="auto", preflight="error")
+    cfg = sharded(32, compile="auto", preflight="error")
     with pytest.raises(PreflightError) as excinfo:
         run_preflight(cfg, num_qubits=QUBITS, owner="unit")
     assert "RPA101" in excinfo.value.report.codes()
@@ -72,24 +83,41 @@ def test_error_mode_raises_with_report():
 
 
 def test_warn_mode_warns_every_finding():
-    cfg = ExecutionConfig(shards=32, preflight="warn")  # RPA101 + RPA107
+    cfg = sharded(32, chunk_size=2, preflight="warn")  # RPA101 + RPA104
     with pytest.warns(PreflightWarning) as caught:
         report = run_preflight(cfg, num_qubits=QUBITS)
-    assert set(report.codes()) == {"RPA101", "RPA107"}
+    assert set(report.codes()) == {"RPA101", "RPA104"}
     assert len(caught) == len(report)
 
 
 # ------------------------------------------ entry-point integration
 def test_generate_features_error_mode_rejects_before_dispatch(strategy, angles):
-    cfg = ExecutionConfig(shards=32, compile="auto", preflight="error")
+    cfg = sharded(32, compile="auto", preflight="error")
     with pytest.raises(PreflightError) as excinfo:
         generate_features(strategy, angles, config=cfg)
     assert "RPA101" in excinfo.value.report.codes()
 
 
+@pytest.mark.parametrize(
+    "backend",
+    [
+        DistributedStatevectorBackend(shards=8),
+        MitigatedBackend(DistributedStatevectorBackend(shards=8)),
+    ],
+    ids=["bare", "mitigated"],
+)
+def test_sharded_backend_rejected_before_dispatch(angles, backend):
+    """A sharded backend, bare or under ZNE, carries its shard count into RPA101."""
+    strategy = AnsatzExpansion(hardware_efficient_ansatz(QUBITS, 1), order=0)
+    cfg = ExecutionConfig(backend=backend, compile="auto", preflight="error")
+    with pytest.raises(PreflightError) as excinfo:
+        generate_features(strategy, angles[:2], config=cfg)
+    assert "RPA101" in excinfo.value.report.codes()
+
+
 REJECTED = {
     "RPA106": ExecutionConfig(estimator="shots", shots=0, preflight="error"),
-    "RPA101": ExecutionConfig(shards=8, preflight="error"),  # 8 slabs > 2^2 amplitudes
+    "RPA101": sharded(8, preflight="error"),  # 8 slabs > 2^2 amplitudes
 }
 
 
@@ -111,9 +139,9 @@ def test_every_device_entry_point_runs_preflight(strategy, angles, entry, code):
 def test_warn_mode_is_result_neutral(strategy, angles):
     baseline = generate_features(strategy, angles, config=ExecutionConfig())
     with pytest.warns(PreflightWarning):
-        noisy_cfg = ExecutionConfig(shards=2, compile="off", preflight="warn")
+        noisy_cfg = sharded(2, compile="off", preflight="warn")
         warned = generate_features(strategy, angles, config=noisy_cfg.merged(
-            shards=1, compile="off", chunk_size=2  # RPA104 fires, run unchanged
+            backend=None, chunk_size=2  # RPA104 fires, run unchanged
         ))
     np.testing.assert_array_equal(baseline, warned)
 
@@ -126,7 +154,7 @@ def test_default_config_emits_no_warnings(strategy, angles):
 
 # ------------------------------------------------------ inspectors
 def test_device_check_never_raises(strategy):
-    cfg = ExecutionConfig(shards=32, compile="auto", preflight="error")
+    cfg = sharded(32, compile="auto", preflight="error")
     with QuantumDevice(cfg) as device:
         report = device.check(num_qubits=QUBITS)
     assert "RPA101" in report.codes()
@@ -137,13 +165,14 @@ def test_device_check_lints_program_under_plan(strategy):
 
     template = Circuit(QUBITS, name="t")
     template.append("crx", (0, 1), "theta_0")  # RPA003 under vectorize
-    with QuantumDevice(ExecutionConfig(shards=2, compile="auto")) as device:
+    noisy = DensityMatrixBackend(NoiseModel.depolarizing(0.01))
+    with QuantumDevice(ExecutionConfig(backend=noisy)) as device:
         report = device.check(template)
     assert "RPA003" in report.codes()
-    assert "RPA004" in report.codes()
+    assert "RPA005" in report.codes()  # the plan's 1q channel never fires
 
 
 def test_config_diagnose_matches_lint_config():
-    cfg = ExecutionConfig(shards=8, compile="auto")
+    cfg = sharded(8, compile="auto")
     assert cfg.diagnose(num_qubits=2).codes() == ("RPA101",)
     assert cfg.diagnose().clean

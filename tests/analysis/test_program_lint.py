@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.program import SHARD_FAST_GATES, lint_circuit, lint_noise_model
+from repro.analysis.program import lint_circuit, lint_noise_model
 from repro.quantum.circuit import Circuit, Operation, Parameter
 from repro.quantum.noise import NoiseModel, bit_flip_channel, depolarizing_channel
 
@@ -77,27 +77,6 @@ def test_rpa003_not_on_chainable_or_bound():
     c.append("rx", 0, "theta_0")  # unbound single-qubit rotation: chainable
     c.append("crx", (0, 1), 0.3)  # bound: binds before compilation
     assert "RPA003" not in lint_circuit(c).codes()
-
-
-# ------------------------------------------------- RPA004 (shard fallback)
-def test_rpa004_dense_fallback_gate_under_shards():
-    c = Circuit(3, name="sharded")
-    c.append("swap", (0, 1))
-    c.append("swap", (1, 2))  # deduplicated: one finding per gate name
-    report = lint_circuit(c, shards=2)
-    findings = [d for d in report if d.code == "RPA004"]
-    assert len(findings) == 1
-    assert "swap" in findings[0].message
-
-
-def test_rpa004_not_without_shards_or_for_fast_gates():
-    c = Circuit(3, name="sharded-ok")
-    c.append("swap", (0, 1))
-    assert "RPA004" not in lint_circuit(c, shards=1).codes()
-    fast = Circuit(3, name="fast")
-    for gate in sorted(SHARD_FAST_GATES):
-        fast.append(gate, (0, 1))
-    assert "RPA004" not in lint_circuit(fast, shards=4).codes()
 
 
 # --------------------------------------------------- RPA005 (dead channel)

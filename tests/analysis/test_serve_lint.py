@@ -14,6 +14,7 @@ from repro.analysis.preflight import (
     run_serve_preflight,
 )
 from repro.api.config import ExecutionConfig, ServeConfig, TransportConfig
+from repro.quantum.backends import DistributedStatevectorBackend
 
 
 def test_serve_codes_registered():
@@ -43,23 +44,6 @@ def test_rpa110_negative_window_is_error():
 def test_rpa110_not_on_positive_window():
     assert "RPA110" not in lint_serve_config(
         ServeConfig(batch_window_ms=2.0)
-    ).codes()
-
-
-# -------------------------------------------------- RPA111 (dead cache)
-def test_rpa111_caching_with_zero_entries():
-    cfg = ServeConfig(cache_results=True, result_cache_size=0)
-    report = lint_serve_config(cfg)
-    assert "RPA111" in report.codes()
-    assert report.ok  # warning
-
-
-def test_rpa111_not_when_cache_disabled_or_sized():
-    assert "RPA111" not in lint_serve_config(
-        ServeConfig(cache_results=False, result_cache_size=0)
-    ).codes()
-    assert "RPA111" not in lint_serve_config(
-        ServeConfig(cache_results=True, result_cache_size=8)
     ).codes()
 
 
@@ -158,36 +142,25 @@ def test_rpa115_not_on_default_frame_bound():
     ).codes()
 
 
-# ------------------------------ RPA116 (dead threshold, streaming off)
-def test_rpa116_threshold_without_streaming():
-    cfg = ServeConfig(
-        transport=TransportConfig(streaming=False, stream_threshold_rows=64)
-    )
-    report = lint_serve_config(cfg)
-    (finding,) = [d for d in report if d.code == "RPA116"]
-    assert finding.severity == "warning"
-    assert report.ok
-
-
-def test_rpa116_not_when_streaming_or_thresholdless():
-    assert "RPA116" not in lint_serve_config(
-        ServeConfig(transport=TransportConfig(stream_threshold_rows=64))
-    ).codes()
-    assert "RPA116" not in lint_serve_config(
-        ServeConfig(transport=TransportConfig(streaming=False))
-    ).codes()
-
-
 def test_transport_defaults_are_clean():
     assert lint_serve_config(
         ServeConfig(transport=TransportConfig()), num_qubits=8
     ).clean
 
 
+def test_cache_off_and_small_frames_lint_clean():
+    """A zero-size cache is off and a small frame bound streams: plain
+    settings, not contradictory knob pairs."""
+    cfg = ServeConfig(result_cache_size=0, transport=TransportConfig(max_frame_bytes=4096))
+    assert lint_serve_config(cfg, num_qubits=4).clean
+
+
 # ----------------------------------------------- nested execution merge
 def test_nested_execution_findings_merged():
     cfg = ServeConfig(
-        execution=ExecutionConfig(shards=8, compile="auto", vectorize="auto")
+        execution=ExecutionConfig(
+            backend=DistributedStatevectorBackend(shards=8), compile="auto", vectorize="auto"
+        )
     )
     report = lint_serve_config(cfg, num_qubits=2)
     assert "RPA101" in report.codes()  # the execution-level finding

@@ -244,64 +244,62 @@ def test_mitigated_scales_roundtrip_as_tuple():
 # -------------------------------------------------------------------- shards
 def test_shards_default_is_one():
     cfg = ExecutionConfig()
-    assert cfg.shards == 1
+    assert cfg.backend.shards == 1
     assert type(cfg.backend) is StatevectorBackend
 
 
-def test_shards_substitutes_distributed_backend():
-    cfg = ExecutionConfig(shards=4)
-    assert isinstance(cfg.backend, DistributedStatevectorBackend)
-    assert cfg.backend.shards == 4
-    assert cfg.shards == 4
+def test_shards_requires_ideal_backend(capsys):
+    """The CLI's --shards builds the distributed backend, which has no
+    noisy or mitigated variant: the flag pair is an invalid-flags exit."""
+    from repro.cli import main
 
-
-def test_distributed_backend_mirrors_shards_field():
-    cfg = ExecutionConfig(backend=DistributedStatevectorBackend(shards=8))
-    assert cfg.shards == 8
-    # Agreeing explicit pair is fine; both spellings are one config.
-    same = ExecutionConfig(backend=DistributedStatevectorBackend(shards=8), shards=8)
-    assert same == cfg
-
-
-def test_shards_conflict_raises():
-    with pytest.raises(ValueError, match="conflicts"):
-        ExecutionConfig(backend=DistributedStatevectorBackend(shards=2), shards=4)
-
-
-def test_shards_requires_ideal_backend():
-    with pytest.raises(ValueError, match="no sharded execution path"):
-        ExecutionConfig(backend=DensityMatrixBackend(), shards=2)
-    with pytest.raises(ValueError, match="no sharded execution path"):
-        ExecutionConfig(
-            backend=MitigatedBackend(DensityMatrixBackend()), shards=2
-        )
+    for regime in ("noisy", "mitigated"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["config", "--shards", "2", "--backend", regime])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--shards 2" in err and f"--backend {regime}" in err
+    assert main(["config", "--shards", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["backend"] == {
+        "kind": "distributed",
+        "shards": 2,
+    }
 
 
 @pytest.mark.parametrize("bad", [0, 3, -2, 2.0, "2", True])
 def test_shards_validation(bad):
-    with pytest.raises(ValueError):
-        ExecutionConfig(shards=bad)
+    with pytest.raises(ValueError, match="shards"):
+        DistributedStatevectorBackend(shards=bad)
 
 
 def test_shards_json_roundtrip():
-    cfg = ExecutionConfig(shards=4, estimator="shots", shots=99)
+    cfg = ExecutionConfig(
+        backend=DistributedStatevectorBackend(shards=4), estimator="shots", shots=99
+    )
     data = json.loads(cfg.to_json())
-    assert data["shards"] == 4
+    assert "shards" not in data  # one spelling: the backend carries it
     assert data["backend"] == {"kind": "distributed", "shards": 4}
-    assert ExecutionConfig.from_json(cfg.to_json()) == cfg
-    # Wire forms written before the knob existed still load (field default).
-    legacy = cfg.to_dict()
-    del legacy["shards"]
-    legacy["backend"] = {"kind": "statevector"}
-    assert ExecutionConfig.from_dict(legacy).shards == 1
+    restored = ExecutionConfig.from_json(cfg.to_json())
+    assert restored == cfg
+    assert restored.backend.shards == 4
 
 
 def test_shards_merged_combinator():
     cfg = ExecutionConfig()
-    sharded = cfg.merged(shards=2)
-    assert sharded.shards == 2
-    assert isinstance(sharded.backend, DistributedStatevectorBackend)
-    assert cfg.shards == 1  # original untouched
+    sharded = cfg.merged(backend=DistributedStatevectorBackend(shards=2))
+    assert sharded.backend.shards == 2
+    assert cfg.backend.shards == 1  # original untouched
+    with pytest.raises(TypeError):
+        cfg.merged(shards=2)
+
+
+def test_sharded_config_merges_onto_every_backend():
+    """Swapping the backend of a sharded config leaves no shard count behind."""
+    cfg = ExecutionConfig(backend=DistributedStatevectorBackend(shards=4))
+    assert cfg.merged(backend=None).backend == StatevectorBackend()
+    dense = cfg.merged(backend=DensityMatrixBackend())
+    assert dense.backend == DensityMatrixBackend()
+    assert dense.backend.shards == 1
 
 
 # ------------------------------------------------------------- array backend

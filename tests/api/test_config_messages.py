@@ -18,7 +18,6 @@ BAD_VALUES = {
     "compile": "bogus",
     "dispatch_policy": "nope",
     "vectorize": "x",
-    "shards": 3,
     "array_backend": "bogus",
     "preflight": "maybe",
     "backend": 123,

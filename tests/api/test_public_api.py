@@ -4,7 +4,8 @@ CI runs this as a dedicated job: the ``repro.api`` surface is the
 compatibility contract, so a rename or a lazy-import regression must fail
 before anything else does.  It also guards the removal of the loose
 execution kwargs: ``config=`` / ``device=`` stay the only way to configure
-a sweep.
+a sweep, and every setting keeps exactly one spelling (the config field
+tuples are pinned).
 """
 
 import importlib.util
@@ -120,3 +121,78 @@ def test_entry_points_take_no_loose_execution_kwargs(entry):
     params = set(inspect.signature(entry).parameters)
     assert not params & LOOSE_EXECUTION_KWARGS
     assert {"config", "device"} <= params
+
+
+def test_config_field_tuples_are_pinned():
+    """One spelling per setting: a shard count lives on the backend, a
+    zero-size result cache is off, and the frame bound decides streaming."""
+    from repro.api.config import CONFIG_FIELDS, SERVE_CONFIG_FIELDS, TRANSPORT_CONFIG_FIELDS
+
+    assert CONFIG_FIELDS == (
+        "estimator",
+        "shots",
+        "snapshots",
+        "chunk_size",
+        "seed",
+        "compile",
+        "dispatch_policy",
+        "backend",
+        "vectorize",
+        "array_backend",
+        "preflight",
+    )
+    assert SERVE_CONFIG_FIELDS == (
+        "execution",
+        "batch_window_ms",
+        "max_batch_size",
+        "max_queue_depth",
+        "max_queue_cost",
+        "tenant_weights",
+        "result_cache_size",
+        "result_cache_ttl_s",
+        "pool",
+        "max_workers",
+        "transport",
+    )
+    assert TRANSPORT_CONFIG_FIELDS == (
+        "host",
+        "port",
+        "request_timeout_s",
+        "max_frame_bytes",
+    )
+
+
+@pytest.mark.parametrize(
+    "cls_name,key,value",
+    [
+        ("ExecutionConfig", "shards", 2),
+        ("ServeConfig", "cache_results", False),
+        ("TransportConfig", "streaming", False),
+        ("TransportConfig", "stream_threshold_rows", 64),
+    ],
+)
+def test_removed_config_keys_rejected_by_from_dict(cls_name, key, value):
+    import repro.api as api
+
+    cls = getattr(api, cls_name)
+    data = cls().to_dict()
+    data[key] = value
+    with pytest.raises(ValueError, match=f"unknown {cls_name} fields"):
+        cls.from_dict(data)
+
+
+@pytest.mark.parametrize("method", ["submit", "predict"])
+def test_tcp_transport_matches_transport_protocol(method):
+    from repro.serve import TcpTransport
+    from repro.serve.client import Transport
+
+    def keyword_params(fn):
+        return [
+            (p.name, p.default)
+            for p in inspect.signature(fn).parameters.values()
+            if p.kind is inspect.Parameter.KEYWORD_ONLY
+        ]
+
+    assert keyword_params(getattr(TcpTransport, method)) == keyword_params(
+        getattr(Transport, method)
+    )

@@ -18,7 +18,7 @@ def test_defaults_canonicalize_execution():
     assert config.execution.vectorize == "auto"
     assert config.execution.compile == "auto"
     assert config.pool == "thread"
-    assert config.cache_results is True
+    assert config.result_cache_size == 1024  # the result cache is on
 
 
 def test_field_registry_matches_dataclass():
@@ -108,8 +108,6 @@ def test_transport_defaults():
     assert transport.port == 0  # ephemeral: bind picks a free port
     assert transport.request_timeout_s == 30.0
     assert transport.max_frame_bytes == 16 * 2**20
-    assert transport.stream_threshold_rows is None
-    assert transport.streaming is True
 
 
 def test_transport_field_registry_matches_dataclass():
@@ -127,8 +125,6 @@ def test_transport_field_registry_matches_dataclass():
         (dict(request_timeout_s=-1.0), "request_timeout_s"),
         (dict(request_timeout_s=float("nan")), "request_timeout_s"),
         (dict(max_frame_bytes=0), "max_frame_bytes"),
-        (dict(stream_threshold_rows=0), "stream_threshold_rows"),
-        (dict(streaming="yes"), "streaming"),
     ],
 )
 def test_transport_invalid_fields_rejected(kwargs, match):
@@ -144,10 +140,10 @@ def test_transport_unknown_kwargs_rejected():
 
 
 def test_transport_merged_overrides_and_preserves():
-    base = TransportConfig(port=9000, stream_threshold_rows=64)
+    base = TransportConfig(port=9000, max_frame_bytes=2**16)
     merged = base.merged(port=9001)
     assert merged.port == 9001
-    assert merged.stream_threshold_rows == 64
+    assert merged.max_frame_bytes == 2**16
     assert base.port == 9000
 
 
@@ -157,8 +153,6 @@ def test_transport_json_round_trip():
         port=8443,
         request_timeout_s=None,
         max_frame_bytes=2**16,
-        stream_threshold_rows=128,
-        streaming=True,
     )
     assert TransportConfig.from_json(transport.to_json()) == transport
 
@@ -187,20 +181,16 @@ def test_serve_config_rejects_non_transport():
 
 
 def test_transport_diagnose_covered_by_serve_lint():
-    config = ServeConfig(
-        transport=TransportConfig(streaming=False, stream_threshold_rows=4)
-    )
-    assert any(d.code == "RPA116" for d in config.diagnose())
+    config = ServeConfig(transport=TransportConfig(max_frame_bytes=1))
+    assert any(d.code == "RPA115" for d in config.diagnose())
 
 
 def test_diagnose_merges_nested_execution_findings():
     config = ServeConfig(
-        execution=ExecutionConfig(
-            estimator="exact", shots=0, vectorize="auto", compile="auto"
-        ),
-        cache_results=True,
-        result_cache_size=0,
+        execution=ExecutionConfig(vectorize="auto", compile="auto", chunk_size=2),
+        batch_window_ms=0,
     )
     report = config.diagnose()
     codes = {d.code for d in report}
-    assert "RPA111" in codes  # the serve-level finding is present
+    assert "RPA110" in codes  # the serve-level finding is present
+    assert "RPA104" in codes  # merged from the nested execution config

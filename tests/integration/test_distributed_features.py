@@ -1,6 +1,6 @@
 """Algorithm 1 under sharded distributed statevector execution.
 
-Pins ``shards > 1`` (the :class:`DistributedStatevectorBackend`) to the
+Pins ``backend=DistributedStatevectorBackend(shards=k)`` to the
 single-process oracle: the job grid, encoding and per-task seed derivation
 are all shared, so exact sweeps agree to 1e-10 and shot-based sweeps are
 seed-for-seed identical.  This is also the CI ``distributed-smoke`` job's
@@ -20,7 +20,7 @@ from repro.core.strategies import (
     HybridStrategy,
     ObservableConstruction,
 )
-from repro.quantum.backends import DistributedStatevectorBackend
+from repro.quantum.backends import DistributedStatevectorBackend, MitigatedBackend
 
 STRATEGIES = [
     pytest.param(AnsatzExpansion(circuit=fig8_ansatz(4, 2), order=1), id="expansion"),
@@ -40,11 +40,15 @@ def _cfg(**kw):
     return ExecutionConfig(**kw)
 
 
+def _sharded(shards, **kw):
+    return _cfg(backend=DistributedStatevectorBackend(shards=shards), **kw)
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("shards", [2, 4])
 def test_sharded_sweep_matches_oracle(strategy, angles, shards):
     oracle = generate_features(strategy, angles, config=_cfg())
-    sharded = generate_features(strategy, angles, config=_cfg(shards=shards))
+    sharded = generate_features(strategy, angles, config=_sharded(shards))
     assert np.abs(sharded - oracle).max() < 1e-10
 
 
@@ -52,9 +56,7 @@ def test_sharded_sweep_matches_oracle(strategy, angles, shards):
 def test_sharded_sweep_compile_knob(angles, compile):
     strategy = HybridStrategy(circuit=fig8_ansatz(4, 1), order=1, locality=1)
     oracle = generate_features(strategy, angles, config=_cfg(compile=compile))
-    sharded = generate_features(
-        strategy, angles, config=_cfg(compile=compile, shards=4)
-    )
+    sharded = generate_features(strategy, angles, config=_sharded(4, compile=compile))
     assert np.abs(sharded - oracle).max() < 1e-10
 
 
@@ -67,7 +69,7 @@ def test_sharded_shots_seed_identical(angles):
     )
     sharded = generate_features(
         strategy, angles,
-        config=_cfg(estimator="shots", shots=64, seed=11, shards=2),
+        config=_sharded(2, estimator="shots", shots=64, seed=11),
     )
     assert np.array_equal(oracle, sharded)
 
@@ -84,12 +86,25 @@ def test_sharded_tasks_carry_num_shards(angles):
     assert tasks and all(t.num_shards == 4 for t in tasks)
 
 
+def test_mitigated_tasks_carry_wrapped_num_shards(angles):
+    """ZNE over a sharded backend runs every folded copy on its slabs."""
+    strategy = ObservableConstruction(qubits=4, locality=1)
+    backend = MitigatedBackend(DistributedStatevectorBackend(shards=2))
+    assert backend.shards == 2
+    jobs = feature_jobs(strategy.num_ansatze, angles.shape[0], 4)
+    tasks = feature_circuit_tasks(
+        jobs, [None] * strategy.num_ansatze, strategy.num_qubits,
+        strategy.num_observables, "exact", 0, 0, backend=backend,
+    )
+    assert tasks and all(t.num_shards == 2 for t in tasks)
+
+
 def test_device_session_carries_shards(angles):
     strategy = ObservableConstruction(qubits=4, locality=1)
     oracle = generate_features(strategy, angles, config=_cfg())
-    with QuantumDevice(_cfg(shards=4)) as dev:
-        assert isinstance(dev.config.backend, DistributedStatevectorBackend)
+    with QuantumDevice(_sharded(4)) as dev:
+        assert dev.config.backend.shards == 4
         q, _ = dev.run(strategy, angles)
-        q_single, _ = dev.reconfigured(shards=1, backend=None).run(strategy, angles)
+        q_single, _ = dev.reconfigured(backend=None).run(strategy, angles)
     assert np.abs(q - oracle).max() < 1e-10
     assert np.array_equal(q_single, oracle)

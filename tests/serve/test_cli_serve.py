@@ -65,12 +65,23 @@ def test_lint_serve_flags_finds_transport_codes(capsys):
         "--window-ms", "50",
         "--request-timeout", "0.01",
         "--max-frame-bytes", "8",
-        "--no-stream", "--stream-threshold", "4",
     ])
     out = capsys.readouterr().out
     assert code == 1  # RPA115 is an error
     codes = {d["code"] for d in json.loads(out)}
-    assert {"RPA114", "RPA115", "RPA116"} <= codes
+    assert {"RPA114", "RPA115"} <= codes
+
+
+@pytest.mark.parametrize(
+    "flags", [["--no-cache"], ["--no-stream"], ["--stream-threshold", "4"]]
+)
+def test_removed_serve_flags_rejected(flags, capsys):
+    """Size 0 turns the cache off and the frame bound decides streaming:
+    the mirrored flags are gone."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint", "--serve", *flags])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
 
 
 def test_lint_serve_flags_finds_rpa11x(capsys):

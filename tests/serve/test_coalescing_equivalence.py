@@ -99,7 +99,7 @@ def test_coalesced_responses_bit_equal_standalone(kind, execution, pool):
         batch_window_ms=10.0,
         max_batch_size=64,
         pool="serial",
-        cache_results=False,  # every request must really execute
+        result_cache_size=0,  # every request must really execute
         execution=execution,
     )
     # A spawned pool: forking a process that already runs threads warns.
@@ -155,7 +155,7 @@ def test_same_seed_same_input_identical_across_flush_compositions():
             batch_window_ms=10.0,
             max_batch_size=64,
             pool="serial",
-            cache_results=False,
+            result_cache_size=0,
             execution=execution,
         )
         service = FeatureService(config)

@@ -31,7 +31,7 @@ def make_service(**overrides) -> FeatureService:
     defaults = dict(
         batch_window_ms=2.0,
         pool="serial",
-        cache_results=False,
+        result_cache_size=0,
         execution=ExecutionConfig(vectorize="auto", compile="auto", seed=7),
     )
     defaults.update(overrides)

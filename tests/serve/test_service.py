@@ -137,6 +137,29 @@ def test_cache_hits_identical_requests():
     asyncio.run(main())
 
 
+def test_zero_size_cache_is_skipped(monkeypatch):
+    """``result_cache_size=0`` turns the cache off: no key hashing, no lookup."""
+    import repro.serve.service as service_module
+
+    def no_hashing(*args, **kwargs):
+        raise AssertionError("a zero-size cache must not hash request keys")
+
+    monkeypatch.setattr(service_module, "result_key", no_hashing)
+
+    async def main():
+        async with make_service(result_cache_size=0) as service:
+            x = angles()
+            first = await service.submit("t", x)
+            second = await service.submit("t", x)
+            assert np.array_equal(first, second)
+            metrics = service.metrics()
+            assert metrics.cache_hits_total == 0
+            assert metrics.flushes_total == 2
+            assert metrics.result_cache["misses"] == 0
+
+    asyncio.run(main())
+
+
 def test_stochastic_seedless_requests_bypass_cache():
     async def main():
         service = make_service(
@@ -159,7 +182,7 @@ def test_backpressure_rejects_and_counts():
         # Depth 1 with a long window: the second concurrent request of the
         # same tenant must bounce at admission.
         service = make_service(
-            max_queue_depth=1, batch_window_ms=50.0, cache_results=False
+            max_queue_depth=1, batch_window_ms=50.0, result_cache_size=0
         )
         async with service:
             first = asyncio.ensure_future(service.submit("t", angles(seed=1)))
@@ -200,7 +223,7 @@ def test_flush_error_fans_out_and_counts(monkeypatch):
     monkeypatch.setattr("repro.serve.service.execute_flush", boom)
 
     async def main():
-        async with make_service(cache_results=False) as service:
+        async with make_service(result_cache_size=0) as service:
             results = await asyncio.gather(
                 service.submit("t", angles(seed=1)),
                 service.submit("t", angles(seed=2)),
@@ -271,7 +294,7 @@ def test_predict_requires_head_and_uses_it():
 
 def test_feature_client_pins_tenant():
     async def main():
-        async with make_service(cache_results=False) as service:
+        async with make_service(result_cache_size=0) as service:
             client = FeatureClient(
                 transport=InProcessTransport(service), tenant="team-a"
             )
@@ -299,7 +322,7 @@ def test_admission_released_when_flush_fails(monkeypatch):
     monkeypatch.setattr("repro.serve.service.execute_flush", boom)
 
     async def main():
-        service = make_service(max_queue_depth=1, cache_results=False)
+        service = make_service(max_queue_depth=1, result_cache_size=0)
         async with service:
             with pytest.raises(RuntimeError, match="kernel exploded"):
                 await service.submit("t", angles(seed=1))
@@ -322,7 +345,7 @@ def test_admission_released_when_planning_fails(monkeypatch):
     monkeypatch.setattr(SweepPlan, "build", bad_build)
 
     async def main():
-        service = make_service(max_queue_depth=1, cache_results=False)
+        service = make_service(max_queue_depth=1, result_cache_size=0)
         async with service:
             with pytest.raises(RuntimeError, match="planner exploded"):
                 await service.submit("t", angles(seed=1))
@@ -344,7 +367,7 @@ def test_admission_released_when_enqueue_fails(monkeypatch):
     monkeypatch.setattr(MicroBatcher, "add", bad_add)
 
     async def main():
-        service = make_service(max_queue_depth=1, cache_results=False)
+        service = make_service(max_queue_depth=1, result_cache_size=0)
         async with service:
             with pytest.raises(RuntimeError, match="enqueue exploded"):
                 await service.submit("t", angles(seed=1))
@@ -363,7 +386,7 @@ def test_zero_row_request_rejected_before_admission():
     empty = np.zeros((0, ROWS, QUBITS))
 
     async def main():
-        service = make_service(batch_window_ms=20.0, cache_results=False)
+        service = make_service(batch_window_ms=20.0, result_cache_size=0)
         async with service:
             with pytest.raises(ValueError, match="no rows"):
                 await service.submit("t", empty)

@@ -172,7 +172,7 @@ def test_request_seed_is_tri_state_over_tcp(monkeypatch):
     execution = ExecutionConfig(estimator="shots", shots=64, seed=7)
 
     async def main():
-        service = make_service(execution, cache_results=False)
+        service = make_service(execution, result_cache_size=0)
         x = angles(k=2)
         async with service, FeatureServer(service) as server:
             host, port = server.address
@@ -192,25 +192,74 @@ def test_request_seed_is_tri_state_over_tcp(monkeypatch):
     assert [h.get("seed") for h in requests[1:]] == [7, 8, None]
 
 
-def test_streamed_response_bit_equal():
+def _received_frames(monkeypatch, submit_extra: dict | None = None) -> list:
+    """Record every frame header either transport half reads off the
+    socket, optionally adding ``submit_extra`` keys to each ``submit``
+    header the client sends."""
+    import repro.serve.transport as transport_module
+
+    received = []
+    read, pack = transport_module.read_frame, transport_module.pack_frame
+
+    async def recording_read(*args, **kwargs):
+        frame = await read(*args, **kwargs)
+        if frame is not None:
+            received.append(frame[0])
+        return frame
+
+    def injecting_pack(header, *args, **kwargs):
+        if submit_extra and header.get("type") == "submit":
+            header = {**header, **submit_extra}
+        return pack(header, *args, **kwargs)
+
+    monkeypatch.setattr(transport_module, "read_frame", recording_read)
+    monkeypatch.setattr(transport_module, "pack_frame", injecting_pack)
+    return received
+
+
+def test_streamed_response_bit_equal(monkeypatch):
+    received = _received_frames(monkeypatch)
+
     async def main():
-        # Threshold 2 with 6 samples: the response must stream, and a
-        # forced stream of the same request must agree bit for bit.
-        service = make_service(
-            transport=TransportConfig(stream_threshold_rows=2)
-        )
+        # 16 samples x 10 features (1280 payload bytes) cannot fit one
+        # 1024-byte frame: the response must stream, and the reassembled
+        # array must agree with in-process bit for bit.
+        service = make_service(transport=TransportConfig(max_frame_bytes=1024))
+        x = angles(k=16)
+        async with service:
+            in_process = await service.submit("t", x, seed=9)
+            async with FeatureServer(service) as server:
+                host, port = server.address
+                async with await TcpTransport.connect(host, port) as transport:
+                    streamed = await transport.submit("t", x, seed=9)
+        assert np.array_equal(streamed, in_process)
+
+    asyncio.run(main())
+    kinds = [h["type"] for h in received]
+    assert "begin" in kinds and "block" in kinds and "result" not in kinds
+
+
+def test_fitting_response_is_one_result_frame_despite_stream_header(monkeypatch):
+    """The frame bound alone decides streaming: a client-side ``stream``
+    key is not part of the protocol and changes nothing."""
+    received = _received_frames(monkeypatch, submit_extra={"stream": True})
+
+    async def main():
+        service = make_service()
         x = angles(k=6)
         async with service:
             in_process = await service.submit("t", x, seed=9)
             async with FeatureServer(service) as server:
                 host, port = server.address
                 async with await TcpTransport.connect(host, port) as transport:
-                    thresholded = await transport.submit("t", x, seed=9)
-                    forced = await transport.submit("t", x, seed=9, stream=True)
-        assert np.array_equal(thresholded, in_process)
-        assert np.array_equal(forced, in_process)
+                    over_tcp = await transport.submit("t", x, seed=9)
+        assert np.array_equal(over_tcp, in_process)
 
     asyncio.run(main())
+    (submit,) = [h for h in received if h["type"] == "submit"]
+    assert submit["stream"] is True  # the server did read the key
+    replies = [h["type"] for h in received if h.get("id") == submit["id"]]
+    assert replies == ["submit", "result"]
 
 
 def test_oversized_response_streams_automatically():
@@ -236,20 +285,22 @@ def test_oversized_response_streams_automatically():
 
 
 def test_oversized_response_fails_cleanly_when_streaming_disabled():
+    """A 1-D (single-sample) response has no blocks to stream: past the
+    frame bound it fails that request alone and the connection survives."""
+
     async def main():
-        service = make_service(
-            transport=TransportConfig(max_frame_bytes=2048, streaming=False),
-            execution=FAST_EXECUTION.merged(chunk_size=2),
-        )
+        service = make_service(transport=TransportConfig(max_frame_bytes=400))
+        wide = strategy_from_name("observable", num_qubits=QUBITS, locality=3)
+        service.register("wide", wide, rows=ROWS)  # 64 features: 512 bytes
         async with service:
             async with FeatureServer(service) as server:
                 host, port = server.address
                 async with await TcpTransport.connect(host, port) as transport:
                     with pytest.raises(ProtocolError, match="max_frame_bytes"):
-                        await transport.submit("t", angles(k=32), seed=1)
+                        await transport.submit("wide", angles(k=1)[0], seed=1)
                     # The connection survives: a small request still works.
-                    small = await transport.submit("t", angles(k=1), seed=1)
-                    assert small.shape[0] == 1
+                    small = await transport.submit("t", angles(k=1)[0], seed=1)
+                    assert small.shape == (10,)
 
     asyncio.run(main())
 
@@ -273,7 +324,7 @@ def test_single_sample_round_trip_over_tcp():
 # ----------------------------------------------------- coalescing over TCP
 def test_concurrent_tcp_requests_coalesce():
     async def main():
-        service = make_service(batch_window_ms=20.0, cache_results=False)
+        service = make_service(batch_window_ms=20.0, result_cache_size=0)
         async with service:
             async with FeatureServer(service) as server:
                 host, port = server.address
@@ -294,7 +345,7 @@ def test_concurrent_tcp_requests_coalesce():
 
 def test_run_load_over_tcp_transport():
     async def main():
-        service = make_service(cache_results=False)
+        service = make_service(result_cache_size=0)
         async with service:
             async with FeatureServer(service) as server:
                 host, port = server.address
@@ -313,7 +364,7 @@ def test_run_load_over_tcp_transport():
 def test_error_codes_map_to_typed_exceptions():
     async def main():
         service = make_service(max_queue_depth=1, batch_window_ms=50.0,
-                               cache_results=False)
+                               result_cache_size=0)
         async with service:
             async with FeatureServer(service) as server:
                 host, port = server.address
@@ -356,7 +407,7 @@ def test_timeout_over_tcp_is_structured(monkeypatch):
     monkeypatch.setattr("repro.serve.service.execute_flush", slow_execute)
 
     async def main():
-        service = make_service(cache_results=False)
+        service = make_service(result_cache_size=0)
         async with service:
             async with FeatureServer(service) as server:
                 host, port = server.address
@@ -397,7 +448,7 @@ def test_protocol_violation_answered_then_disconnected():
 # ----------------------------------------------- disconnects and draining
 def test_client_disconnect_cancels_server_side():
     async def main():
-        service = make_service(batch_window_ms=200.0, cache_results=False)
+        service = make_service(batch_window_ms=200.0, result_cache_size=0)
         async with service:
             async with FeatureServer(service) as server:
                 host, port = server.address
@@ -426,7 +477,7 @@ def test_client_disconnect_cancels_server_side():
 
 def test_graceful_drain_finishes_inflight_then_refuses():
     async def main():
-        service = make_service(batch_window_ms=30.0, cache_results=False)
+        service = make_service(batch_window_ms=30.0, result_cache_size=0)
         async with service:
             server = FeatureServer(service)
             await server.start()
@@ -480,7 +531,7 @@ def test_server_uses_serve_config_transport():
 # --------------------------------------------------------------- the client
 def test_feature_client_over_tcp_matches_in_process():
     async def main():
-        service = make_service(cache_results=False)
+        service = make_service(result_cache_size=0)
         x = angles(k=3)
         async with service:
             in_process = await service.submit("t", x, tenant="a", seed=4)
