@@ -11,8 +11,11 @@ stacked pass.  Measured here on the reference workload (8 qubits, depth
 number is typically far larger (see BENCH_batched.json).
 
 Also reports the end-to-end Q-matrix sweep delta: ``generate_features``
-under ``vectorize="auto"`` vs ``"off"`` (both compiled), where the win is
-bounded by the encoder share of the sweep.
+under ``vectorize="auto"`` vs ``"off"`` (both compiled), with the sweep mode
+each ``"auto"`` arm ran.  A single instance runs the batched engine; the
+17-instance ensemble at theta = 0 is Clifford and runs the Pauli engine;
+the same ensemble at seeded nonzero base parameters is not, and records
+the shared-encoder win (report-only).
 
 Smoke mode (``BATCHED_BENCH_SMOKE=1``, the CI perf-guard job) shrinks the
 workload and gates on "batched is not slower than the per-sample oracle"
@@ -29,7 +32,7 @@ import numpy as np
 from benchmarks.conftest import best_of, env_flag, write_bench_record
 from repro.api import ExecutionConfig
 from repro.core.ansatz import hardware_efficient_ansatz
-from repro.core.features import generate_features
+from repro.core.features import generate_features, sweep_mode
 from repro.core.strategies import AnsatzExpansion
 from repro.data.encoding import encoding_template
 from repro.quantum.batched import compile_parametric, extend_template
@@ -99,10 +102,10 @@ def run_benchmark():
     # End-to-end sweeps: the same knob through generate_features (chunked
     # dispatch, streaming assembly).  A single-instance strategy takes the
     # fully stacked path (encoder + Ansatz as one program per job); a
-    # multi-instance ensemble shares one batched-encoder pass across all
-    # instances.  Both wins are bounded by the encoder share of the sweep
-    # since the "off" arm already batches chunk evolution through the
-    # compiled engine (PR 1).
+    # Clifford ensemble evolves no state (Pauli engine); a non-Clifford
+    # ensemble shares one batched-encoder pass across all instances, a win
+    # bounded by the encoder share of the sweep since the "off" arm already
+    # batches chunk evolution through the compiled engine.
     def sweep_delta(strategy) -> dict:
         cfg = ExecutionConfig(compile="auto", chunk_size=64)
         q_off = generate_features(strategy, angles, config=cfg.merged(vectorize="off"))
@@ -121,6 +124,7 @@ def run_benchmark():
         )
         return {
             "num_ansatze": strategy.num_ansatze,
+            "sweep_mode": sweep_mode(strategy, cfg.merged(vectorize="auto")),
             "t_vectorize_off_s": t_off,
             "t_vectorize_auto_s": t_auto,
             "speedup": t_off / t_auto,
@@ -132,6 +136,13 @@ def run_benchmark():
     )
     sweep_multi = sweep_delta(
         AnsatzExpansion(circuit=hardware_efficient_ansatz(NUM_QUBITS, 1), order=1)
+    )
+    sweep_non_clifford = sweep_delta(
+        AnsatzExpansion(
+            circuit=hardware_efficient_ansatz(NUM_QUBITS, 1),
+            order=1,
+            base_parameters=np.random.default_rng(2).uniform(-np.pi, np.pi, NUM_QUBITS),
+        )
     )
 
     return {
@@ -158,6 +169,7 @@ def run_benchmark():
         "max_abs_err": max_err,
         "sweep_single_instance": sweep_single,
         "sweep_multi_instance": sweep_multi,
+        "sweep_multi_instance_non_clifford": sweep_non_clifford,
     }
 
 
@@ -186,10 +198,12 @@ def test_batched_beats_per_sample_oracle():
     for label, key in (
         ("single-instance", "sweep_single_instance"),
         ("multi-instance", "sweep_multi_instance"),
+        ("multi-instance, non-Clifford", "sweep_multi_instance_non_clifford"),
     ):
         sweep = result[key]
         print(
-            f"end-to-end sweep, {label} (p={sweep['num_ansatze']}): "
+            f"end-to-end sweep, {label} (p={sweep['num_ansatze']}, "
+            f"{sweep['sweep_mode']}): "
             f"off {sweep['t_vectorize_off_s']*1e3:.1f} ms  "
             f"auto {sweep['t_vectorize_auto_s']*1e3:.1f} ms  "
             f"speedup {sweep['speedup']:.2f}x  (max |err| {sweep['max_abs_err']:.1e})"
@@ -199,6 +213,7 @@ def test_batched_beats_per_sample_oracle():
     assert result["max_abs_err"] < 1e-10
     assert result["sweep_single_instance"]["max_abs_err"] < 1e-10
     assert result["sweep_multi_instance"]["max_abs_err"] < 1e-10
+    assert result["sweep_multi_instance_non_clifford"]["max_abs_err"] < 1e-10
     if SMOKE:
         # The CI perf-guard gate: batched must never lose to the oracle.
         assert result["speedup"] >= 1.0

@@ -110,8 +110,10 @@ class ExecutionConfig:
     * ``vectorize``       -- batched structure-shared execution:
       ``"auto"`` compiles each (encoder, Ansatz instance) template once and
       evolves whole data chunks per stacked pass on backends that support
-      it (:class:`~repro.quantum.batched.ParametricCompiledCircuit`);
-      ``"off"`` keeps the per-sample reference path;
+      it (:class:`~repro.quantum.batched.ParametricCompiledCircuit`), and
+      runs exact ideal ensembles of Clifford instances on the Pauli engine
+      (:mod:`repro.quantum.pauli`) -- :func:`~repro.core.features.sweep_mode`
+      names the route; ``"off"`` keeps the per-sample reference path;
     * ``array_backend``   -- the array namespace the hot kernels run under
       (:mod:`repro.xp`): ``"numpy"`` (default, bit-identical to the
       historical path), ``"cupy"`` / ``"torch"`` (must be installed), or

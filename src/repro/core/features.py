@@ -42,7 +42,11 @@ With ``config.vectorize="auto"`` on a backend that supports it,
 (``"batched"``): each (Ansatz instance, chunk) job encodes and evolves its
 raw angle chunk through one
 :class:`~repro.quantum.batched.ParametricCompiledCircuit` stacked pass
-(shared fused blocks + per-sample angle chains).  The job grid and per-task
+(shared fused blocks + per-sample angle chains).  An exact ideal-statevector
+ensemble whose every instance is Clifford -- the paper's shifts at
+theta = 0 -- evolves no state at all (``"pauli"``): Appendix A's Heisenberg
+picture turns each feature into a signed product of the encoder's per-qubit
+Bloch components (:mod:`repro.quantum.pauli`).  The job grid and per-task
 seeds are the plan's either way, and the per-sample path remains the
 reference oracle (``tests/integration/test_batched_features.py``).
 
@@ -82,6 +86,7 @@ from repro.quantum.compile import (
     resolve_fusion_width,
 )
 from repro.quantum.observables import PauliString
+from repro.quantum.pauli import PauliProgram, bloch_vectors, propagate
 from repro.utils.rng import spawn_rngs
 from repro.xp import get_namespace
 
@@ -100,6 +105,7 @@ __all__ = [
     "resolve_chunk_size",
     "sweep_mode",
     "sweep_programs",
+    "sweep_route",
     "unbound_programs",
 ]
 
@@ -135,18 +141,41 @@ def sweep_mode(strategy: Strategy, cfg: ExecutionConfig) -> str:
       in stacked passes (``vectorize="auto"`` on a supporting backend, with
       one Ansatz instance or a density representation, whose encoder stage
       carries gate-level noise and ZNE folding);
+    * ``"pauli"`` -- several instances, the exact estimator, a backend with
+      ``supports_pauli`` (the ideal statevector) and every bound instance
+      Clifford: each observable conjugates to one signed Pauli string and
+      each job multiplies the encoder's Bloch components
+      (:mod:`repro.quantum.pauli`) -- no state is evolved or measured;
     * ``"shared_encoder"`` -- several statevector instances share one
       batched-encoder pass, then every instance evolves the prepared batch;
     * ``"prepared"`` -- per-sample preparation, then per-instance evolution
-      (the reference oracle).
+      (the reference oracle; always under ``vectorize="off"``).
 
     The serving layer coalesces exactly the ``"batched"`` templates.
     """
-    if cfg.vectorize != "auto" or not cfg.backend.supports_vectorize:
-        return "prepared"
-    if strategy.num_ansatze == 1 or cfg.backend.representation == "density":
-        return "batched"
-    return "shared_encoder"
+    return sweep_route(strategy, cfg)[0]
+
+
+def sweep_route(strategy: Strategy, cfg: ExecutionConfig) -> tuple[str, list | None]:
+    """:func:`sweep_mode` plus the programs its Clifford check built.
+
+    Deciding ``"pauli"`` means propagating every (instance, observable) row
+    through the Ansatz; the programs fall out of that same pass, so they are
+    returned with the mode (``None`` for every other mode) instead of being
+    rebuilt.
+    """
+    backend = cfg.backend
+    if cfg.vectorize != "auto" or not backend.supports_vectorize:
+        return "prepared", None
+    if strategy.num_ansatze == 1 or backend.representation == "density":
+        return "batched", None
+    if cfg.estimator == "exact" and backend.supports_pauli:
+        programs = propagate(
+            strategy.ansatz, strategy.parameter_sets(), strategy.observables()
+        )
+        if programs is not None:
+            return "pauli", programs
+    return "shared_encoder", None
 
 
 def bound_ansatz(strategy: Strategy, params: np.ndarray) -> Circuit | None:
@@ -377,6 +406,9 @@ class _BlockWorker:
     ) -> tuple[FeatureJob, np.ndarray]:
         job, seed, payload = task
         program = self.programs[job.ansatz_index]
+        if isinstance(program, PauliProgram):
+            # Pauli sweeps ship Bloch vectors: the block is their products.
+            return job, program.expectations(payload)
         # Batched templates consume raw (chunk, rows, cols) angles and run
         # encoding + Ansatz evolution in one stacked pass (evolve_batch).
         evolve = (
@@ -416,7 +448,9 @@ def feature_circuit_tasks(
     count, scaled by the backend's state size -- 2**n statevector
     amplitudes, 4**n density-matrix entries, times the fold factor for
     mitigated sweeps) all enter the cost, so the scheduling policies see
-    the same heterogeneity the real execution pays.  A sharded backend's
+    the same heterogeneity the real execution pays.  A
+    :class:`~repro.quantum.pauli.PauliProgram` job costs what it runs:
+    chunk x q x n products, no state.  A sharded backend's
     slab count carries through as ``num_shards``, which divides the
     simulation flops but adds remap-synchronisation latency per circuit.
     """
@@ -433,16 +467,16 @@ def feature_circuit_tasks(
     for job in jobs:
         chunk = job.hi - job.lo
         program = programs[job.ansatz_index]
-        ops = _program_ops(program)
-        # Vectorized density programs count every stacked pass directly
-        # (Kraus operators and folded ZNE copies included), so they are
-        # priced at the raw density state size -- multiplying by the
-        # mitigated backend's fold weight too would double-count.
-        flops = (
-            stacked_pass_flops(chunk, num_qubits, ops, q)
-            if getattr(program, "num_kernel_passes", None) is not None
-            else float(chunk * dim * (4 * ops + q))
-        )
+        if isinstance(program, PauliProgram):
+            flops = float(chunk * q * num_qubits)
+        elif getattr(program, "num_kernel_passes", None) is not None:
+            # Vectorized density programs count every stacked pass directly
+            # (Kraus operators and folded ZNE copies included), so they are
+            # priced at the raw density state size -- multiplying by the
+            # mitigated backend's fold weight too would double-count.
+            flops = stacked_pass_flops(chunk, num_qubits, _program_ops(program), q)
+        else:
+            flops = float(chunk * dim * (4 * _program_ops(program) + q))
         tasks.append(
             CircuitTask(
                 num_circuits=chunk,
@@ -497,32 +531,31 @@ def prepare_states(
 
 def _sweep_stream(
     strategy: Strategy,
-    states: np.ndarray,
+    payload: np.ndarray,
     cfg: ExecutionConfig,
+    programs: list,
     executor: ExecutionRuntime | None,
     records: list[TaskCompletion] | None,
-    template: Circuit | None = None,
 ) -> tuple[Iterator[TaskCompletion], tuple[float, ...], ExecutionRuntime]:
     """Shared sweep setup: completion stream, cost vector, runtime.
 
     ``cfg`` is already validated (backend resolved, regime checked) -- the
     :class:`~repro.api.config.ExecutionConfig` constructor guarantees it.
-    ``template`` switches the sweep to batched structure-shared execution:
-    ``states`` is then the raw ``(d, rows, cols)`` angle batch and every
-    job evolves its chunk through one
-    :class:`~repro.quantum.batched.ParametricCompiledCircuit` pass.  The
-    :class:`SweepPlan` is built the same way either way, so the two paths
-    are directly comparable estimator by estimator.
+    ``programs`` (one per Ansatz instance) decide what ``payload`` is:
+    prepared states for plain or compiled circuits, the raw
+    ``(d, rows, cols)`` angle batch for batched programs, per-qubit Bloch
+    vectors for Pauli programs.  The :class:`SweepPlan` is built the same
+    way every time, so the paths are directly comparable estimator by
+    estimator.
     """
     runtime = _resolve_runtime(executor)
-    programs = sweep_programs(strategy, cfg, template)
-    plan = SweepPlan.build(strategy, cfg, states.shape[0], programs, cfg.seed)
+    plan = SweepPlan.build(strategy, cfg, payload.shape[0], programs, cfg.seed)
     # Each task ships its own chunk (a view in-process; O(chunk) pickled
     # bytes for process pools) instead of the whole prepared batch.
     stream = runtime.stream(
         _BlockWorker(strategy, programs, cfg),
         [
-            (job, seed, states[job.lo : job.hi])
+            (job, seed, payload[job.lo : job.hi])
             for job, seed in zip(plan.jobs, plan.seeds, strict=True)
         ],
         costs=plan.costs,
@@ -561,8 +594,10 @@ def generate_features(
     With ``config.vectorize="auto"`` (and a backend that supports it) the
     sweep runs batched: encoding and Ansatz evolution happen in one
     structure-shared stacked pass per (Ansatz instance, chunk) job instead
-    of sample at a time -- same job grid, same per-task seeds, numerically
-    equal to the per-sample oracle to <= 1e-10.
+    of sample at a time, or -- for an exact ensemble of Clifford instances
+    -- on the Pauli engine with no state at all (:func:`sweep_mode`).  Same
+    job grid, same per-task seeds, numerically equal to the per-sample
+    oracle to <= 1e-10.
     """
     cfg, executor = resolve_call(config, device, executor, owner="generate_features")
     angles = np.asarray(angles, dtype=float)
@@ -578,12 +613,20 @@ def generate_features(
 
     template = encoding_template(angles.shape[1], angles.shape[2])
     _run_preflight(strategy, template, cfg, owner="generate_features")
-    mode = sweep_mode(strategy, cfg)
+    mode, programs = sweep_route(strategy, cfg)
+    if mode == "pauli":
+        # The encoder prepares a product state, so its per-qubit Bloch
+        # vectors are the whole payload: no state is evolved or measured.
+        return _assemble_features(
+            strategy, bloch_vectors(template, angles), cfg, programs, executor,
+            out, return_report,
+        )
     if mode == "batched":
         # No separate preparation and no intermediate prepared-state array:
         # every job encodes and evolves its raw angle chunk.
         return _assemble_features(
-            strategy, angles, cfg, executor, out, return_report, template
+            strategy, angles, cfg, sweep_programs(strategy, cfg, template),
+            executor, out, return_report,
         )
     if mode == "shared_encoder":
         # One batched-encoder pass (per-qubit angle chains: ~rows fewer
@@ -596,7 +639,8 @@ def generate_features(
         xp = get_namespace(cfg.resolved_array_backend)
         states = compile_parametric(template, max_width=width).apply_batch(angles, xp=xp)
         return _assemble_features(
-            strategy, states, cfg.merged(compile=width), executor, out, return_report
+            strategy, states, cfg, sweep_programs(strategy, cfg.merged(compile=width)),
+            executor, out, return_report,
         )
     states = prepare_states(cfg.backend, angles, executor, cfg.chunk_size)
     return evaluate_features(
@@ -642,23 +686,25 @@ def evaluate_features(
     cfg, executor = resolve_call(config, device, executor, owner="evaluate_features")
     _run_preflight(strategy, None, cfg, owner="evaluate_features")
     states = cfg.backend.coerce_states(np.asarray(states))
-    return _assemble_features(strategy, states, cfg, executor, out, return_report)
+    return _assemble_features(
+        strategy, states, cfg, sweep_programs(strategy, cfg), executor, out, return_report
+    )
 
 
 def _assemble_features(
     strategy: Strategy,
     payload: np.ndarray,
     cfg: ExecutionConfig,
+    programs: list,
     executor: ExecutionRuntime | None,
     out: np.ndarray | None,
     return_report: bool,
-    template: Circuit | None = None,
 ) -> np.ndarray | tuple[np.ndarray, DispatchReport]:
-    """Streaming Q-matrix assembly shared by both execution paths.
+    """Streaming Q-matrix assembly shared by every execution path.
 
-    ``payload`` is prepared states (per-sample path) or the raw angle batch
-    (batched path, signalled by ``template``); either way axis 0 indexes
-    data points and blocks scatter into ``out`` as futures resolve.
+    ``payload`` is whatever ``programs`` consume (see :func:`_sweep_stream`);
+    axis 0 indexes data points and blocks scatter into ``out`` as futures
+    resolve.
     """
     d = payload.shape[0]
     p = strategy.num_ansatze
@@ -672,7 +718,7 @@ def _assemble_features(
     # are result-free (index + seconds), so nothing pins completed blocks.
     records: list[TaskCompletion] | None = [] if return_report else None
     stream, costs, runtime = _sweep_stream(
-        strategy, payload, cfg, executor, records, template
+        strategy, payload, cfg, programs, executor, records
     )
     # Timed window covers dispatch + assembly only: binding/compilation,
     # RNG spawning and (via warm()) pool construction are one-time setup
@@ -719,5 +765,7 @@ def iter_feature_blocks(
     cfg, executor = resolve_call(config, device, executor, owner="iter_feature_blocks")
     _run_preflight(strategy, None, cfg, owner="iter_feature_blocks")
     states = cfg.backend.coerce_states(np.asarray(states))
-    stream, _, _ = _sweep_stream(strategy, states, cfg, executor, None)
+    stream, _, _ = _sweep_stream(
+        strategy, states, cfg, sweep_programs(strategy, cfg), executor, None
+    )
     return (completion.result for completion in stream)

@@ -122,6 +122,11 @@ class QuantumBackend(ABC):
     #: :class:`~repro.quantum.density.BatchedDensityProgram` for gate-level
     #: noise, where the per-gate Kraus insertion points must survive).
     supports_vectorize: bool = False
+    #: Whether exact multi-instance sweeps of Clifford instances may skip
+    #: :meth:`evolve` and :meth:`expectation` for the Heisenberg-picture
+    #: Pauli engine (:mod:`repro.quantum.pauli`): true only where those
+    #: methods compute ideal, noise-free, unsharded pure-state expectations.
+    supports_pauli: bool = False
     #: Whether :meth:`prepare` is expensive enough (per-sample circuit
     #: evolution) to be worth fanning out across executor workers.  False
     #: for the statevector backend, whose ``encode_batch`` is already one
@@ -276,6 +281,7 @@ class StatevectorBackend(QuantumBackend):
     supports_compile = True
     supports_shadows = True
     supports_vectorize = True
+    supports_pauli = True
 
     def prepare(self, angles: np.ndarray) -> np.ndarray:
         from repro.data.encoding import encode_batch
@@ -366,8 +372,9 @@ class DistributedStatevectorBackend(StatevectorBackend):
     vectorised kernel pass; measurement sees the gathered states), matching
     the paper's split where only the state evolution outgrows one node.
 
-    ``supports_vectorize`` is False: the structure-shared batched engine is
-    a single-address-space fast path, and sharding replaces it as the
+    ``supports_vectorize`` and ``supports_pauli`` are False: the
+    structure-shared batched engine and the Pauli engine are
+    single-address-space fast paths, and sharding replaces them as the
     scale-out axis.  The scheduler prices the slab split through
     ``CircuitTask.num_shards`` instead of a changed cost weight, so the
     speedup and its sync overhead stay visible to dispatch.
@@ -377,6 +384,7 @@ class DistributedStatevectorBackend(StatevectorBackend):
 
     name = "distributed"
     supports_vectorize = False
+    supports_pauli = False
 
     def __post_init__(self) -> None:
         shards = self.shards

@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.quantum.circuit import Circuit, Operation
 from repro.quantum.gates import gate_matrix
+from repro.quantum.pauli import clear_pauli_tables
 from repro.quantum.statevector import apply_matrix_batch, zero_state
 from repro.quantum.transpile import fuse_blocks
 from repro.xp import get_namespace
@@ -402,5 +403,7 @@ def compile_cache_info() -> CacheInfo:
 
 
 def clear_compile_cache() -> None:
-    """Drop every entry (and reset counters) of the process-wide cache."""
+    """Drop every entry (and reset counters) of the process-wide cache,
+    and the Pauli engine's conjugation tables with it."""
     GLOBAL_COMPILE_CACHE.clear()
+    clear_pauli_tables()

@@ -27,7 +27,10 @@ run the single-batched-program path
 (``sweep_mode(strategy, cfg) == "batched"``).  Any other configuration
 falls back to per-request ``generate_features`` inside the flush worker --
 trivially bit-equal, still async and admitted, just without cross-request
-sharing (RPA113 lints the window in that case).
+sharing (RPA113 lints the window in that case).  A ``"pauli"`` template
+(an exact ensemble of Clifford instances) is such a fallback: each request
+runs the Pauli engine, which compiles and evolves nothing, and is priced
+by the Pauli programs it runs.
 
 Everything here is plain picklable data + a module-level function, so a
 flush ships to thread *or process* pool workers unchanged.  Flush workers
@@ -50,8 +53,8 @@ from repro.core.features import (
     bound_ansatz,
     generate_features,
     measure_block,
-    sweep_mode,
     sweep_programs,
+    sweep_route,
     unbound_programs,
 )
 from repro.core.strategies import Strategy
@@ -83,9 +86,10 @@ class TemplateArtifacts:
 
     ``programs`` are what each request's plan is priced with: the
     standalone sweep's own batched programs on the fast path (and what the
-    flush runs), the unbound Ansatz
-    (:func:`~repro.core.features.unbound_programs`) on the fallback, which
-    compiles nothing at registration.  ``group_key`` is the coalescing
+    flush runs), its Pauli programs for a ``"pauli"`` template, and the
+    unbound Ansatz (:func:`~repro.core.features.unbound_programs`) on any
+    other fallback.  None of the fallbacks compiles anything at
+    registration.  ``group_key`` is the coalescing
     identity: two registrations whose batched templates share fingerprints,
     observables and config-minus-seed coalesce into the same flushes (the
     per-request seed lives in each :class:`FlushRequest`, never in the key).
@@ -114,12 +118,12 @@ def build_artifacts(
     fingerprint-keyed parametric cache, so identical templates across
     registrations -- or service restarts in one process -- hit)."""
     template = encoding_template(rows, strategy.num_qubits)
-    fast_path = sweep_mode(strategy, cfg) == "batched"
-    programs = (
-        sweep_programs(strategy, cfg, template)
-        if fast_path
-        else unbound_programs(strategy)
-    )
+    mode, programs = sweep_route(strategy, cfg)
+    fast_path = mode == "batched"
+    if fast_path:
+        programs = sweep_programs(strategy, cfg, template)
+    elif programs is None:
+        programs = unbound_programs(strategy)
     observables = tuple(strategy.observables())
     fingerprints = tuple(
         template_fingerprint(extend_template(template, bound_ansatz(strategy, params)))

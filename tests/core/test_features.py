@@ -162,8 +162,12 @@ def test_validation(angles):
             ExecutionConfig(vectorize="auto"), "batched", id="single-instance-batched",
         ),
         pytest.param(
+            HybridStrategy(order=1, locality=1, base_parameters=np.full(8, 0.3)),
+            ExecutionConfig(vectorize="auto"), "shared_encoder", id="shared-encoder",
+        ),
+        pytest.param(
             HybridStrategy(order=1, locality=1), ExecutionConfig(vectorize="auto"),
-            "shared_encoder", id="shared-encoder",
+            "pauli", id="pauli",
         ),
         pytest.param(
             HybridStrategy(order=1, locality=1),
@@ -174,10 +178,13 @@ def test_validation(angles):
 )
 def test_zero_row_batch_rejected_on_every_path(strategy, config, mode):
     assert sweep_mode(strategy, config) == mode
+    empty = np.zeros((0, 4, 4))
+    with pytest.raises(ValueError, match=r"no rows: got shape \(0, 4, 4\)"):
+        generate_features(strategy, empty, config=config)
     # shots=0 fails preflight (RPA106): the row check must come first.
     config = config.merged(estimator="shots", shots=0, preflight="error")
     with pytest.raises(ValueError, match=r"no rows: got shape \(0, 4, 4\)"):
-        generate_features(strategy, np.zeros((0, 4, 4)), config=config)
+        generate_features(strategy, empty, config=config)
 
 
 # ---------------------------------------------------------------- streaming

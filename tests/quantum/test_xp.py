@@ -396,14 +396,15 @@ def test_sweep_results_identical_across_spellings():
         ("statevector", "batched"),
         ("density", "batched"),
         ("statevector", "shared_encoder"),
+        ("statevector", "pauli"),
         ("statevector", "prepared"),
     ],
 )
 def test_torch_sweep_matches_numpy(backend, mode):
-    """Every sweep mode under torch matches NumPy.  The multi-instance
-    modes evolve through ``CompiledCircuit.apply`` under torch on the very
-    programs the NumPy sweep just cached: compiled programs carry no
-    namespace."""
+    """Every sweep mode under torch matches NumPy.  The shared-encoder and
+    prepared modes evolve through ``CompiledCircuit.apply`` under torch on
+    the very programs the NumPy sweep just cached: compiled programs carry
+    no namespace.  The Pauli engine is NumPy-only whatever the namespace."""
     rng = np.random.default_rng(10)
     angles = rng.uniform(0, 2 * np.pi, size=(6, 2, 2))
     exec_backend = (
@@ -415,11 +416,16 @@ def test_torch_sweep_matches_numpy(backend, mode):
         strategy = ObservableConstruction(qubits=2, locality=1)
         knobs = {"vectorize": "auto"}
     else:
-        strategy = AnsatzExpansion(circuit=fig8_ansatz(2, 1), order=1)
+        # Nonzero base parameters make the instances non-Clifford, which
+        # keeps the shared-encoder ensemble off the Pauli engine.
+        base = np.array([0.3, -0.2]) if mode == "shared_encoder" else None
+        strategy = AnsatzExpansion(
+            circuit=fig8_ansatz(2, 1), order=1, base_parameters=base
+        )
         knobs = (
-            {"vectorize": "auto"}
-            if mode == "shared_encoder"
-            else {"vectorize": "off", "compile": "auto"}
+            {"vectorize": "off", "compile": "auto"}
+            if mode == "prepared"
+            else {"vectorize": "auto"}
         )
     reference_cfg = ExecutionConfig(
         backend=exec_backend, array_backend="numpy", **knobs

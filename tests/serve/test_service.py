@@ -414,3 +414,52 @@ def test_stop_is_idempotent():
         assert service.closed
 
     asyncio.run(main())
+
+
+def test_pauli_template_admitted_at_its_standalone_sweep_cost(monkeypatch):
+    """A multi-instance Clifford template runs the Pauli engine per request,
+    so admission prices it as that standalone sweep -- below the price of
+    the same jobs as statevector evolutions."""
+    from repro.core.features import generate_features, sweep_mode, unbound_programs
+    from repro.serve.fairness import AdmissionController
+
+    execution = ExecutionConfig(vectorize="auto", compile="auto", seed=7)
+    strategy = strategy_from_name("ansatz", num_qubits=QUBITS, layers=1, order=1)
+    assert sweep_mode(strategy, execution) == "pauli"
+    x = angles(k=3)
+
+    plans: list[SweepPlan] = []
+    real_build = SweepPlan.build.__func__
+
+    def recording_build(cls, *args, **kwargs):
+        plans.append(real_build(cls, *args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(SweepPlan, "build", classmethod(recording_build))
+    standalone = generate_features(strategy, x, config=execution)
+    standalone_cost = float(np.sum(plans[0].costs))
+
+    admitted: list[float] = []
+    real_acquire = AdmissionController.try_acquire
+
+    def recording_acquire(self, tenant, cost=0.0):
+        admitted.append(cost)
+        return real_acquire(self, tenant, cost)
+
+    monkeypatch.setattr(AdmissionController, "try_acquire", recording_acquire)
+
+    async def main():
+        service = FeatureService(
+            ServeConfig(batch_window_ms=2.0, pool="serial", execution=execution)
+        )
+        service.register("shifted", strategy, rows=ROWS)
+        async with service:
+            return await service.submit("shifted", x)
+
+    served = asyncio.run(main())
+    assert np.array_equal(served, standalone)
+    assert admitted == [standalone_cost]
+    statevector_plan = real_build(
+        SweepPlan, strategy, execution, len(x), unbound_programs(strategy), 7
+    )
+    assert standalone_cost < float(np.sum(statevector_plan.costs))
