@@ -21,6 +21,7 @@ import time
 
 import numpy as np
 
+from repro.api import QuantumDevice
 from repro.core.pipeline import PIPELINE_DEFAULT_CONFIG, HybridPipeline
 from repro.core.strategies import HybridStrategy
 from repro.hpc.cluster import ClusterModel, NodeSpec, strong_scaling, weak_scaling
@@ -97,8 +98,9 @@ def test_real_executor_smoke(benchmark, small_split):
         with ExecutionRuntime("thread", 4) as runtime:
             pipe = HybridPipeline(
                 strategy=HybridStrategy(order=1, locality=1),
-                executor=runtime,
-                config=PIPELINE_DEFAULT_CONFIG.merged(chunk_size=25),
+                device=QuantumDevice(
+                    PIPELINE_DEFAULT_CONFIG.merged(chunk_size=25), runtime=runtime
+                ),
             )
             start = time.perf_counter()
             pipe.fit(small_split.x_train, small_split.y_train)

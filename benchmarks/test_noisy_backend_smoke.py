@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api import ExecutionConfig
+from repro.api import ExecutionConfig, QuantumDevice
 from repro.core.pipeline import PIPELINE_DEFAULT_CONFIG, HybridPipeline
 from repro.core.strategies import ObservableConstruction
 from repro.hpc.runtime import ExecutionRuntime
@@ -42,19 +42,17 @@ def test_noisy_pipeline_streams_through_process_pool():
 
     with ExecutionRuntime("process", 2, start_method="spawn") as runtime:
         # Exact Kraus evolution => serial and pooled sweeps are bit-identical.
-        q = generate_features(
-            strategy,
-            angles,
-            executor=runtime,
-            config=ExecutionConfig(backend=backend, dispatch_policy="lpt", chunk_size=CHUNK),
-        )
+        cfg = ExecutionConfig(backend=backend, dispatch_policy="lpt", chunk_size=CHUNK)
+        q = generate_features(strategy, angles, device=QuantumDevice(cfg, runtime=runtime))
         assert np.array_equal(q, reference)
 
         pipeline = HybridPipeline(
             strategy=strategy,
-            executor=runtime,
-            config=PIPELINE_DEFAULT_CONFIG.merged(
-                backend=backend, chunk_size=CHUNK, dispatch_policy="lpt"
+            device=QuantumDevice(
+                PIPELINE_DEFAULT_CONFIG.merged(
+                    backend=backend, chunk_size=CHUNK, dispatch_policy="lpt"
+                ),
+                runtime=runtime,
             ),
         ).fit(angles, y)
         preds = pipeline.predict(angles)
@@ -76,10 +74,6 @@ def test_mitigated_backend_through_process_pool():
         strategy, angles, config=ExecutionConfig(backend=backend, chunk_size=CHUNK)
     )
     with ExecutionRuntime("process", 2, start_method="spawn") as runtime:
-        q = generate_features(
-            strategy,
-            angles,
-            executor=runtime,
-            config=ExecutionConfig(backend=backend, dispatch_policy="lpt", chunk_size=CHUNK),
-        )
+        cfg = ExecutionConfig(backend=backend, dispatch_policy="lpt", chunk_size=CHUNK)
+        q = generate_features(strategy, angles, device=QuantumDevice(cfg, runtime=runtime))
     assert np.array_equal(q, reference)

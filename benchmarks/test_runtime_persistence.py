@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import env_flag, write_bench_record
-from repro.api import ExecutionConfig
+from repro.api import ExecutionConfig, QuantumDevice
 from repro.core.ansatz import hardware_efficient_ansatz
 from repro.core.features import evaluate_features
 from repro.core.strategies import AnsatzExpansion
@@ -54,12 +54,8 @@ def build_workload():
 
 
 def sweep(strategy, states, runtime):
-    return evaluate_features(
-        strategy,
-        states,
-        executor=runtime,
-        config=ExecutionConfig(chunk_size=CHUNK, compile="auto", dispatch_policy="lpt"),
-    )
+    cfg = ExecutionConfig(chunk_size=CHUNK, compile="auto", dispatch_policy="lpt")
+    return evaluate_features(strategy, states, device=QuantumDevice(cfg, runtime=runtime))
 
 
 def run_benchmark():

@@ -6,7 +6,8 @@ deadlines) costs framing and loopback copies but not batching -- requests
 arriving over the wire coalesce in the same ``MicroBatcher`` flushes as
 in-process ones, so the stacked-pass amortization survives the hop.
 Measured as the same closed-loop load test as ``test_serve_load``, run
-once through :class:`~repro.serve.client.InProcessTransport` and once
+once on the :class:`~repro.serve.service.FeatureService` itself (the
+in-process transport) and once
 through :class:`~repro.serve.transport.TcpTransport` against a real
 ``asyncio.start_server`` loopback socket, with the acceptance bar that
 the socket path stays within 1.5x of in-process throughput on the
@@ -32,13 +33,7 @@ from benchmarks.conftest import env_flag, write_bench_record
 from repro.api import ExecutionConfig, ServeConfig
 from repro.core.features import generate_features
 from repro.core.strategies import strategy_from_name
-from repro.serve import (
-    FeatureServer,
-    FeatureService,
-    InProcessTransport,
-    TcpTransport,
-    run_load,
-)
+from repro.serve import FeatureServer, FeatureService, TcpTransport, run_load
 
 SMOKE = env_flag("TRANSPORT_BENCH_SMOKE")
 
@@ -80,7 +75,7 @@ def drive_in_process():
         service = build_service()
         async with service:
             report = await run_load(
-                InProcessTransport(service),
+                service,
                 requests=REQUESTS,
                 concurrency=CONCURRENCY,
                 samples=1,

@@ -34,9 +34,9 @@ def main() -> None:
 
     # 4. The same split, sklearn-style: QuantumFeatureMap is a fit/transform
     #    transformer, so the quantum features compose with any classical head.
-    with QuantumFeatureMap(strategy, config=ExecutionConfig(compile="auto")) as fmap:
-        q_train = fmap.fit_transform(split.x_train)
-        q_test = fmap.transform(split.x_test)
+    fmap = QuantumFeatureMap(strategy, config=ExecutionConfig(compile="auto"))
+    q_train = fmap.fit_transform(split.x_train)
+    q_test = fmap.transform(split.x_test)
     head = LogisticRegression().fit(q_train, split.y_train)
     print(f"feature-map + logistic test acc: "
           f"{accuracy(split.y_test, head.predict(q_test)):.3f}")

@@ -6,9 +6,10 @@ Shows the serving layer end to end:
    templates (a locality-2 observable map and a hybrid strategy), exposed
    over a real TCP socket by :class:`FeatureServer`;
 2. two tenants with 3:1 fairness weights submitting concurrent bursts
-   through transport-agnostic :class:`FeatureClient` handles -- one on
-   the in-process transport, one through a socket client speaking the
-   length-prefixed wire protocol;
+   through the :class:`~repro.serve.client.Transport` interface, naming
+   their tenant on each call -- one on the service itself (the in-process
+   transport), one through a socket client speaking the length-prefixed
+   wire protocol;
 3. requests sharing a template coalesce into stacked flushes (watch
    ``coalesce_ratio``) *across both transports*, repeated inputs hit the
    result cache, and every response stays bit-equal to a standalone
@@ -27,13 +28,7 @@ import numpy as np
 from repro.api import ExecutionConfig, ServeConfig
 from repro.core import HybridStrategy, ObservableConstruction
 from repro.core.features import generate_features
-from repro.serve import (
-    FeatureClient,
-    FeatureServer,
-    FeatureService,
-    InProcessTransport,
-    TcpTransport,
-)
+from repro.serve import FeatureServer, FeatureService, TcpTransport, Transport
 
 QUBITS = 4
 ROWS = 2
@@ -63,11 +58,13 @@ def build_service() -> FeatureService:
     return service
 
 
-async def tenant_burst(client: FeatureClient, template: str, n: int, seed: int):
+async def tenant_burst(
+    transport: Transport, tenant: str, template: str, n: int, seed: int
+):
     rng = np.random.default_rng(seed)
     inputs = [rng.uniform(0, np.pi, size=(2, ROWS, QUBITS)) for _ in range(n)]
     responses = await asyncio.gather(
-        *(client.features(template, x) for x in inputs)
+        *(transport.submit(template, x, tenant=tenant) for x in inputs)
     )
     return inputs, responses
 
@@ -77,22 +74,20 @@ async def main() -> None:
     async with service, FeatureServer(service) as server:
         host, port = server.address
         tcp = await TcpTransport.connect(host, port)
-        # Transport-agnostic clients: team-a stays in process, team-b
-        # rides the wire protocol -- the call surface is identical.
-        team_a = FeatureClient(transport=InProcessTransport(service), tenant="team-a")
-        team_b = FeatureClient(transport=tcp, tenant="team-b")
+        # One call surface, two transports: team-a calls the service in
+        # process, team-b rides the wire protocol.
 
         # Concurrent bursts from both tenants over both templates: requests
         # that share a template fingerprint fuse into one stacked pass,
         # socket and in-process traffic coalescing together.
         (a_in, a_out), (b_in, b_out) = await asyncio.gather(
-            tenant_burst(team_a, "fashion-observable", 8, seed=1),
-            tenant_burst(team_b, "fashion-observable", 8, seed=2),
+            tenant_burst(service, "team-a", "fashion-observable", 8, seed=1),
+            tenant_burst(tcp, "team-b", "fashion-observable", 8, seed=2),
         )
-        await tenant_burst(team_b, "fashion-hybrid", 4, seed=3)
+        await tenant_burst(tcp, "team-b", "fashion-hybrid", 4, seed=3)
 
         # Resubmitting an earlier input is a result-cache hit, bit-equal.
-        again = await team_a.features("fashion-observable", a_in[0])
+        again = await service.submit("fashion-observable", a_in[0], tenant="team-a")
         assert np.array_equal(again, a_out[0])
 
         # The bit-equality contract: a served response IS the standalone

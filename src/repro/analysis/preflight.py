@@ -102,16 +102,7 @@ def run_preflight(
     if mode == "off":
         return DiagnosticReport()
     report = lint_config(config, num_qubits=num_qubits)
-    noise_model = _backend_noise_model(config)
-    for circuit in circuits:
-        report = report + lint_circuit(circuit, noise_model=noise_model)
-    if mode == "error" and not report.ok:
-        raise PreflightError(report, owner)
-    for diagnostic in report:
-        warnings.warn(
-            f"{owner}: {diagnostic.render()}", PreflightWarning, stacklevel=3
-        )
-    return report
+    return _enforce(report, mode, config, circuits, owner)
 
 
 def run_serve_preflight(
@@ -136,6 +127,18 @@ def run_serve_preflight(
     if mode == "off":
         return DiagnosticReport()
     report = lint_serve_config(config, num_qubits=num_qubits)
+    return _enforce(report, mode, execution, circuits, owner)
+
+
+def _enforce(
+    report: DiagnosticReport, mode: str, execution: ExecutionConfig,
+    circuits: Iterable[Circuit], owner: str,
+) -> DiagnosticReport:
+    """Both pre-flights' tail: add the program lint of ``circuits`` to
+    ``report``, then raise (mode ``"error"``) or warn per finding.
+    ``stacklevel=4`` points a warning at the call of whatever ran the
+    preflight (``generate_features``' ``_run_preflight(...)`` line, the
+    caller of ``FeatureService.register``)."""
     noise_model = _backend_noise_model(execution)
     for circuit in circuits:
         report = report + lint_circuit(circuit, noise_model=noise_model)
@@ -143,6 +146,6 @@ def run_serve_preflight(
         raise PreflightError(report, owner)
     for diagnostic in report:
         warnings.warn(
-            f"{owner}: {diagnostic.render()}", PreflightWarning, stacklevel=3
+            f"{owner}: {diagnostic.render()}", PreflightWarning, stacklevel=4
         )
     return report

@@ -10,13 +10,15 @@ transformer:
 * :class:`QuantumDevice` -- a context-managed session binding a config to
   a persistent :class:`~repro.hpc.runtime.ExecutionRuntime` (pool reuse
   across sweeps, ``run``/``evaluate``/``stream``, explicit close);
-* :class:`QuantumFeatureMap` -- ``fit``/``transform`` over a device so
-  quantum features compose with any classical head.
+* :class:`QuantumFeatureMap` -- ``fit``/``transform`` over the feature
+  sweep so quantum features compose with any classical head.
 
 Every feature entry point (``generate_features``, ``evaluate_features``,
-``iter_feature_blocks``, ``HybridPipeline``, ``PostVariational*``,
-``generate_features_spmd``, the CLI) is configured by ``config=`` /
-``device=`` and nothing else.
+``iter_feature_blocks``, ``prepare_states``, ``HybridPipeline``,
+``PostVariational*``, ``generate_features_spmd``, the CLI) is configured
+by ``config=`` / ``device=`` and nothing else; a runtime the caller
+already holds binds through ``QuantumDevice(cfg, runtime=rt)``, which
+shares it and never shuts it down.
 
 ``QuantumDevice`` and ``QuantumFeatureMap`` are loaded lazily (PEP 562) so
 that ``repro.core`` modules can import :mod:`repro.api.config` while this

@@ -11,8 +11,8 @@ configuration the same way.
 This module is the validation root: :func:`check_regime` (estimator x
 backend compatibility) and :func:`resolve_chunk_size` (work-grid
 granularity) live here and are re-exported by :mod:`repro.core.features`.
-:func:`resolve_call` arbitrates between an entry point's ``config=``,
-``device=`` and ``executor=`` arguments, the only ways to configure a sweep.
+:func:`resolve_call` arbitrates between an entry point's ``config=`` and
+``device=`` arguments, the only ways to configure a sweep.
 """
 
 from __future__ import annotations
@@ -626,28 +626,24 @@ SERVE_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ServeConfig))
 def resolve_call(
     config: ExecutionConfig | None,
     device: Any,
-    executor: Any,
     *,
     owner: str,
     defaults: ExecutionConfig | None = None,
 ) -> tuple[ExecutionConfig, Any]:
-    """Resolve one entry-point call to ``(ExecutionConfig, executor)``.
+    """Resolve one entry-point call to ``(ExecutionConfig, runtime)``.
 
     Exactly one configuration source wins:
 
-    * ``device=`` -- supplies both config and runtime; combining it with
-      ``config=`` or ``executor=`` is ambiguous and raises;
-    * ``config=`` -- used as-is, with the caller's ``executor``;
+    * ``device=`` -- supplies both config and runtime (the device's
+      :class:`~repro.hpc.runtime.ExecutionRuntime`); combining it with
+      ``config=`` is ambiguous and raises;
+    * ``config=`` -- used as-is; the runtime is ``None`` (inline serial);
     * neither -- ``defaults`` (the entry point's own defaults;
-      ``ExecutionConfig()`` when omitted).
+      ``ExecutionConfig()`` when omitted), inline serial.
     """
     if device is not None:
         if config is not None:
             raise TypeError(f"{owner}: pass config= or device=, not both")
-        if executor is not None:
-            raise TypeError(
-                f"{owner}: device= already binds a runtime; do not pass executor= too"
-            )
         # Structural check instead of isinstance (no import cycle on the
         # device module), but strict enough to reject the plausible mix-ups
         # -- an ExecutionRuntime (no ExecutionConfig) or a pipeline/feature
@@ -662,9 +658,9 @@ def resolve_call(
             )
         return device.config, device.runtime
     if config is None:
-        return (defaults if defaults is not None else ExecutionConfig()), executor
+        return (defaults if defaults is not None else ExecutionConfig()), None
     if not isinstance(config, ExecutionConfig):
         raise TypeError(
             f"{owner}: config must be an ExecutionConfig, got {config!r}"
         )
-    return config, executor
+    return config, None

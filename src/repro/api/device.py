@@ -10,7 +10,8 @@ deployment implies -- one QPU-driving process per allocation, many sweeps
 
 Every feature entry point accepts ``device=`` directly, so a device also
 serves as the single argument threading a session through pipelines and
-models::
+models; it is the only way to run a sweep on a pool (``runtime=`` binds
+one the caller already holds)::
 
     cfg = ExecutionConfig(estimator="shots", shots=256, dispatch_policy="lpt",
                           vectorize="auto")  # batched structure-shared sweeps
@@ -182,12 +183,7 @@ class QuantumDevice:
         from repro.core.features import prepare_states
 
         self._check_open()
-        return prepare_states(
-            self.config.backend,
-            np.asarray(angles, dtype=float),
-            executor=self._runtime,
-            chunk_size=self.config.chunk_size,
-        )
+        return prepare_states(angles, device=self)
 
     def run(
         self,
@@ -205,12 +201,7 @@ class QuantumDevice:
 
         self._check_open()
         return generate_features(
-            strategy,
-            angles,
-            executor=self._runtime,
-            out=out,
-            return_report=True,
-            config=self.config,
+            strategy, angles, out=out, return_report=True, device=self
         )
 
     def evaluate(
@@ -226,12 +217,7 @@ class QuantumDevice:
 
         self._check_open()
         return evaluate_features(
-            strategy,
-            states,
-            executor=self._runtime,
-            out=out,
-            return_report=return_report,
-            config=self.config,
+            strategy, states, out=out, return_report=return_report, device=self
         )
 
     def stream(self, strategy: Any, states: np.ndarray) -> Iterator[tuple]:
@@ -239,9 +225,7 @@ class QuantumDevice:
         from repro.core.features import iter_feature_blocks
 
         self._check_open()
-        return iter_feature_blocks(
-            strategy, states, executor=self._runtime, config=self.config
-        )
+        return iter_feature_blocks(strategy, states, device=self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self.closed else "open"

@@ -25,18 +25,19 @@ import numpy as np
 
 from repro.api.config import ExecutionConfig
 from repro.api.device import QuantumDevice
+from repro.core.features import generate_features
 from repro.hpc.runtime import DispatchReport
 
 __all__ = ["QuantumFeatureMap"]
 
 
 class QuantumFeatureMap:
-    """sklearn-style transformer over a :class:`QuantumDevice` session.
+    """sklearn-style transformer over the :func:`generate_features` sweep.
 
     Exactly one of ``config`` / ``device`` configures execution (neither
-    means the ideal-statevector defaults).  A caller-supplied device is
-    shared, never closed from here; a config-built device is owned and
-    released by :meth:`close` (or the ``with`` block).
+    means the ideal-statevector defaults), read at every ``transform``.  A
+    ``config`` sweep runs inline serial; a :class:`QuantumDevice` runs on
+    its session pool and stays the caller's to close.
     """
 
     def __init__(
@@ -53,8 +54,6 @@ class QuantumFeatureMap:
         self.strategy = strategy
         self.config = config
         self.device = device
-        self._owned_device: QuantumDevice | None = None
-        self._owned_config: ExecutionConfig | None = None
         self.n_features_in_: int | None = None
         self.last_report_: DispatchReport | None = None
 
@@ -96,35 +95,6 @@ class QuantumFeatureMap:
             dtype=object,
         )
 
-    # --------------------------------------------------------------- lifecycle
-    def _active_device(self) -> QuantumDevice:
-        if self.device is not None:
-            return self.device
-        # Rebuild the owned session when missing, closed, or stale -- a
-        # set_params(config=...) between transforms must take effect (the
-        # sklearn contract), not silently keep the old config's device.
-        if (
-            self._owned_device is None
-            or self._owned_device.closed
-            or self._owned_config is not self.config
-        ):
-            self.close()
-            self._owned_device = QuantumDevice(self.config)
-            self._owned_config = self.config
-        return self._owned_device
-
-    def close(self) -> None:
-        """Release the owned device session (shared devices are untouched)."""
-        if self._owned_device is not None:
-            self._owned_device.close()
-            self._owned_device = None
-
-    def __enter__(self) -> QuantumFeatureMap:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # ------------------------------------------------------------- validation
     def _as_angles(self, X: np.ndarray) -> np.ndarray:
         """Coerce 2-D (sklearn) or 3-D (native) input to ``(d, rows, cols)``."""
@@ -164,8 +134,9 @@ class QuantumFeatureMap:
                 f"X has {width} features per sample, but QuantumFeatureMap was "
                 f"fitted with {self.n_features_in_}"
             )
-        q_matrix, report = self._active_device().run(self.strategy, angles)
-        self.last_report_ = report
+        q_matrix, self.last_report_ = generate_features(
+            self.strategy, angles, return_report=True, config=self.config, device=self.device
+        )
         return q_matrix
 
     def fit_transform(self, X: np.ndarray, y: Any = None) -> np.ndarray:

@@ -27,7 +27,6 @@ from repro.core.features import generate_features
 from repro.core.strategies import Strategy
 from repro.hpc.comm import Communicator
 from repro.hpc.partition import block_partition
-from repro.hpc.runtime import ExecutionRuntime
 from repro.ml.losses import sigmoid
 
 __all__ = ["generate_features_spmd", "fit_logistic_spmd", "SpmdFitResult"]
@@ -39,7 +38,6 @@ def generate_features_spmd(
     angles: np.ndarray,
     *,
     allgather: bool = False,
-    executor: ExecutionRuntime | None = None,
     config: ExecutionConfig | None = None,
     device=None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -57,13 +55,13 @@ def generate_features_spmd(
     real cluster with per-node RNGs).  The exact estimator is independent
     of the rank count.
 
-    ``executor`` (or a device's runtime) lets each rank drive a
-    *persistent* node-local runtime (hybrid MPI x pool parallelism): the
-    pool survives across repeated collective sweeps instead of being
-    rebuilt per call, and ``config.dispatch_policy`` orders the rank-local
-    submission queue.
+    A device (``QuantumDevice(cfg, pool=...)``, or ``runtime=`` for a
+    caller-owned pool) lets each rank drive a *persistent* node-local
+    runtime (hybrid MPI x pool parallelism): the pool survives across
+    repeated collective sweeps instead of being rebuilt per call, and
+    ``config.dispatch_policy`` orders the rank-local submission queue.
     """
-    cfg, executor = resolve_call(config, device, executor, owner="generate_features_spmd")
+    cfg, _ = resolve_call(config, device, owner="generate_features_spmd")
     if not isinstance(cfg.seed, (int, np.integer)):
         raise ValueError(
             f"generate_features_spmd derives per-rank seeds and needs an int "
@@ -71,16 +69,16 @@ def generate_features_spmd(
         )
     angles = np.asarray(angles, dtype=float)
     rows = block_partition(angles.shape[0], comm.size)[comm.rank]
-    block = (
-        generate_features(
-            strategy,
-            angles[rows],
-            executor=executor,
-            config=cfg.merged(seed=int(cfg.seed) + int(rows[0])),
+    if rows.size:
+        seed = int(cfg.seed) + int(rows[0])
+        source = (
+            {"config": cfg.merged(seed=seed)}
+            if device is None
+            else {"device": device.reconfigured(seed=seed)}
         )
-        if rows.size
-        else np.empty((0, strategy.num_features))
-    )
+        block = generate_features(strategy, angles[rows], **source)
+    else:
+        block = np.empty((0, strategy.num_features))
     if not allgather:
         return rows, block
     gathered = comm.allgather((rows, block))

@@ -28,8 +28,10 @@ the same stream to incremental consumers.
 
 Execution is configured through the unified API (:mod:`repro.api`): every
 entry point takes ``config=`` (an
-:class:`~repro.api.config.ExecutionConfig`) or ``device=`` (a
-:class:`~repro.api.device.QuantumDevice` session).  The regime itself is a
+:class:`~repro.api.config.ExecutionConfig`, run inline serial) or
+``device=`` (a :class:`~repro.api.device.QuantumDevice` session, run on
+its pool; ``QuantumDevice(cfg, runtime=rt)`` binds a runtime the caller
+already holds).  The regime itself is a
 :class:`~repro.quantum.backends.QuantumBackend` (``config.backend``): ideal
 statevector (default, compiled engine), noisy density-matrix (gate-level
 Kraus) or ZNE-mitigated -- every backend runs through the *same* job grid,
@@ -489,11 +491,6 @@ def feature_circuit_tasks(
     return tasks
 
 
-def _resolve_runtime(executor: ExecutionRuntime | None) -> ExecutionRuntime:
-    """The caller's runtime, or an inline serial one for ``None``."""
-    return ExecutionRuntime() if executor is None else executor
-
-
 class _PrepareWorker:
     """Picklable chunked state preparation for expensive backends."""
 
@@ -505,27 +502,34 @@ class _PrepareWorker:
 
 
 def prepare_states(
-    backend: QuantumBackend | None,
     angles: np.ndarray,
-    executor: ExecutionRuntime | None = None,
-    chunk_size: int | None = None,
+    *,
+    config: ExecutionConfig | None = None,
+    device=None,
 ) -> np.ndarray:
-    """Encode ``angles`` into the backend's prepared representation.
+    """Encode ``angles`` into ``config.backend``'s prepared representation.
 
+    Configured like :func:`generate_features` (``config=`` / ``device=``).
     Backends whose preparation evolves a circuit per sample (density,
     mitigated: O(4^n) Kraus work each) fan the encoder stage out over the
-    same executor as the sweep itself, chunked like the job grid -- the
-    parallelism the retired noisy fork had, kept.  The statevector
+    device's runtime, chunked like the job grid.  The statevector
     backend's vectorised ``encode_batch`` stays a single in-process call.
     """
-    backend = resolve_backend(backend)
-    chunk_size = resolve_chunk_size(chunk_size, backend)
-    chunks = chunk_ranges(angles.shape[0], chunk_size)
+    cfg, runtime = resolve_call(config, device, owner="prepare_states")
+    return _prepare(np.asarray(angles, dtype=float), cfg, runtime)
+
+
+def _prepare(
+    angles: np.ndarray, cfg: ExecutionConfig, runtime: ExecutionRuntime | None
+) -> np.ndarray:
+    """:func:`prepare_states` for an already-resolved call."""
+    backend = cfg.backend
+    chunks = chunk_ranges(angles.shape[0], cfg.resolved_chunk_size)
     if not backend.parallel_prepare or len(chunks) <= 1:
         return backend.prepare(angles)
-    parts = _resolve_runtime(executor).map(
-        _PrepareWorker(backend), [angles[lo:hi] for lo, hi in chunks]
-    )
+    if runtime is None:  # config= runs inline serial
+        runtime = ExecutionRuntime()
+    parts = runtime.map(_PrepareWorker(backend), [angles[lo:hi] for lo, hi in chunks])
     return np.concatenate(parts, axis=0)
 
 
@@ -534,7 +538,7 @@ def _sweep_stream(
     payload: np.ndarray,
     cfg: ExecutionConfig,
     programs: list,
-    executor: ExecutionRuntime | None,
+    runtime: ExecutionRuntime | None,
     records: list[TaskCompletion] | None,
 ) -> tuple[Iterator[TaskCompletion], tuple[float, ...], ExecutionRuntime]:
     """Shared sweep setup: completion stream, cost vector, runtime.
@@ -548,7 +552,8 @@ def _sweep_stream(
     way every time, so the paths are directly comparable estimator by
     estimator.
     """
-    runtime = _resolve_runtime(executor)
+    if runtime is None:  # config= runs inline serial
+        runtime = ExecutionRuntime()
     plan = SweepPlan.build(strategy, cfg, payload.shape[0], programs, cfg.seed)
     # Each task ships its own chunk (a view in-process; O(chunk) pickled
     # bytes for process pools) instead of the whole prepared batch.
@@ -569,7 +574,6 @@ def generate_features(
     strategy: Strategy,
     angles: np.ndarray,
     *,
-    executor: ExecutionRuntime | None = None,
     out: np.ndarray | None = None,
     return_report: bool = False,
     config: ExecutionConfig | None = None,
@@ -579,17 +583,15 @@ def generate_features(
 
     ``angles`` is (d, rows, cols) with cols == strategy.num_qubits; returns
     (d, m).  Execution is configured by ``config=`` (an
-    :class:`~repro.api.config.ExecutionConfig`) or ``device=`` (a
-    :class:`~repro.api.device.QuantumDevice`, which also supplies the
-    runtime); with neither, the config defaults apply (exact estimator,
-    ideal statevector backend, ``compile="off"`` -- the naive reference
-    semantics bit-for-bit).  A batch with no rows (d == 0) is rejected.
-
-    ``executor`` binds the dispatch runtime (None for inline serial) and
-    may accompany ``config=``; the runtime belongs to the caller and is
-    never shut down here.  With ``return_report=True`` the
-    measured-vs-projected :class:`~repro.hpc.runtime.DispatchReport` is
-    returned alongside Q.
+    :class:`~repro.api.config.ExecutionConfig`; the sweep runs inline
+    serial) or ``device=`` (a :class:`~repro.api.device.QuantumDevice`,
+    which also supplies the runtime: ``QuantumDevice(cfg, runtime=rt)``
+    binds a caller-owned pool, never shut down here); with neither, the
+    config defaults apply (exact estimator, ideal statevector backend,
+    ``compile="off"`` -- the naive reference semantics bit-for-bit).  A
+    batch with no rows (d == 0) or a non-finite angle is rejected.  With
+    ``return_report=True`` the measured-vs-projected
+    :class:`~repro.hpc.runtime.DispatchReport` is returned alongside Q.
 
     With ``config.vectorize="auto"`` (and a backend that supports it) the
     sweep runs batched: encoding and Ansatz evolution happen in one
@@ -599,7 +601,7 @@ def generate_features(
     job grid, same per-task seeds, numerically equal to the per-sample
     oracle to <= 1e-10.
     """
-    cfg, executor = resolve_call(config, device, executor, owner="generate_features")
+    cfg, runtime = resolve_call(config, device, owner="generate_features")
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 3:
         raise ValueError("angles must be (d, rows, cols)")
@@ -609,6 +611,8 @@ def generate_features(
         )
     if angles.shape[0] == 0:
         raise ValueError(f"angles has no rows: got shape {angles.shape}")
+    if not np.isfinite(angles).all():
+        raise ValueError("angles must be finite: got NaN or inf")
     from repro.data.encoding import encoding_template
 
     template = encoding_template(angles.shape[1], angles.shape[2])
@@ -618,7 +622,7 @@ def generate_features(
         # The encoder prepares a product state, so its per-qubit Bloch
         # vectors are the whole payload: no state is evolved or measured.
         return _assemble_features(
-            strategy, bloch_vectors(template, angles), cfg, programs, executor,
+            strategy, bloch_vectors(template, angles), cfg, programs, runtime,
             out, return_report,
         )
     if mode == "batched":
@@ -626,7 +630,7 @@ def generate_features(
         # every job encodes and evolves its raw angle chunk.
         return _assemble_features(
             strategy, angles, cfg, sweep_programs(strategy, cfg, template),
-            executor, out, return_report,
+            runtime, out, return_report,
         )
     if mode == "shared_encoder":
         # One batched-encoder pass (per-qubit angle chains: ~rows fewer
@@ -640,17 +644,11 @@ def generate_features(
         states = compile_parametric(template, max_width=width).apply_batch(angles, xp=xp)
         return _assemble_features(
             strategy, states, cfg, sweep_programs(strategy, cfg.merged(compile=width)),
-            executor, out, return_report,
+            runtime, out, return_report,
         )
-    states = prepare_states(cfg.backend, angles, executor, cfg.chunk_size)
-    return evaluate_features(
-        strategy,
-        states,
-        executor=executor,
-        out=out,
-        return_report=return_report,
-        # Preflight already ran above; don't lint (and warn) twice.
-        config=cfg.merged(preflight="off"),
+    return _assemble_features(
+        strategy, _prepare(angles, cfg, runtime), cfg, sweep_programs(strategy, cfg),
+        runtime, out, return_report,
     )
 
 
@@ -658,7 +656,6 @@ def evaluate_features(
     strategy: Strategy,
     states: np.ndarray,
     *,
-    executor: ExecutionRuntime | None = None,
     out: np.ndarray | None = None,
     return_report: bool = False,
     config: ExecutionConfig | None = None,
@@ -672,7 +669,7 @@ def evaluate_features(
     encoder-stage noise too).
 
     Execution is configured exactly as in :func:`generate_features`
-    (``config=`` / ``device=``, optional caller-owned ``executor=``).
+    (``config=`` / ``device=``).
 
     Assembly is streaming: blocks land in the (optionally caller-supplied)
     preallocated ``out`` matrix as their futures resolve, in completion
@@ -683,11 +680,11 @@ def evaluate_features(
     (one :class:`CompiledCircuit` pass per job); only the raw-angle entry
     point :func:`generate_features` can fold encoding into the stacked pass.
     """
-    cfg, executor = resolve_call(config, device, executor, owner="evaluate_features")
+    cfg, runtime = resolve_call(config, device, owner="evaluate_features")
     _run_preflight(strategy, None, cfg, owner="evaluate_features")
     states = cfg.backend.coerce_states(np.asarray(states))
     return _assemble_features(
-        strategy, states, cfg, sweep_programs(strategy, cfg), executor, out, return_report
+        strategy, states, cfg, sweep_programs(strategy, cfg), runtime, out, return_report
     )
 
 
@@ -696,7 +693,7 @@ def _assemble_features(
     payload: np.ndarray,
     cfg: ExecutionConfig,
     programs: list,
-    executor: ExecutionRuntime | None,
+    runtime: ExecutionRuntime | None,
     out: np.ndarray | None,
     return_report: bool,
 ) -> np.ndarray | tuple[np.ndarray, DispatchReport]:
@@ -718,7 +715,7 @@ def _assemble_features(
     # are result-free (index + seconds), so nothing pins completed blocks.
     records: list[TaskCompletion] | None = [] if return_report else None
     stream, costs, runtime = _sweep_stream(
-        strategy, payload, cfg, programs, executor, records
+        strategy, payload, cfg, programs, runtime, records
     )
     # Timed window covers dispatch + assembly only: binding/compilation,
     # RNG spawning and (via warm()) pool construction are one-time setup
@@ -744,7 +741,6 @@ def iter_feature_blocks(
     strategy: Strategy,
     states: np.ndarray,
     *,
-    executor: ExecutionRuntime | None = None,
     config: ExecutionConfig | None = None,
     device=None,
 ) -> Iterator[tuple[FeatureJob, np.ndarray]]:
@@ -762,10 +758,10 @@ def iter_feature_blocks(
     eagerly at the call, so bad arguments raise here rather than at the
     first ``next()``.
     """
-    cfg, executor = resolve_call(config, device, executor, owner="iter_feature_blocks")
+    cfg, runtime = resolve_call(config, device, owner="iter_feature_blocks")
     _run_preflight(strategy, None, cfg, owner="iter_feature_blocks")
     states = cfg.backend.coerce_states(np.asarray(states))
     stream, _, _ = _sweep_stream(
-        strategy, states, cfg, sweep_programs(strategy, cfg), executor, None
+        strategy, states, cfg, sweep_programs(strategy, cfg), runtime, None
     )
     return (completion.result for completion in stream)

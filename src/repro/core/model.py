@@ -51,7 +51,7 @@ class _FeatureMapModel:
     def _check_execution(self) -> None:
         if self.strategy is None:
             raise ValueError("strategy is required")
-        resolve_call(self.config, self.device, None, owner=type(self).__name__)
+        resolve_call(self.config, self.device, owner=type(self).__name__)
 
     def _features(self, angles: np.ndarray) -> np.ndarray:
         return generate_features(

@@ -29,7 +29,7 @@ from repro.core.features import (
 from repro.core.strategies import Strategy
 from repro.hpc.cluster import CircuitTask, ClusterModel
 from repro.hpc.profiling import Counter, StageTimer, dispatch_summary
-from repro.hpc.runtime import DispatchReport, ExecutionRuntime
+from repro.hpc.runtime import DispatchReport
 from repro.ml.logistic import LogisticRegression, SoftmaxRegression
 from repro.ml.metrics import accuracy
 
@@ -82,26 +82,23 @@ class PipelineReport:
 
 @dataclass
 class HybridPipeline:
-    """Strategy + config + runtime + classical head, fully instrumented.
+    """Strategy + config + device + classical head, fully instrumented.
 
-    Execution is configured by ``config=`` (an :class:`ExecutionConfig`;
-    :data:`PIPELINE_DEFAULT_CONFIG` -- compiled engine, LPT dispatch -- when
-    omitted) or ``device=`` (a :class:`~repro.api.device.QuantumDevice`
-    supplying both config and runtime).  Both are read at every
-    fit/predict, so replacing either between fits takes effect and
-    ``None`` restores the pipeline defaults; holding both at once is the
-    construction-time ``TypeError``, raised by the next fit/predict.
-
-    ``executor`` is an optional caller-owned
-    :class:`~repro.hpc.runtime.ExecutionRuntime` (``None`` runs inline
-    serial); like a device's runtime it is never shut down from here, so
-    ``close()`` / the ``with`` block release nothing.
+    Execution is configured by ``config=`` (an :class:`ExecutionConfig`,
+    run inline serial; :data:`PIPELINE_DEFAULT_CONFIG` -- compiled engine,
+    LPT dispatch -- when omitted) or ``device=`` (a
+    :class:`~repro.api.device.QuantumDevice` supplying both config and
+    runtime; ``QuantumDevice(cfg, runtime=rt)`` shares a caller-owned
+    pool).  Both are read at every fit/predict, so replacing either
+    between fits takes effect and ``None`` restores the pipeline defaults;
+    holding both at once is the construction-time ``TypeError``, raised by
+    the next fit/predict.  The pipeline owns no runtime, so it has nothing
+    to close.
     """
 
     strategy: Strategy = None  # type: ignore[assignment]
     num_classes: int = 2
     l2: float = 1.0
-    executor: ExecutionRuntime | None = None
     cluster: ClusterModel | None = None
     config: ExecutionConfig | None = None
     device: Any = None
@@ -113,24 +110,13 @@ class HybridPipeline:
             raise ValueError("strategy is required")
         self._execution()
 
-    def _execution(self) -> tuple[ExecutionConfig, ExecutionRuntime | None]:
-        """The current ``(config, runtime)``, re-read at every sweep."""
-        return resolve_call(
-            self.config,
-            self.device,
-            self.executor,
-            owner="HybridPipeline",
-            defaults=PIPELINE_DEFAULT_CONFIG,
+    def _execution(self) -> tuple[ExecutionConfig, dict[str, Any]]:
+        """The current config and the ``config=`` / ``device=`` keyword
+        that runs it, re-read at every sweep."""
+        cfg, _ = resolve_call(
+            self.config, self.device, owner="HybridPipeline", defaults=PIPELINE_DEFAULT_CONFIG
         )
-
-    def close(self) -> None:
-        """Nothing to release: every runtime belongs to its caller."""
-
-    def __enter__(self) -> HybridPipeline:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        return cfg, {"config": cfg} if self.device is None else {"device": self.device}
 
     # ------------------------------------------------------------ workload
     def circuit_tasks(self, num_samples: int) -> list[CircuitTask]:
@@ -164,14 +150,10 @@ class HybridPipeline:
         angles = np.asarray(angles, dtype=float)
         y = np.asarray(y)
 
-        cfg, runtime = self._execution()
+        cfg, source = self._execution()
         with timer.stage("generate_features"):
             q_matrix, dispatch = generate_features(
-                self.strategy,
-                angles,
-                executor=runtime,
-                return_report=True,
-                config=cfg,
+                self.strategy, angles, return_report=True, **source
             )
         d, p = angles.shape[0], self.strategy.num_ansatze
         # Mitigated backends execute every logical circuit once per fold
@@ -221,13 +203,8 @@ class HybridPipeline:
 
     # ------------------------------------------------------------- predict
     def _features(self, angles: np.ndarray) -> np.ndarray:
-        cfg, runtime = self._execution()
-        return generate_features(
-            self.strategy,
-            np.asarray(angles, dtype=float),
-            executor=runtime,
-            config=cfg,
-        )
+        _, source = self._execution()
+        return generate_features(self.strategy, np.asarray(angles, dtype=float), **source)
 
     def predict(self, angles: np.ndarray) -> np.ndarray:
         if self.head_ is None:

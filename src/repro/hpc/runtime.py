@@ -222,10 +222,8 @@ class ExecutionRuntime:
         backend: str = "serial",
         max_workers: int | str | None = 1,
         start_method: str | None = None,
-        *,
-        config: ExecutorConfig | None = None,
     ):
-        self.config = config if config is not None else ExecutorConfig(
+        self.config = ExecutorConfig(
             backend=backend, max_workers=max_workers, start_method=start_method
         )
         self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
@@ -337,10 +335,6 @@ class ExecutionRuntime:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=wait)
-
-    def close(self, wait: bool = True) -> None:
-        """Alias for :meth:`shutdown`."""
-        self.shutdown(wait=wait)
 
     def __enter__(self) -> ExecutionRuntime:
         return self

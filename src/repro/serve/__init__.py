@@ -8,7 +8,7 @@ pass -- with per-request bit-equality to standalone
 
 Public surface::
 
-    from repro.serve import FeatureService, FeatureClient, ServeConfig
+    from repro.serve import FeatureService, ServeConfig
 
     service = FeatureService(ServeConfig(batch_window_ms=2.0, pool="thread"))
     service.register("mnist", strategy, rows=2)
@@ -22,8 +22,10 @@ and over the network (same bits, different wire -- see
     async with service, FeatureServer(service) as server:
         host, port = server.address
         async with await TcpTransport.connect(host, port) as transport:
-            client = FeatureClient(transport=transport, tenant="team-a")
-            features = await client.features("mnist", angles)
+            features = await transport.submit("mnist", angles, tenant="team-a")
+
+The service and the TCP transport both implement :class:`Transport`, so
+code (and :func:`run_load`) written against one runs over the other.
 """
 
 from repro.api.config import (
@@ -33,13 +35,7 @@ from repro.api.config import (
     TransportConfig,
 )
 from repro.serve.batcher import MicroBatcher, PendingRequest
-from repro.serve.client import (
-    FeatureClient,
-    InProcessTransport,
-    LoadReport,
-    Transport,
-    run_load,
-)
+from repro.serve.client import LoadReport, Transport, run_load
 from repro.serve.engine import (
     FlushRequest,
     TemplateArtifacts,
@@ -87,9 +83,7 @@ __all__ = [
     "Registration",
     "ServiceClosedError",
     "RequestTimeoutError",
-    "FeatureClient",
     "Transport",
-    "InProcessTransport",
     "TcpTransport",
     "FeatureServer",
     "LoadReport",

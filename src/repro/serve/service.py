@@ -70,6 +70,34 @@ class _TemplateSeed:
 TEMPLATE_SEED: Any = _TemplateSeed()
 
 
+def _check_request(x: np.ndarray, seed: Any, timeout_s: Any) -> None:
+    """Reject a request no template can serve, before it costs anything.
+
+    Non-finite angles, a seed that is not :data:`TEMPLATE_SEED`, ``None``
+    or an integer (a bool or float seed is refused, not truncated), and a
+    deadline that is not a positive number (``True`` is not one).  One
+    body for both ends of the wire:
+    :meth:`FeatureService.submit` runs it before metrics, the result cache
+    and admission see the request, and
+    :class:`~repro.serve.transport.TcpTransport` before the request is
+    framed -- so a bad request fails the same way in-process and over TCP.
+    """
+    if timeout_s is not None and (
+        isinstance(timeout_s, bool)
+        or not isinstance(timeout_s, (int, float))
+        or not timeout_s > 0
+    ):
+        raise ValueError(f"timeout_s={timeout_s!r} must be > 0 or None")
+    if not (
+        seed is TEMPLATE_SEED
+        or seed is None
+        or (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool))
+    ):
+        raise TypeError(f"per-request seeds must be int or None, got {seed!r}")
+    if not np.isfinite(x).all():
+        raise ValueError("angles must be finite: got NaN or inf")
+
+
 class ServiceClosedError(RuntimeError):
     """The service is not accepting requests (not started, or stopped)."""
 
@@ -122,6 +150,11 @@ class FeatureService:
         service.register("fashion", strategy, rows=2)
         async with service:
             features = await service.submit("fashion", angles, tenant="a")
+
+    The service is itself the in-process
+    :class:`~repro.serve.client.Transport` (``templates`` /
+    ``template_shape`` / ``submit`` / ``predict``), interchangeable with a
+    :class:`~repro.serve.transport.TcpTransport` to it.
 
     Pass ``device=`` to serve on an existing session (the service then
     never closes it); otherwise the service owns a device built from
@@ -319,9 +352,11 @@ class FeatureService:
         """Features for ``x`` under ``template``; coalesces with peers.
 
         ``x`` is ``(k, rows, cols)`` with ``k >= 1`` (or a single
-        ``(rows, cols)`` sample, returned as ``(m,)``); any other shape
-        raises ``ValueError`` before admission.  ``seed`` defaults to the template's
-        execution seed; per-request seeds keep the standalone seed
+        ``(rows, cols)`` sample, returned as ``(m,)``).  Any other shape, a
+        non-finite angle, a seed that is neither an integer nor ``None``
+        and a deadline that is not a positive number raise before the
+        request is counted, cached or admitted.  ``seed`` defaults to the
+        template's execution seed; per-request seeds keep the standalone seed
         contract -- the response equals
         ``generate_features(strategy, x, config=execution.merged(seed=seed))``
         bit for bit.  Raises
@@ -336,14 +371,11 @@ class FeatureService:
         client) withdraws the request the same way.
         """
         self._check_serving()
-        if timeout_s is not None and (
-            not isinstance(timeout_s, (int, float)) or not timeout_s > 0
-        ):
-            raise ValueError(f"timeout_s={timeout_s!r} must be > 0 or None")
+        x = np.asarray(x, dtype=float)
+        _check_request(x, seed, timeout_s)
         registration = self._require_registration(template)
         artifacts = registration.artifacts
         cfg = artifacts.cfg
-        x = np.asarray(x, dtype=float)
         single = x.ndim == 2
         if single:
             x = x[None]
@@ -359,8 +391,6 @@ class FeatureService:
             raise ValueError(f"template {template!r} got no rows: angles of shape {x.shape}")
         if seed is TEMPLATE_SEED:
             seed = cfg.seed
-        if isinstance(seed, np.random.Generator):
-            raise TypeError("per-request seeds must be int or None, not a Generator")
         seed = None if seed is None else int(seed)
         self._metrics.record_request(tenant)
         # Stochastic estimators with seed None draw fresh entropy per call;

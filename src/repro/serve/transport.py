@@ -19,6 +19,11 @@ Deadlines and disconnects map onto the service's withdrawal paths:
 * a client that disconnects mid-request has its server-side tasks
   cancelled, which withdraws its requests the same way.
 
+Header values reach ``service.submit`` as sent, so a frame with a
+non-integer seed, a deadline that is not a positive number or non-finite
+angles gets a ``bad_request`` error frame -- the client half runs the
+same check before framing.
+
 The frame bound decides streaming: a 2-D response whose single
 ``result`` frame would exceed ``max_frame_bytes`` streams as one ``block``
 frame per (ansatz, chunk) slice, the same block decomposition
@@ -60,6 +65,7 @@ from repro.serve.service import (
     FeatureService,
     RequestTimeoutError,
     ServiceClosedError,
+    _check_request,
 )
 
 __all__ = ["FeatureServer", "TcpTransport"]
@@ -414,11 +420,13 @@ class TcpTransport:
     Build with :meth:`connect`::
 
         transport = await TcpTransport.connect(host, port)
-        client = FeatureClient(transport=transport, tenant="team-a")
+        features = await transport.submit("mnist", angles, tenant="team-a")
 
     One transport multiplexes concurrent requests over one socket (ids
     route responses), so ``asyncio.gather`` over many submits coalesces
-    server-side exactly like in-process callers.  Connection loss fails
+    server-side exactly like in-process callers.  A request the service
+    would refuse for its angles, seed or deadline raises here, before it
+    is framed, with the service's own error type.  Connection loss fails
     every pending request with :class:`ConnectionError`.
     """
 
@@ -515,9 +523,11 @@ class TcpTransport:
     ) -> np.ndarray:
         if self._closed:
             raise ConnectionError("transport is closed")
+        x = np.asarray(x, dtype=float)
+        _check_request(x, seed, timeout_s)
         self._counter += 1
         request_id = f"r{self._counter}"
-        meta, payload = encode_array(np.asarray(x, dtype=float))
+        meta, payload = encode_array(x)
         header: dict[str, Any] = {
             "type": kind,
             "id": request_id,

@@ -6,7 +6,9 @@ same findings as warnings while leaving results bit-identical; ``"off"``
 (the default) is free.
 """
 
+import inspect
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,7 +127,7 @@ REJECTED = {
 @pytest.mark.parametrize("entry", ["run", "evaluate", "stream"])
 def test_every_device_entry_point_runs_preflight(strategy, angles, entry, code):
     """run, evaluate and stream reject the same job before any dispatch."""
-    states = prepare_states(None, angles)
+    states = prepare_states(angles)
     with QuantumDevice(REJECTED[code]) as device, pytest.raises(PreflightError) as excinfo:
         if entry == "run":
             device.run(strategy, angles)
@@ -150,6 +152,42 @@ def test_default_config_emits_no_warnings(strategy, angles):
     with warnings.catch_warnings():
         warnings.simplefilter("error", PreflightWarning)
         generate_features(strategy, angles, config=ExecutionConfig(preflight="warn"))
+
+
+# ------------------------------------------------- warning locations
+def _locations(caught) -> set:
+    return {(Path(w.filename).resolve(), w.lineno) for w in caught}
+
+
+def test_sweep_warning_points_at_generate_features(strategy, angles):
+    """A sweep's PreflightWarning is reported at ``generate_features``' own
+    ``_run_preflight(...)`` line, not inside the analysis package."""
+    import repro.core.features as features
+
+    lines, first = inspect.getsourcelines(features.generate_features)
+    line = first + next(i for i, text in enumerate(lines) if "_run_preflight(" in text)
+    with pytest.warns(PreflightWarning) as caught:
+        generate_features(strategy, angles, config=ExecutionConfig(chunk_size=1, preflight="warn"))
+    assert _locations(caught) == {(Path(features.__file__).resolve(), line)}
+
+
+def test_register_warning_points_at_its_caller():
+    """``FeatureService.register``'s PreflightWarning names the caller's line."""
+    from repro.api import ServeConfig
+    from repro.core.strategies import strategy_from_name
+    from repro.serve import FeatureService
+
+    service = FeatureService(
+        ServeConfig(
+            batch_window_ms=0,  # RPA110
+            execution=ExecutionConfig(vectorize="auto", compile="auto", preflight="warn"),
+        )
+    )
+    strategy = strategy_from_name("observable", num_qubits=QUBITS)
+    with pytest.warns(PreflightWarning) as caught:
+        line = inspect.currentframe().f_lineno + 1
+        service.register("t", strategy, rows=2)
+    assert _locations(caught) == {(Path(__file__).resolve(), line)}
 
 
 # ------------------------------------------------------ inspectors

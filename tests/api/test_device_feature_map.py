@@ -127,15 +127,6 @@ def test_device_plus_config_rejected(strategy, angles):
         generate_features(strategy, angles, config=ExecutionConfig(), device=device)
 
 
-def test_device_plus_executor_rejected(strategy, angles):
-    with (
-        QuantumDevice() as device,
-        ExecutionRuntime() as executor,
-        pytest.raises(TypeError, match="runtime"),
-    ):
-        generate_features(strategy, angles, device=device, executor=executor)
-
-
 def test_non_device_passed_as_device_rejected(strategy, angles):
     # A runtime also binds a pool and has a .config -- the plausible mix-up
     # must fail fast, not deep inside the sweep.
@@ -165,18 +156,18 @@ def test_device_rejects_runtime_plus_pool_kwargs():
 # -------------------------------------------------------------- feature map
 def test_feature_map_matches_generate_features(strategy, angles):
     reference = generate_features(strategy, angles)
-    with QuantumFeatureMap(strategy) as fmap:
-        q = fmap.fit_transform(angles)
-        assert np.array_equal(q, reference)
-        assert fmap.last_report_ is not None
-        assert fmap.n_features_in_ == 16
+    fmap = QuantumFeatureMap(strategy)
+    q = fmap.fit_transform(angles)
+    assert np.array_equal(q, reference)
+    assert fmap.last_report_ is not None
+    assert fmap.n_features_in_ == 16
 
 
 def test_feature_map_accepts_2d_sklearn_input(strategy, angles):
     flat = angles.reshape(angles.shape[0], -1)
-    with QuantumFeatureMap(strategy) as fmap:
-        q3 = fmap.fit_transform(angles)
-        q2 = fmap.fit_transform(flat)
+    fmap = QuantumFeatureMap(strategy)
+    q3 = fmap.fit_transform(angles)
+    q2 = fmap.fit_transform(flat)
     assert np.array_equal(q2, q3)
 
 
@@ -219,12 +210,14 @@ def test_feature_map_config_is_picklable(strategy):
 
 
 def test_feature_map_shared_device_not_closed(strategy, angles):
+    """The map borrows the device: still open and usable after transforms."""
     with QuantumDevice(pool="thread", max_workers=2) as device:
         fmap = QuantumFeatureMap(strategy, device=device)
-        fmap.fit_transform(angles)
-        fmap.close()  # shared device is untouched by the map's close()
+        q = fmap.fit_transform(angles)
+        fmap.transform(angles)
         assert not device.closed
-        device.run(strategy, angles)
+        assert np.array_equal(device.run(strategy, angles)[0], q)
+        assert device.runtime.pools_created == 1
 
 
 def test_feature_map_set_params_rejects_config_plus_device(strategy):
@@ -261,7 +254,6 @@ def test_feature_map_set_params_config_takes_effect(strategy, angles):
     exact = fmap.fit_transform(angles)
     fmap.set_params(config=ExecutionConfig(estimator="shots", shots=8, seed=1))
     shotty = fmap.transform(angles)
-    fmap.close()
     assert not np.array_equal(exact, shotty)
     reference = generate_features(
         strategy, angles, config=ExecutionConfig(estimator="shots", shots=8, seed=1)
@@ -275,15 +267,15 @@ def test_feature_map_composes_with_classical_head(angles):
 
     strategy = HybridStrategy(order=1, locality=1)
     y = np.arange(7) % 2
-    with QuantumFeatureMap(strategy, config=ExecutionConfig(compile="auto")) as fmap:
-        q = fmap.fit_transform(angles)
-        head = LogisticRegression().fit(q, y)
-        preds = head.predict(fmap.transform(angles))
+    fmap = QuantumFeatureMap(strategy, config=ExecutionConfig(compile="auto"))
+    q = fmap.fit_transform(angles)
+    head = LogisticRegression().fit(q, y)
+    preds = head.predict(fmap.transform(angles))
     assert preds.shape == y.shape
 
 
 def test_prepare_states_public_helper(strategy, angles):
-    states = prepare_states(None, angles)
+    states = prepare_states(angles)
     assert states.shape == (7, 16)
     direct = generate_features(strategy, angles)
     from repro.core.features import evaluate_features

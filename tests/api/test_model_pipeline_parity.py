@@ -37,9 +37,8 @@ def angles():
 def test_model_and_pipeline_features_identical_under_same_config(strategy, angles):
     y = np.arange(8) % 2
     model = PostVariationalClassifier(strategy=strategy, config=CFG).fit(angles, y)
-    with HybridPipeline(strategy=strategy, config=CFG) as pipeline:
-        pipeline.fit(angles, y)
-        pipeline_q = pipeline._features(angles)
+    pipeline = HybridPipeline(strategy=strategy, config=CFG).fit(angles, y)
+    pipeline_q = pipeline._features(angles)
     # Same config object -> same seed derivation, chunking, compilation and
     # dispatch policy -> bit-identical Q matrices.
     assert np.array_equal(model.q_train_, pipeline_q)
@@ -100,9 +99,9 @@ def test_config_reset_to_none_restores_owner_defaults(strategy, angles):
     model.fit(angles, y)  # must not crash; back to model defaults
     default = PostVariationalClassifier(strategy=strategy).fit(angles, y)
     assert np.array_equal(model.q_train_, default.q_train_)
-    with HybridPipeline(strategy=strategy, config=CFG) as pipe:
-        pipe.config = None
-        assert pipe._execution()[0] == PIPELINE_DEFAULT_CONFIG  # pipeline defaults
+    pipe = HybridPipeline(strategy=strategy, config=CFG)
+    pipe.config = None
+    assert pipe._execution()[0] == PIPELINE_DEFAULT_CONFIG  # pipeline defaults
 
 
 def test_pipeline_device_swap_is_live(strategy, angles):
@@ -140,8 +139,8 @@ def test_assigning_device_over_config_needs_config_cleared(owner, strategy, angl
 
 def test_pipeline_projection_uses_config_chunking(strategy):
     """circuit_tasks reflects the configured chunk_size (not a default)."""
-    with HybridPipeline(strategy=strategy, config=CFG.merged(chunk_size=2)) as p:
-        tasks = p.circuit_tasks(num_samples=8)
+    p = HybridPipeline(strategy=strategy, config=CFG.merged(chunk_size=2))
+    tasks = p.circuit_tasks(num_samples=8)
     # 8 samples / chunk 2 = 4 chunks per Ansatz instance.
     assert len(tasks) == 4 * strategy.num_ansatze
     assert all(t.num_circuits == 2 for t in tasks)

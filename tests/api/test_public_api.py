@@ -4,8 +4,10 @@ CI runs this as a dedicated job: the ``repro.api`` surface is the
 compatibility contract, so a rename or a lazy-import regression must fail
 before anything else does.  It also guards the removal of the loose
 execution kwargs: ``config=`` / ``device=`` stay the only way to configure
-a sweep, and every setting keeps exactly one spelling (the config field
-tuples are pinned).
+a sweep, every setting keeps exactly one spelling (the config field
+tuples are pinned), and the object that owns a resource is the only
+handle on it (no ``executor=``, no forwarding serve clients, no
+lifecycles that release nothing).
 """
 
 import importlib.util
@@ -14,13 +16,21 @@ import warnings
 
 import pytest
 
+from repro.api import QuantumFeatureMap
 from repro.core.distributed_pipeline import generate_features_spmd
-from repro.core.features import evaluate_features, generate_features, iter_feature_blocks
+from repro.core.features import (
+    evaluate_features,
+    generate_features,
+    iter_feature_blocks,
+    prepare_states,
+)
 from repro.core.model import PostVariationalClassifier, PostVariationalRegressor
 from repro.core.pipeline import HybridPipeline
+from repro.hpc.runtime import ExecutionRuntime
 
 #: Execution knobs that live only on ExecutionConfig (``scheduling_policy``
-#: is the pipeline's old spelling of ``dispatch_policy``).
+#: is the pipeline's old spelling of ``dispatch_policy``), and the runtime,
+#: which binds only through ``device=QuantumDevice(cfg, runtime=rt)``.
 LOOSE_EXECUTION_KWARGS = {
     "estimator",
     "shots",
@@ -31,11 +41,13 @@ LOOSE_EXECUTION_KWARGS = {
     "dispatch_policy",
     "scheduling_policy",
     "backend",
+    "executor",
 }
 ENTRY_POINTS = [
     generate_features,
     evaluate_features,
     iter_feature_blocks,
+    prepare_states,
     generate_features_spmd,
     HybridPipeline,
     PostVariationalClassifier,
@@ -112,6 +124,9 @@ def test_removed_compatibility_names_stay_gone():
     # layer's own copy of the job-grid planner is gone.
     for name in ("RequestPlan", "plan_request", "request_cost"):
         assert not hasattr(serve, name), name
+    # The service is the in-process transport; tenants travel per call.
+    for name in ("FeatureClient", "InProcessTransport"):
+        assert not hasattr(serve, name), name
     for module in ("repro.core.noisy_features", "repro.core.lifecycle", "repro.hpc.executor"):
         assert importlib.util.find_spec(module) is None, module
 
@@ -181,9 +196,24 @@ def test_removed_config_keys_rejected_by_from_dict(cls_name, key, value):
         cls.from_dict(data)
 
 
+def test_runtime_has_one_spelling():
+    """Settings are positional-or-keyword; ``shutdown()`` ends a runtime."""
+    assert "config" not in inspect.signature(ExecutionRuntime.__init__).parameters
+    assert not hasattr(ExecutionRuntime, "close")
+
+
+@pytest.mark.parametrize("owner", [HybridPipeline, QuantumFeatureMap])
+def test_borrowers_define_no_lifecycle(owner):
+    """A pipeline or feature map owns no runtime, so it has nothing to close."""
+    for name in ("close", "__enter__", "__exit__"):
+        assert not hasattr(owner, name), name
+
+
 @pytest.mark.parametrize("method", ["submit", "predict"])
 def test_tcp_transport_matches_transport_protocol(method):
-    from repro.serve import TcpTransport
+    """Both transports -- the TCP client and the service itself -- take the
+    protocol's keywords with its defaults."""
+    from repro.serve import FeatureService, TcpTransport
     from repro.serve.client import Transport
 
     def keyword_params(fn):
@@ -193,6 +223,7 @@ def test_tcp_transport_matches_transport_protocol(method):
             if p.kind is inspect.Parameter.KEYWORD_ONLY
         ]
 
-    assert keyword_params(getattr(TcpTransport, method)) == keyword_params(
-        getattr(Transport, method)
-    )
+    expected = keyword_params(getattr(Transport, method))
+    assert keyword_params(getattr(TcpTransport, method)) == expected
+    assert keyword_params(getattr(FeatureService, method)) == expected
+    assert isinstance(FeatureService(), Transport)

@@ -17,7 +17,7 @@ Pins the PR's contract:
 import numpy as np
 import pytest
 
-from repro.api import ExecutionConfig
+from repro.api import ExecutionConfig, QuantumDevice
 from repro.core.features import evaluate_features, generate_features, iter_feature_blocks
 from repro.core.pipeline import PIPELINE_DEFAULT_CONFIG, HybridPipeline
 from repro.core.strategies import AnsatzExpansion, ObservableConstruction
@@ -95,9 +95,11 @@ def test_noisy_sweep_streams_through_runtime_under_every_policy(angles, noise, p
         q = generate_features(
             strategy,
             angles,
-            executor=runtime,
-            config=ExecutionConfig(
-                backend=DensityMatrixBackend(noise), dispatch_policy=policy, chunk_size=2
+            device=QuantumDevice(
+                ExecutionConfig(
+                    backend=DensityMatrixBackend(noise), dispatch_policy=policy, chunk_size=2
+                ),
+                runtime=runtime,
             ),
         )
     assert np.array_equal(q, reference)
@@ -246,8 +248,9 @@ def test_noisy_prepare_parallelises_without_changing_numbers(angles, noise):
         q = generate_features(
             strategy,
             angles,
-            executor=runtime,
-            config=ExecutionConfig(backend=backend, chunk_size=2),
+            device=QuantumDevice(
+                ExecutionConfig(backend=backend, chunk_size=2), runtime=runtime
+            ),
         )
     assert np.array_equal(q, reference)
 
@@ -255,16 +258,16 @@ def test_noisy_prepare_parallelises_without_changing_numbers(angles, noise):
 # ----------------------------------------------------------- pipeline
 def test_hybrid_pipeline_runs_noisy_backend_end_to_end(angles, noise):
     y = (angles[:, 0, 0] > np.pi).astype(int)
-    with HybridPipeline(
+    pipe = HybridPipeline(
         strategy=ObservableConstruction(qubits=4, locality=1),
         config=PIPELINE_DEFAULT_CONFIG.merged(backend=DensityMatrixBackend(noise), chunk_size=2),
-    ) as pipe:
-        pipe.fit(angles, y)
-        preds = pipe.predict(angles)
-        assert preds.shape == y.shape
-        assert pipe.report_.dispatch is not None
-        # The projection prices density tasks through the same backend.
-        assert len(pipe.circuit_tasks(len(angles))) > 0
+    )
+    pipe.fit(angles, y)
+    preds = pipe.predict(angles)
+    assert preds.shape == y.shape
+    assert pipe.report_.dispatch is not None
+    # The projection prices density tasks through the same backend.
+    assert len(pipe.circuit_tasks(len(angles))) > 0
 
 
 def test_pipeline_counters_scale_with_mitigation(angles, noise):

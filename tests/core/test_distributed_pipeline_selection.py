@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import ExecutionConfig
+from repro.api import ExecutionConfig, QuantumDevice
 from repro.core.distributed_pipeline import (
     fit_logistic_spmd,
     generate_features_spmd,
@@ -52,13 +52,32 @@ def test_spmd_features_with_persistent_runtime(task):
                 strategy,
                 angles,
                 allgather=True,
-                executor=ex,
-                config=ExecutionConfig(dispatch_policy="lpt"),
+                device=QuantumDevice(ExecutionConfig(dispatch_policy="lpt"), runtime=ex),
             )
         return full
 
     for full in run_spmd(prog, 2):
         assert np.allclose(full, serial)
+
+
+def test_spmd_device_seeds_ranks_like_config(task):
+    """Under device=, each rank's seed rides on a reconfigured device that
+    shares the session pool: the shot Q equals the config= run bit for bit."""
+    angles, _ = task
+    strategy = ObservableConstruction(qubits=4, locality=1)
+    cfg = ExecutionConfig(estimator="shots", shots=64, seed=9)
+
+    def prog(comm, via_device):
+        if not via_device:
+            return generate_features_spmd(comm, strategy, angles, allgather=True, config=cfg)[1]
+        with QuantumDevice(cfg, pool="thread", max_workers=2) as device:
+            full = generate_features_spmd(comm, strategy, angles, allgather=True, device=device)[1]
+            assert device.runtime.pools_created == 1
+        return full
+
+    by_config = run_spmd(lambda comm: prog(comm, False), 3)[0]
+    by_device = run_spmd(lambda comm: prog(comm, True), 3)[0]
+    assert np.array_equal(by_config, by_device)
 
 
 def test_spmd_features_deterministic_with_shots(task):

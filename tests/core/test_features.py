@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import ExecutionConfig
+from repro.api import ExecutionConfig, QuantumDevice
 from repro.core.features import (
     FeatureJob,
     evaluate_features,
@@ -77,7 +77,7 @@ def test_executor_backends_identical(angles):
     serial = generate_features(s, angles)
     with ExecutionRuntime("thread", 4) as runtime:
         threaded = generate_features(
-            s, angles, executor=runtime, config=ExecutionConfig(chunk_size=3)
+            s, angles, device=QuantumDevice(ExecutionConfig(chunk_size=3), runtime=runtime)
         )
     assert np.array_equal(serial, threaded)
 
@@ -117,8 +117,10 @@ def test_shots_estimator_schedule_independent(angles):
         threaded = generate_features(
             s,
             angles,
-            executor=runtime,
-            config=ExecutionConfig(estimator="shots", shots=64, seed=11, chunk_size=4),
+            device=QuantumDevice(
+                ExecutionConfig(estimator="shots", shots=64, seed=11, chunk_size=4),
+                runtime=runtime,
+            ),
         )
     assert np.array_equal(serial, threaded)
 
@@ -150,32 +152,33 @@ def test_validation(angles):
         generate_features(s, angles, config=ExecutionConfig(estimator="bogus"))
 
 
-@pytest.mark.parametrize(
-    "strategy,config,mode",
-    [
-        pytest.param(
-            ObservableConstruction(qubits=4, locality=1), ExecutionConfig(),
-            "prepared", id="per-sample",
-        ),
-        pytest.param(
-            ObservableConstruction(qubits=4, locality=1),
-            ExecutionConfig(vectorize="auto"), "batched", id="single-instance-batched",
-        ),
-        pytest.param(
-            HybridStrategy(order=1, locality=1, base_parameters=np.full(8, 0.3)),
-            ExecutionConfig(vectorize="auto"), "shared_encoder", id="shared-encoder",
-        ),
-        pytest.param(
-            HybridStrategy(order=1, locality=1), ExecutionConfig(vectorize="auto"),
-            "pauli", id="pauli",
-        ),
-        pytest.param(
-            HybridStrategy(order=1, locality=1),
-            ExecutionConfig(vectorize="auto", backend=DensityMatrixBackend()),
-            "batched", id="density-batched",
-        ),
-    ],
-)
+#: One case per sweep path of generate_features (see sweep_mode).
+SWEEP_PATHS = [
+    pytest.param(
+        ObservableConstruction(qubits=4, locality=1), ExecutionConfig(),
+        "prepared", id="per-sample",
+    ),
+    pytest.param(
+        ObservableConstruction(qubits=4, locality=1),
+        ExecutionConfig(vectorize="auto"), "batched", id="single-instance-batched",
+    ),
+    pytest.param(
+        HybridStrategy(order=1, locality=1, base_parameters=np.full(8, 0.3)),
+        ExecutionConfig(vectorize="auto"), "shared_encoder", id="shared-encoder",
+    ),
+    pytest.param(
+        HybridStrategy(order=1, locality=1), ExecutionConfig(vectorize="auto"),
+        "pauli", id="pauli",
+    ),
+    pytest.param(
+        HybridStrategy(order=1, locality=1),
+        ExecutionConfig(vectorize="auto", backend=DensityMatrixBackend()),
+        "batched", id="density-batched",
+    ),
+]
+
+
+@pytest.mark.parametrize("strategy,config,mode", SWEEP_PATHS)
 def test_zero_row_batch_rejected_on_every_path(strategy, config, mode):
     assert sweep_mode(strategy, config) == mode
     empty = np.zeros((0, 4, 4))
@@ -185,6 +188,16 @@ def test_zero_row_batch_rejected_on_every_path(strategy, config, mode):
     config = config.merged(estimator="shots", shots=0, preflight="error")
     with pytest.raises(ValueError, match=r"no rows: got shape \(0, 4, 4\)"):
         generate_features(strategy, empty, config=config)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("strategy,config,mode", SWEEP_PATHS)
+def test_non_finite_angles_rejected_on_every_path(strategy, config, mode, bad):
+    assert sweep_mode(strategy, config) == mode
+    x = np.random.default_rng(0).uniform(0, np.pi, (3, 4, 4))
+    x[2, 1, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        generate_features(strategy, x, config=config)
 
 
 # ---------------------------------------------------------------- streaming
@@ -265,16 +278,24 @@ def test_dispatch_policy_does_not_change_results(angles):
     with ExecutionRuntime("thread", 3) as ex:
         for policy in ("block", "cyclic", "lpt", "work_stealing"):
             cfg = ExecutionConfig(chunk_size=3, dispatch_policy=policy)
-            q = evaluate_features(s, states, executor=ex, config=cfg)
+            q = evaluate_features(s, states, device=QuantumDevice(cfg, runtime=ex))
             assert np.array_equal(q, reference), policy
 
 
 def test_bare_runtime_accepted_as_executor(angles):
+    """A bare runtime binds through ``QuantumDevice(cfg, runtime=rt)``: it
+    stays open and the same pool serves every sweep."""
     s = ObservableConstruction(qubits=4, locality=1)
     states = encode_batch(angles)
     with ExecutionRuntime("thread", 2) as rt:
-        q = evaluate_features(s, states, executor=rt, config=ExecutionConfig(chunk_size=3))
+        device = QuantumDevice(ExecutionConfig(chunk_size=3), runtime=rt)
+        q = evaluate_features(s, states, device=device)
+        again = evaluate_features(s, states, device=device)
+        device.close()
+        assert not rt.closed
+        assert rt.pools_created == 1
     assert np.array_equal(q, evaluate_features(s, states))
+    assert np.array_equal(again, q)
 
 
 def test_feature_circuit_tasks_price_depth_and_shots(angles):

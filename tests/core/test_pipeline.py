@@ -63,8 +63,7 @@ def test_executor_backend_equivalence(small_task):
     with ExecutionRuntime("thread", 4) as runtime:
         threaded = HybridPipeline(
             strategy=ObservableConstruction(qubits=4, locality=1),
-            executor=runtime,
-            config=PIPELINE_DEFAULT_CONFIG.merged(chunk_size=8),
+            device=QuantumDevice(PIPELINE_DEFAULT_CONFIG.merged(chunk_size=8), runtime=runtime),
         )
         threaded.fit(angles, y)
         assert np.allclose(serial.predict(angles), threaded.predict(angles))
@@ -121,8 +120,10 @@ def test_report_dispatch_reconciliation(small_task):
     with ExecutionRuntime("thread", 2) as runtime:
         pipe = HybridPipeline(
             strategy=ObservableConstruction(qubits=4, locality=1),
-            executor=runtime,
-            config=PIPELINE_DEFAULT_CONFIG.merged(chunk_size=8, dispatch_policy="lpt"),
+            device=QuantumDevice(
+                PIPELINE_DEFAULT_CONFIG.merged(chunk_size=8, dispatch_policy="lpt"),
+                runtime=runtime,
+            ),
         )
         pipe.fit(angles, y)
     dispatch = pipe.report_.dispatch
@@ -138,14 +139,11 @@ def test_report_dispatch_reconciliation(small_task):
 def test_pipeline_persistent_runtime_across_sweeps(small_task):
     """One long-lived pool serves fit and every subsequent predict."""
     angles, y = small_task
-    with (
-        ExecutionRuntime("thread", 2) as runtime,
-        HybridPipeline(
+    with ExecutionRuntime("thread", 2) as runtime:
+        pipe = HybridPipeline(
             strategy=ObservableConstruction(qubits=4, locality=1),
-            executor=runtime,
-            config=PIPELINE_DEFAULT_CONFIG.merged(chunk_size=8),
-        ) as pipe,
-    ):
+            device=QuantumDevice(PIPELINE_DEFAULT_CONFIG.merged(chunk_size=8), runtime=runtime),
+        )
         pipe.fit(angles, y)
         pipe.predict(angles)
         pipe.predict(angles)
@@ -153,20 +151,22 @@ def test_pipeline_persistent_runtime_across_sweeps(small_task):
 
 
 def test_pipeline_leaves_caller_owned_runtime_open(small_task):
-    """A bare ExecutionRuntime may be shared; the pipeline must not kill it."""
+    """A runtime bound through ``QuantumDevice(cfg, runtime=rt)`` stays open
+    and is reused: neither the pipeline nor the borrowing device kills it."""
     angles, y = small_task
     with ExecutionRuntime("thread", 2) as runtime:
-        with HybridPipeline(
-            strategy=ObservableConstruction(qubits=4, locality=1),
-            executor=runtime,
-            config=PIPELINE_DEFAULT_CONFIG.merged(chunk_size=8),
-        ) as pipe:
-            pipe.fit(angles, y)
-            assert pipe.score(angles, y) > 0.5
-        # Pipeline exit must leave the caller's runtime usable (shutdown is
-        # permanent, so only its owner may trigger it).
+        device = QuantumDevice(PIPELINE_DEFAULT_CONFIG.merged(chunk_size=8), runtime=runtime)
+        pipe = HybridPipeline(
+            strategy=ObservableConstruction(qubits=4, locality=1), device=device
+        )
+        pipe.fit(angles, y)
+        assert pipe.score(angles, y) > 0.5
+        device.close()
+        # Closing the borrowing device must leave the caller's runtime
+        # usable (shutdown is permanent, so only its owner may trigger it).
         assert not runtime.closed
         assert runtime.map(len, [[1, 2]]) == [2]
+        assert runtime.pools_created == 1
     assert runtime.closed
 
 
@@ -193,8 +193,10 @@ def test_scheduling_policies_do_not_change_predictions(small_task):
         for policy in ("block", "cyclic", "lpt", "work_stealing"):
             pipe = HybridPipeline(
                 strategy=strategy,
-                executor=runtime,
-                config=PIPELINE_DEFAULT_CONFIG.merged(chunk_size=8, dispatch_policy=policy),
+                device=QuantumDevice(
+                    PIPELINE_DEFAULT_CONFIG.merged(chunk_size=8, dispatch_policy=policy),
+                    runtime=runtime,
+                ),
             )
             assert np.array_equal(pipe.fit(angles, y).predict(angles), reference)
 

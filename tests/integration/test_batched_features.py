@@ -96,7 +96,7 @@ def test_executor_backends_agree_bit_for_bit(angles, pool):
     reference = generate_features(strategy, angles, config=_cfg(vectorize="auto"))
     with ExecutionRuntime(backend=pool, max_workers=2) as executor:
         via_pool = generate_features(
-            strategy, angles, executor=executor, config=_cfg(vectorize="auto")
+            strategy, angles, device=QuantumDevice(_cfg(vectorize="auto"), runtime=executor)
         )
     assert np.array_equal(reference, via_pool)
 
@@ -216,14 +216,12 @@ def test_pipeline_defaults_run_batched(angles):
     assert PIPELINE_DEFAULT_CONFIG.vectorize == "auto"
     y = np.arange(19) % 2
     strategy = ObservableConstruction(qubits=4, locality=1)
-    with HybridPipeline(strategy=strategy) as batched:
-        batched.fit(angles, y)
-        q_batched = batched.predict(angles)
-    with HybridPipeline(
+    batched = HybridPipeline(strategy=strategy).fit(angles, y)
+    q_batched = batched.predict(angles)
+    oracle = HybridPipeline(
         strategy=strategy, config=PIPELINE_DEFAULT_CONFIG.merged(vectorize="off")
-    ) as oracle:
-        oracle.fit(angles, y)
-        q_oracle = oracle.predict(angles)
+    ).fit(angles, y)
+    q_oracle = oracle.predict(angles)
     assert np.array_equal(q_batched, q_oracle)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import ExecutionConfig
+from repro.api import ExecutionConfig, QuantumDevice
 from repro.core.features import generate_features
 from repro.core.pipeline import PIPELINE_DEFAULT_CONFIG, HybridPipeline
 from repro.core.strategies import (
@@ -103,8 +103,9 @@ def test_compiled_backends_identical(pool, workers, angles):
         via_backend = generate_features(
             strategy,
             angles,
-            executor=executor,
-            config=ExecutionConfig(compile="auto", chunk_size=3),
+            device=QuantumDevice(
+                ExecutionConfig(compile="auto", chunk_size=3), runtime=executor
+            ),
         )
     assert np.array_equal(reference, via_backend)
 
@@ -115,7 +116,9 @@ def test_compiled_backends_identical_shots(angles):
     cfg = ExecutionConfig(estimator="shots", shots=64, seed=11, chunk_size=4, compile="auto")
     serial = generate_features(strategy, angles, config=cfg)
     with ExecutionRuntime("thread", 3) as executor:
-        threaded = generate_features(strategy, angles, executor=executor, config=cfg)
+        threaded = generate_features(
+            strategy, angles, device=QuantumDevice(cfg, runtime=executor)
+        )
     assert np.array_equal(serial, threaded)
 
 

@@ -18,7 +18,7 @@ reused across every sweep -- exercising pool persistence along the way.
 import numpy as np
 import pytest
 
-from repro.api import ExecutionConfig
+from repro.api import ExecutionConfig, QuantumDevice
 from repro.core.features import evaluate_features
 from repro.core.strategies import HybridStrategy
 from repro.data.encoding import encode_batch
@@ -49,8 +49,9 @@ def test_exact_bit_for_bit_across_backends_and_policies(workload, executor, poli
     q = evaluate_features(
         strategy,
         states,
-        executor=executor,
-        config=ExecutionConfig(chunk_size=CHUNK, dispatch_policy=policy),
+        device=QuantumDevice(
+            ExecutionConfig(chunk_size=CHUNK, dispatch_policy=policy), runtime=executor
+        ),
     )
     assert np.array_equal(q, reference)
 
@@ -68,7 +69,9 @@ def test_stochastic_seed_deterministic_across_schedules(
     cfg = ExecutionConfig(estimator=estimator, seed=7, chunk_size=CHUNK, **kwargs)
     reference = evaluate_features(strategy, states, config=cfg)
     q = evaluate_features(
-        strategy, states, executor=executor, config=cfg.merged(dispatch_policy=policy)
+        strategy,
+        states,
+        device=QuantumDevice(cfg.merged(dispatch_policy=policy), runtime=executor),
     )
     assert np.array_equal(q, reference)
 
@@ -92,7 +95,9 @@ def test_process_pool_persisted_across_property_sweeps(workload, executor):
     """The module-scoped executor must have built at most one pool."""
     strategy, states = workload
     evaluate_features(
-        strategy, states, executor=executor, config=ExecutionConfig(chunk_size=CHUNK)
+        strategy,
+        states,
+        device=QuantumDevice(ExecutionConfig(chunk_size=CHUNK), runtime=executor),
     )
     if executor.backend != "serial":
         assert executor.pools_created == 1

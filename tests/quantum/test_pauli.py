@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import ExecutionConfig
+from repro.api import ExecutionConfig, QuantumDevice
 from repro.core.ansatz import fig8_ansatz
 from repro.core.decomposition import heisenberg_observable
 from repro.core.features import generate_features, sweep_mode
@@ -257,8 +257,10 @@ def reference():
 def test_pauli_sweep_bit_identical_across_runtimes_and_policies(reference, pool, policy):
     with ExecutionRuntime(pool, 1 if pool == "serial" else 2) as runtime:
         q = generate_features(
-            STRATEGY, X, executor=runtime,
-            config=AUTO.merged(dispatch_policy=policy, chunk_size=4),
+            STRATEGY, X,
+            device=QuantumDevice(
+                AUTO.merged(dispatch_policy=policy, chunk_size=4), runtime=runtime
+            ),
         )
     assert np.array_equal(q, reference)
 

@@ -12,9 +12,7 @@ from repro.api.device import QuantumDevice
 from repro.core.strategies import strategy_from_name
 from repro.serve import (
     BackpressureError,
-    FeatureClient,
     FeatureService,
-    InProcessTransport,
     ServeConfig,
     ServiceClosedError,
 )
@@ -293,26 +291,31 @@ def test_predict_requires_head_and_uses_it():
 
 
 def test_feature_client_pins_tenant():
+    """The tenant passed on the call is the one the metrics record."""
+
     async def main():
         async with make_service(result_cache_size=0) as service:
-            client = FeatureClient(
-                transport=InProcessTransport(service), tenant="team-a"
-            )
-            await client.features("t", angles())
+            await service.submit("t", angles(), tenant="team-a")
             metrics = service.metrics()
-            assert metrics.tenants[0][0] == "team-a"
+            assert [name for name, _ in metrics.tenants] == ["team-a"]
 
     asyncio.run(main())
 
 
-def test_feature_client_requires_exactly_one_target():
-    service = make_service()
-    with pytest.raises(TypeError, match="transport"):
-        FeatureClient()
-    with pytest.raises(TypeError, match="positional"):
-        FeatureClient(service)  # the in-process form is transport=
-    with pytest.raises(TypeError, match="Transport"):
-        FeatureClient(transport=service)
+def test_numpy_integer_seed_accepted():
+    """The request check refuses bool and float seeds, not numpy integers."""
+
+    async def main():
+        async with make_service(
+            result_cache_size=0,
+            execution=ExecutionConfig(estimator="shots", shots=16, vectorize="auto", seed=7),
+        ) as service:
+            assert np.array_equal(
+                await service.submit("t", angles(), seed=np.int64(3)),
+                await service.submit("t", angles(), seed=3),
+            )
+
+    asyncio.run(main())
 
 
 def test_admission_released_when_flush_fails(monkeypatch):

@@ -12,7 +12,6 @@ from repro.core.features import generate_features
 from repro.core.strategies import strategy_from_name
 from repro.serve import (
     BackpressureError,
-    FeatureClient,
     FeatureServer,
     FeatureService,
     ProtocolError,
@@ -24,6 +23,8 @@ from repro.serve import (
     read_frame,
     run_load,
 )
+from repro.serve.client import Transport
+from repro.serve.service import TEMPLATE_SEED
 
 QUBITS = 3
 ROWS = 2
@@ -360,7 +361,122 @@ def test_run_load_over_tcp_transport():
     asyncio.run(main())
 
 
+class _FailingTransport:
+    """A :class:`Transport` whose every request raises ``error``."""
+
+    def __init__(self, error: Exception) -> None:
+        self.error = error
+
+    def templates(self) -> tuple[str, ...]:
+        return ("t",)
+
+    def template_shape(self, name: str) -> tuple[int, int]:
+        return (ROWS, QUBITS)
+
+    async def submit(self, template, x, *, tenant="default", seed=TEMPLATE_SEED,
+                     timeout_s=None):
+        raise self.error
+
+    async def predict(self, template, x, *, tenant="default", seed=TEMPLATE_SEED,
+                      timeout_s=None):
+        raise self.error
+
+
+@pytest.mark.parametrize("sequential", [False, True])
+def test_run_load_counts_backpressure_as_rejected(sequential):
+    transport = _FailingTransport(BackpressureError("tenant queue full"))
+    assert isinstance(transport, Transport)
+    report = asyncio.run(
+        run_load(transport, requests=8, concurrency=4, sequential=sequential)
+    )
+    assert (report.completed, report.rejected) == (0, 8)
+
+
+@pytest.mark.parametrize("sequential", [False, True])
+def test_run_load_propagates_other_failures(sequential):
+    """A crash is not backpressure: it fails the load run."""
+    transport = _FailingTransport(RuntimeError("kernel exploded"))
+    with pytest.raises(RuntimeError, match="kernel exploded"):
+        asyncio.run(
+            run_load(transport, requests=8, concurrency=4, sequential=sequential)
+        )
+
+
 # ------------------------------------------------------------ typed errors
+#: One malformed request per case: the angle to plant, the request keywords,
+#: and the error the shared request check raises.
+MALFORMED = {
+    "nan": (np.nan, {}, ValueError),
+    "inf": (np.inf, {}, ValueError),
+    "seed-float": (None, {"seed": 1.5}, TypeError),
+    "seed-bool": (None, {"seed": True}, TypeError),
+    "timeout-bool": (None, {"timeout_s": True}, ValueError),
+}
+
+
+def _malformed(case: str) -> tuple[np.ndarray, dict, type]:
+    bad, kwargs, error = MALFORMED[case]
+    x = angles()
+    if bad is not None:
+        x[1, 0, 2] = bad
+    return x, kwargs, error
+
+
+def assert_untouched(service: FeatureService) -> None:
+    """A refused request left no trace: not counted, cached or admitted."""
+    snapshot = service.metrics()
+    assert snapshot.requests_total == 0
+    assert snapshot.result_cache["currsize"] == 0
+    assert snapshot.queue_depth == 0
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_request_fails_like_in_process(case):
+    x, kwargs, error = _malformed(case)
+
+    async def main():
+        service = make_service()
+        async with service:
+            for _ in range(2):  # a repeat is refused again, not a cache hit
+                with pytest.raises(error):
+                    await service.submit("t", x, **kwargs)
+            async with FeatureServer(service) as server:
+                host, port = server.address
+                async with await TcpTransport.connect(host, port) as transport:
+                    with pytest.raises(error):
+                        await transport.submit("t", x, **kwargs)
+            assert_untouched(service)
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_raw_frame_is_bad_request(case):
+    """The server runs the check too: a raw frame that skips the client's
+    gets a ``bad_request`` error frame, and nothing reaches admission."""
+    x, kwargs, _ = _malformed(case)
+
+    async def main():
+        service = make_service()
+        async with service:
+            async with FeatureServer(service) as server:
+                host, port = server.address
+                reader, writer = await asyncio.open_connection(host, port)
+                meta, payload = encode_array(x)
+                header = {"type": "submit", "id": "r1", "template": "t", "array": meta}
+                writer.write(pack_frame({**header, **kwargs}, payload))
+                await writer.drain()
+                frame = await read_frame(reader)
+                writer.close()
+                await writer.wait_closed()
+            assert frame is not None
+            assert frame[0]["type"] == "error"
+            assert frame[0]["code"] == "bad_request"
+            assert_untouched(service)
+
+    asyncio.run(main())
+
+
 def test_error_codes_map_to_typed_exceptions():
     async def main():
         service = make_service(max_queue_depth=1, batch_window_ms=50.0,
@@ -530,18 +646,21 @@ def test_server_uses_serve_config_transport():
 
 # --------------------------------------------------------------- the client
 def test_feature_client_over_tcp_matches_in_process():
+    """``TcpTransport.submit(tenant=, seed=)`` equals the in-process call."""
+
     async def main():
         service = make_service(result_cache_size=0)
         x = angles(k=3)
         async with service:
+            assert isinstance(service, Transport)
             in_process = await service.submit("t", x, tenant="a", seed=4)
             async with FeatureServer(service) as server:
                 host, port = server.address
                 async with await TcpTransport.connect(host, port) as transport:
-                    client = FeatureClient(transport=transport, tenant="a")
-                    assert client.service is None  # remote: no local handle
-                    over_tcp = await client.features("t", x, seed=4)
+                    over_tcp = await transport.submit("t", x, tenant="a", seed=4)
+            tenants = [name for name, _ in service.metrics().tenants]
         assert np.array_equal(over_tcp, in_process)
+        assert tenants == ["a"]
 
     asyncio.run(main())
 
