@@ -84,7 +84,7 @@ async def main() -> None:
             tenant_burst(service, "team-a", "fashion-observable", 8, seed=1),
             tenant_burst(tcp, "team-b", "fashion-observable", 8, seed=2),
         )
-        await tenant_burst(tcp, "team-b", "fashion-hybrid", 4, seed=3)
+        h_in, h_out = await tenant_burst(tcp, "team-b", "fashion-hybrid", 4, seed=3)
 
         # Resubmitting an earlier input is a result-cache hit, bit-equal.
         again = await service.submit("fashion-observable", a_in[0], tenant="team-a")
@@ -99,6 +99,13 @@ async def main() -> None:
             config=service.config.execution,
         )
         assert np.array_equal(b_out[0], reference)
+        # The hybrid template (a Clifford ensemble on the Pauli engine)
+        # coalesces too, with the same contract.
+        for x, served in zip(h_in, h_out, strict=True):
+            reference = generate_features(
+                HybridStrategy(order=1, locality=1), x, config=service.config.execution
+            )
+            assert np.array_equal(served, reference)
         await tcp.aclose()
 
         snapshot = service.metrics()

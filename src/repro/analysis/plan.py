@@ -247,7 +247,7 @@ def _lint_tenant_weights(config: ServeConfig) -> list[Diagnostic]:
 
 
 def _lint_serve_vectorize(config: ServeConfig) -> list[Diagnostic]:
-    """RPA113: micro-batching pays off through the batched engine only."""
+    """RPA113: micro-batching pays off under vectorized execution only."""
     execution = config.execution
     assert execution is not None  # ServeConfig canonicalized it
     if (

@@ -447,7 +447,7 @@ class ServeConfig:
     * ``execution``          -- the nested per-request execution config;
       ``None`` picks the serving default (``vectorize="auto"``,
       ``compile="auto"``: micro-batching coalesces requests into stacked
-      ``apply_batch`` passes, which needs the batched engine);
+      passes, which needs vectorized execution);
     * ``batch_window_ms``    -- how long an admitted request may wait for
       peers to coalesce with before its micro-batch flushes.  ``0`` flushes
       every request alone (coalescing off; RPA110 lints it), negative
@@ -636,7 +636,8 @@ def resolve_call(
 
     * ``device=`` -- supplies both config and runtime (the device's
       :class:`~repro.hpc.runtime.ExecutionRuntime`); combining it with
-      ``config=`` is ambiguous and raises;
+      ``config=`` is ambiguous and raises, and a closed device raises its
+      own ``RuntimeError``, so every entry point refuses it;
     * ``config=`` -- used as-is; the runtime is ``None`` (inline serial);
     * neither -- ``defaults`` (the entry point's own defaults;
       ``ExecutionConfig()`` when omitted), inline serial.
@@ -656,6 +657,7 @@ def resolve_call(
             raise TypeError(
                 f"{owner}: device= expects a QuantumDevice, got {device!r}"
             )
+        device._check_open()
         return device.config, device.runtime
     if config is None:
         return (defaults if defaults is not None else ExecutionConfig()), None

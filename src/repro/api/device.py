@@ -181,8 +181,6 @@ class QuantumDevice:
         out over the session pool, chunked like the sweep's job grid.
         """
         from repro.core.features import prepare_states
-
-        self._check_open()
         return prepare_states(angles, device=self)
 
     def run(
@@ -198,8 +196,6 @@ class QuantumDevice:
         and streaming assembly all follow the bound config.
         """
         from repro.core.features import generate_features
-
-        self._check_open()
         return generate_features(
             strategy, angles, out=out, return_report=True, device=self
         )
@@ -214,8 +210,6 @@ class QuantumDevice:
     ) -> np.ndarray | tuple[np.ndarray, DispatchReport]:
         """Q matrix from already-prepared states (see :meth:`prepare`)."""
         from repro.core.features import evaluate_features
-
-        self._check_open()
         return evaluate_features(
             strategy, states, out=out, return_report=return_report, device=self
         )
@@ -223,8 +217,6 @@ class QuantumDevice:
     def stream(self, strategy: Any, states: np.ndarray) -> Iterator[tuple]:
         """Q-blocks as ``(FeatureJob, block)`` pairs in completion order."""
         from repro.core.features import iter_feature_blocks
-
-        self._check_open()
         return iter_feature_blocks(strategy, states, device=self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -18,8 +18,9 @@ The work grid (Ansatz instance x data chunk) is embarrassingly parallel.
 dispatch cost (chunk size x Ansatz depth x shot budget, priced by
 :func:`repro.hpc.cluster.task_costs`) per job -- and is the package's only
 planner: the serving layer (:mod:`repro.serve.engine`) plans each request
-with the same :meth:`SweepPlan.build`, so a served response and a standalone
-sweep share jobs and seeds by construction.  Dispatch runs through the
+with the same :meth:`SweepPlan.build` and runs it through the same
+:class:`SweepRoute`, so a served response and a standalone sweep share
+programs, jobs and seeds by construction.  Dispatch runs through the
 persistent :class:`repro.hpc.runtime.ExecutionRuntime` and is *streaming*:
 the plan's costs order submission via the scheduling policies, and each
 completed block is scattered into the preallocated Q matrix as its future
@@ -38,7 +39,8 @@ Kraus) or ZNE-mitigated -- every backend runs through the *same* job grid,
 cost model (density evolution priced ~4^n vs 2^n) and streaming dispatch,
 so the noisy Q-matrix sweep parallelises exactly like the ideal one.
 
-:func:`sweep_mode` makes the one execution-path choice for raw angles.
+:func:`sweep_mode` makes the one execution-path choice for raw angles, and
+:class:`SweepRoute` turns it into programs and the payload they consume.
 With ``config.vectorize="auto"`` on a backend that supports it,
 :func:`generate_features` skips the separate preparation pass entirely
 (``"batched"``): each (Ansatz instance, chunk) job encodes and evolves its
@@ -93,8 +95,10 @@ from repro.utils.rng import spawn_rngs
 from repro.xp import get_namespace
 
 __all__ = [
+    "BlockWorker",
     "FeatureJob",
     "SweepPlan",
+    "SweepRoute",
     "bound_ansatz",
     "feature_jobs",
     "generate_features",
@@ -153,7 +157,8 @@ def sweep_mode(strategy: Strategy, cfg: ExecutionConfig) -> str:
     * ``"prepared"`` -- per-sample preparation, then per-instance evolution
       (the reference oracle; always under ``vectorize="off"``).
 
-    The serving layer coalesces exactly the ``"batched"`` templates.
+    The serving layer coalesces every mode but ``"prepared"``, which it
+    runs per request.
     """
     return sweep_route(strategy, cfg)[0]
 
@@ -243,6 +248,49 @@ def sweep_programs(
             program = compile_circuit(program, max_width=width)
         programs.append(program)
     return programs
+
+
+@dataclass(frozen=True)
+class SweepRoute:
+    """A raw-angle sweep's :func:`sweep_mode`, its programs (one per Ansatz
+    instance) and, by :meth:`payload`, what they consume: routed once per
+    sweep, or once per served template and then per flush
+    (:mod:`repro.serve.engine`).  ``cfg`` built the programs: the sweep's
+    own, its fusion width pinned for ``"shared_encoder"``.
+    """
+
+    mode: str
+    template: Circuit
+    cfg: ExecutionConfig
+    programs: tuple
+
+    @classmethod
+    def build(cls, strategy: Strategy, cfg: ExecutionConfig, template: Circuit) -> SweepRoute:
+        """Route a sweep of ``strategy`` over the encoder ``template``."""
+        mode, programs = sweep_route(strategy, cfg)
+        if mode == "shared_encoder":
+            # The batched encoder is fusion by construction, so evolution is
+            # pinned to a concrete fusion width even under compile="off".
+            cfg = cfg.merged(compile=resolve_fusion_width(cfg.compile) or DEFAULT_FUSION_WIDTH)
+        if programs is None:
+            programs = sweep_programs(strategy, cfg, template if mode == "batched" else None)
+        return cls(mode, template, cfg, tuple(programs))
+
+    def payload(self, angles: np.ndarray, runtime: ExecutionRuntime | None = None) -> np.ndarray:
+        """What :attr:`programs` consume for raw ``(d, rows, cols)`` angles,
+        data points still on axis 0; ``runtime`` fans out a ``"prepared"``
+        backend's per-sample preparation (:func:`prepare_states`)."""
+        if self.mode == "pauli":
+            # The encoder prepares a product state: its Bloch vectors are all
+            # the Pauli programs read, and no state is evolved or measured.
+            return bloch_vectors(self.template, angles)
+        if self.mode == "batched":
+            return angles  # every job encodes and evolves its own chunk
+        if self.mode == "shared_encoder":
+            # One batched-encoder pass, reused by every Ansatz instance.
+            encoder = compile_parametric(self.template, max_width=self.cfg.compile)
+            return encoder.apply_batch(angles, xp=get_namespace(self.cfg.resolved_array_backend))
+        return _prepare(angles, self.cfg, runtime)
 
 
 def preflight_circuits(strategy: Strategy, template: Circuit | None) -> list[Circuit]:
@@ -381,7 +429,7 @@ def measure_block(
     return block
 
 
-class _BlockWorker:
+class BlockWorker:
     """Picklable task callable for the process executor backend.
 
     Holds only the sweep-wide artifacts (programs, observables, measurement
@@ -389,6 +437,9 @@ class _BlockWorker:
     process pool ships O(chunk) state per submission rather than
     re-pickling the full (d, ...) prepared batch with every task -- which
     for density states (4^n entries each) would dominate the sweep.
+
+    A job is :meth:`run` (the program step a serve flush also runs, over
+    its stacked requests), then :func:`measure_block`.
     """
 
     def __init__(self, strategy: Strategy, programs: list, cfg: ExecutionConfig):
@@ -403,14 +454,13 @@ class _BlockWorker:
         # its own process-wide namespace singleton lazily on first use.
         self.array_backend = cfg.resolved_array_backend
 
-    def __call__(
-        self, task: tuple[FeatureJob, int | None, np.ndarray]
-    ) -> tuple[FeatureJob, np.ndarray]:
-        job, seed, payload = task
-        program = self.programs[job.ansatz_index]
+    def run(self, ansatz_index: int, payload: np.ndarray) -> np.ndarray:
+        """The program step: one Ansatz instance over any number of payload
+        rows, row-stably -- evolved states, or a Pauli program's finished
+        feature block."""
+        program = self.programs[ansatz_index]
         if isinstance(program, PauliProgram):
-            # Pauli sweeps ship Bloch vectors: the block is their products.
-            return job, program.expectations(payload)
+            return program.expectations(payload)
         # Batched templates consume raw (chunk, rows, cols) angles and run
         # encoding + Ansatz evolution in one stacked pass (evolve_batch).
         evolve = (
@@ -421,16 +471,19 @@ class _BlockWorker:
         # ``xp=None`` (the default numpy namespace) never reaches backend
         # signatures, so third-party backends without the keyword keep working.
         xp = None if self.array_backend == "numpy" else get_namespace(self.array_backend)
-        evolved = evolve(payload, program) if xp is None else evolve(payload, program, xp=xp)
-        block = measure_block(
-            evolved,
-            self.observables,
-            self.estimator,
-            self.shots,
-            self.snapshots,
-            None if seed is None else np.random.default_rng(seed),
-            self.backend,
-        )
+        return evolve(payload, program) if xp is None else evolve(payload, program, xp=xp)
+
+    def __call__(
+        self, task: tuple[FeatureJob, int | None, np.ndarray]
+    ) -> tuple[FeatureJob, np.ndarray]:
+        job, seed, payload = task
+        block = self.run(job.ansatz_index, payload)
+        if not isinstance(self.programs[job.ansatz_index], PauliProgram):
+            rng = None if seed is None else np.random.default_rng(seed)
+            block = measure_block(
+                block, self.observables, self.estimator, self.shots,
+                self.snapshots, rng, self.backend,
+            )
         return job, block
 
 
@@ -558,7 +611,7 @@ def _sweep_stream(
     # Each task ships its own chunk (a view in-process; O(chunk) pickled
     # bytes for process pools) instead of the whole prepared batch.
     stream = runtime.stream(
-        _BlockWorker(strategy, programs, cfg),
+        BlockWorker(strategy, programs, cfg),
         [
             (job, seed, payload[job.lo : job.hi])
             for job, seed in zip(plan.jobs, plan.seeds, strict=True)
@@ -617,38 +670,10 @@ def generate_features(
 
     template = encoding_template(angles.shape[1], angles.shape[2])
     _run_preflight(strategy, template, cfg, owner="generate_features")
-    mode, programs = sweep_route(strategy, cfg)
-    if mode == "pauli":
-        # The encoder prepares a product state, so its per-qubit Bloch
-        # vectors are the whole payload: no state is evolved or measured.
-        return _assemble_features(
-            strategy, bloch_vectors(template, angles), cfg, programs, runtime,
-            out, return_report,
-        )
-    if mode == "batched":
-        # No separate preparation and no intermediate prepared-state array:
-        # every job encodes and evolves its raw angle chunk.
-        return _assemble_features(
-            strategy, angles, cfg, sweep_programs(strategy, cfg, template),
-            runtime, out, return_report,
-        )
-    if mode == "shared_encoder":
-        # One batched-encoder pass (per-qubit angle chains: ~rows fewer
-        # state-sized kernels than the per-gate encode_batch), then the
-        # standard chunked sweep reuses the prepared batch across every
-        # Ansatz instance.  The batched engine is fusion by construction,
-        # so evolution is pinned to a concrete fusion width even under
-        # compile="off".
-        width = resolve_fusion_width(cfg.compile) or DEFAULT_FUSION_WIDTH
-        xp = get_namespace(cfg.resolved_array_backend)
-        states = compile_parametric(template, max_width=width).apply_batch(angles, xp=xp)
-        return _assemble_features(
-            strategy, states, cfg, sweep_programs(strategy, cfg.merged(compile=width)),
-            runtime, out, return_report,
-        )
+    route = SweepRoute.build(strategy, cfg, template)
     return _assemble_features(
-        strategy, _prepare(angles, cfg, runtime), cfg, sweep_programs(strategy, cfg),
-        runtime, out, return_report,
+        strategy, route.payload(angles, runtime), cfg, route.programs, runtime,
+        out, return_report,
     )
 
 

@@ -126,9 +126,10 @@ class HybridPipeline:
         that orders live dispatch, so the analytic projection and the real
         submission order agree by construction; the unbound Ansatz
         (:func:`~repro.core.features.unbound_programs`) prices every
-        instance without compiling anything just for a projection.
+        instance without compiling anything just for a projection.  It runs
+        nothing, so a closed device still prices it.
         """
-        cfg, _ = self._execution()
+        cfg = self.device.config if self.device is not None else self._execution()[0]
         jobs = feature_jobs(
             self.strategy.num_ansatze, num_samples, cfg.resolved_chunk_size
         )

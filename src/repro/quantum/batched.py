@@ -10,8 +10,9 @@ bakes the angles into the gate matrices.  This module keeps the template
 as *angle slots*, and :meth:`ParametricCompiledCircuit.apply_batch` evolves
 an entire chunk of samples in one stacked pass --
 
-* each shared :class:`~repro.quantum.compile.FusedBlock` is one
-  ``(2^k, 2^k) x (B, 2^k, 2^(n-k))`` tensordot over the whole batch;
+* each shared :class:`~repro.quantum.compile.FusedBlock` is one batched
+  ``(2^k, 2^k) x (B, 2^k, 2^(n-k))`` matmul over the whole batch, a row's
+  bits independent of the batch height;
 * each run of per-sample rotations on one qubit collapses into a single
   :class:`AngleChain`: the per-row 2x2 matrices are composed in ``(B, 2, 2)``
   space (a few tiny batched matmuls) and applied with one batched einsum,

@@ -26,9 +26,10 @@ Two pieces:
   no array namespace: one cached program runs under NumPy, CuPy or torch
   (``apply(states, xp=...)``, :mod:`repro.xp`).
 
-The fusion-width trade-off: a block on ``k`` qubits costs one
-``(2^k, 2^k) @ (batch, 2^k, 2^(n-k))`` contraction, so wider blocks amortise
-more gates per einsum but each einsum touches a ``2^k``-times larger matrix.
+The fusion-width trade-off: a block on ``k`` qubits costs one batched
+``(2^k, 2^k) @ (batch, 2^k, 2^(n-k))`` matmul, so wider blocks amortise
+more gates per product but each product touches a ``2^k``-times larger
+matrix.
 ``k=3`` is the sweet spot for the paper's 4-8 qubit circuits (measured in
 ``benchmarks/test_compile_speedup.py``).
 """
@@ -104,17 +105,21 @@ class FusedBlock:
     def apply_tensor(self, tensor, xp):
         """Contract this block into a ``(batch, 2, ..., 2)`` state tensor.
 
-        tensordot output: the ``k`` gate-output axes first, then the
-        untouched axes in original relative order; moveaxis restores the
-        layout (``qubits`` is sorted ascending, matching the gate's local
-        big-endian ordering).  The matrix reaches ``xp``'s device through
-        the namespace's constant memo.
+        Each row is its own ``(2^k, 2^k) @ (2^k, 2^(n-k))`` product (the
+        block's axes moved next to the batch axis, ascending like the gate's
+        big-endian order), one batched matmul, so a row's bits never depend
+        on the batch height.  The matrix's leading axis of 1 keeps every
+        namespace from folding the rows into one BLAS call, which rounds a
+        lone row, or a final partial panel, differently.
         """
         k = self.width
-        gate = xp.to_device_cached(self.matrix).reshape((2,) * (2 * k))
         axes = [1 + q for q in self.qubits]
-        tensor = xp.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), axes))
-        return xp.moveaxis(tensor, tuple(range(k)), tuple(axes))
+        front = list(range(1, k + 1))
+        moved = xp.ascontiguous(xp.moveaxis(tensor, axes, front))
+        shape = tuple(moved.shape)
+        gate = xp.to_device_cached(self.matrix).reshape((1,) + self.matrix.shape)
+        rows = xp.matmul(gate, moved.reshape((shape[0], 2**k, -1)))
+        return xp.moveaxis(rows.reshape(shape), front, axes)
 
 
 @dataclass(frozen=True)
@@ -147,9 +152,10 @@ class CompiledCircuit:
         """Evolve ``states`` (1-D state or ``(batch, 2**n)``) through the program.
 
         The batch stays in ``(batch, 2, ..., 2)`` tensor form across all
-        blocks -- one BLAS-grade tensordot per fused block and a single
-        contiguity copy at the end, instead of the per-gate reshape/copy
-        round-trips of the naive engine.
+        blocks -- one row-stable batched matmul per fused block
+        (:meth:`FusedBlock.apply_tensor`) and a single contiguity copy at
+        the end, instead of the per-gate reshape/copy round-trips of the
+        naive engine.
 
         ``xp`` selects the array namespace (:mod:`repro.xp`; ``None`` is
         NumPy); states stay on its device.

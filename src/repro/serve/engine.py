@@ -5,32 +5,23 @@ every response must equal ``generate_features(strategy, x,
 config=execution.merged(seed=request_seed))`` bit for bit, no matter which
 requests happened to share its flush.  Two properties make that possible:
 
-* the evolution kernels are **row-stable**: ``evolve_batch`` over a
-  concatenated angle stack produces, for each row, the same bits as
-  evolving that row in any other batch composition (einsum/matmul over
-  axis 0 never mixes rows);
+* every program step is **row-stable**: a row's bits never depend on which
+  rows, or how many, share its pass;
 * each request carries the :class:`~repro.core.features.SweepPlan` a
-  standalone sweep of its rows builds -- the same
-  :meth:`~repro.core.features.SweepPlan.build` over the same programs,
-  so its jobs and per-job seeds (spawned from the *request* seed) are the
-  standalone sweep's by construction -- and every job is measured with
+  standalone sweep of its rows builds (its jobs, and per-job seeds spawned
+  from the *request* seed), and every job is measured with
   :func:`repro.core.features.measure_block`, the sweep's own measurement.
 
-So a flush concatenates the requests' angle batches, runs ONE
-``evolve_batch`` per Ansatz program over the stack (this is the coalescing
-payoff -- compile-cache hits plus one stacked kernel pass instead of N),
-then splits the evolved rows back per request and measures each request's
-jobs under their own seeds.
-
-The fast path applies exactly when :func:`generate_features` itself would
-run the single-batched-program path
-(``sweep_mode(strategy, cfg) == "batched"``).  Any other configuration
-falls back to per-request ``generate_features`` inside the flush worker --
-trivially bit-equal, still async and admitted, just without cross-request
-sharing (RPA113 lints the window in that case).  A ``"pauli"`` template
-(an exact ensemble of Clifford instances) is such a fallback: each request
-runs the Pauli engine, which compiles and evolves nothing, and is priced
-by the Pauli programs it runs.
+So a flush builds the template's :class:`~repro.core.features.SweepRoute`
+payload once over the requests' stacked angles, runs each Ansatz program
+ONCE over it with the sweep worker's program step
+(:meth:`~repro.core.features.BlockWorker.run`) -- the coalescing payoff --
+then measures each request's jobs on its rows under their own seeds.  That
+holds for every :func:`~repro.core.features.sweep_mode` but ``"prepared"``
+(``vectorize="off"``, or a backend without ``supports_vectorize``), which
+runs per-request ``generate_features`` inside its flush: trivially
+bit-equal, just without cross-request sharing (RPA113 lints the window
+then).  Admission always prices the standalone sweep's own programs.
 
 Everything here is plain picklable data + a module-level function, so a
 flush ships to thread *or process* pool workers unchanged.  Flush workers
@@ -49,19 +40,16 @@ import numpy as np
 
 from repro.api.config import ExecutionConfig
 from repro.core.features import (
+    BlockWorker,
     SweepPlan,
+    SweepRoute,
     bound_ansatz,
     generate_features,
     measure_block,
-    sweep_programs,
-    sweep_route,
-    unbound_programs,
 )
 from repro.core.strategies import Strategy
 from repro.data.encoding import encoding_template
 from repro.quantum.batched import extend_template, template_fingerprint
-from repro.quantum.circuit import Circuit
-from repro.xp import get_namespace
 
 __all__ = [
     "FlushRequest",
@@ -84,24 +72,23 @@ class FlushRequest:
 class TemplateArtifacts:
     """Sweep-wide artifacts for one registered template, built once.
 
-    ``programs`` are what each request's plan is priced with: the
-    standalone sweep's own batched programs on the fast path (and what the
-    flush runs), its Pauli programs for a ``"pauli"`` template, and the
-    unbound Ansatz (:func:`~repro.core.features.unbound_programs`) on any
-    other fallback.  None of the fallbacks compiles anything at
-    registration.  ``group_key`` is the coalescing
-    identity: two registrations whose batched templates share fingerprints,
-    observables and config-minus-seed coalesce into the same flushes (the
-    per-request seed lives in each :class:`FlushRequest`, never in the key).
+    ``route`` is the standalone sweep's own
+    :class:`~repro.core.features.SweepRoute`, whose programs price every
+    request's plan and run every flush but a ``"prepared"`` one.
+    ``group_key`` is the coalescing identity: fingerprints, observables and
+    config-minus-seed (the per-request seed lives in each
+    :class:`FlushRequest`, never in the key).
     """
 
     strategy: Strategy
-    template: Circuit
     cfg: ExecutionConfig
-    fast_path: bool
-    programs: tuple
-    observables: tuple
+    route: SweepRoute
     group_key: tuple
+
+    @property
+    def fast_path(self) -> bool:
+        """Whether flushes coalesce: every mode but ``"prepared"``."""
+        return self.route.mode != "prepared"
 
 
 def _config_key(cfg: ExecutionConfig) -> str:
@@ -118,30 +105,19 @@ def build_artifacts(
     fingerprint-keyed parametric cache, so identical templates across
     registrations -- or service restarts in one process -- hit)."""
     template = encoding_template(rows, strategy.num_qubits)
-    mode, programs = sweep_route(strategy, cfg)
-    fast_path = mode == "batched"
-    if fast_path:
-        programs = sweep_programs(strategy, cfg, template)
-    elif programs is None:
-        programs = unbound_programs(strategy)
-    observables = tuple(strategy.observables())
     fingerprints = tuple(
         template_fingerprint(extend_template(template, bound_ansatz(strategy, params)))
         for params in strategy.parameter_sets()
     )
     group_key = (
         fingerprints,
-        tuple(repr(obs) for obs in observables),
+        tuple(repr(obs) for obs in strategy.observables()),
         _config_key(cfg),
-        fast_path,
     )
     return TemplateArtifacts(
         strategy=strategy,
-        template=template,
         cfg=cfg,
-        fast_path=fast_path,
-        programs=tuple(programs),
-        observables=observables,
+        route=SweepRoute.build(strategy, cfg, template),
         group_key=group_key,
     )
 
@@ -151,53 +127,38 @@ def execute_flush(
 ) -> list[np.ndarray]:
     """Run one coalesced flush; returns one ``(k_r, p*q)`` block per request.
 
-    Fast path: concatenate every request's angles, ONE
-    ``backend.evolve_batch`` per Ansatz program over the stack, then
-    measure each request's jobs on their rows of the stack under their
-    plan seeds -- bit-equal to standalone sweeps by kernel row-stability.
-    Fallback: per-request :func:`generate_features` under the request's
-    seed (the inline serial runtime; see the module docstring on nesting).
+    The route's payload once over the stacked angles, the worker's program
+    step once per Ansatz program, then each request's jobs measured on its
+    rows under their plan seeds; a ``"prepared"`` template runs per-request
+    :func:`generate_features` instead (inline serial; see the module
+    docstring on nesting).
     """
-    cfg = artifacts.cfg
+    cfg, route = artifacts.cfg, artifacts.route
     if not artifacts.fast_path:
         return [
-            np.asarray(
-                generate_features(
-                    artifacts.strategy,
-                    request.angles,
-                    config=cfg.merged(seed=request.seed, preflight="off"),
-                )
+            generate_features(
+                artifacts.strategy, r.angles, config=cfg.merged(seed=r.seed, preflight="off")
             )
-            for request in requests
+            for r in requests
         ]
-    backend = cfg.backend
-    name = cfg.resolved_array_backend
-    xp = None if name == "numpy" else get_namespace(name)
-    stacked = np.concatenate([request.angles for request in requests], axis=0)
-    offsets = np.cumsum([0] + [len(request.angles) for request in requests])
-    q = len(artifacts.observables)
-    observables = list(artifacts.observables)
-    outputs = [
-        np.empty((len(request.angles), len(artifacts.programs) * q))
-        for request in requests
-    ]
-    for a, program in enumerate(artifacts.programs):
-        evolve = backend.evolve_batch
-        evolved = (
-            evolve(stacked, program) if xp is None else evolve(stacked, program, xp=xp)
-        )
+    worker = BlockWorker(artifacts.strategy, route.programs, cfg)
+    payload = route.payload(np.concatenate([r.angles for r in requests], axis=0))
+    offsets = np.cumsum([0] + [len(r.angles) for r in requests])
+    q = len(worker.observables)
+    outputs = [np.empty((len(r.angles), len(route.programs) * q)) for r in requests]
+    for a in range(len(route.programs)):
+        evolved = worker.run(a, payload)
         for request, offset, out in zip(requests, offsets[:-1], outputs, strict=True):
             for job, seed in zip(request.plan.jobs, request.plan.seeds, strict=True):
                 if job.ansatz_index != a:
                     continue
-                block = measure_block(
-                    evolved[offset + job.lo : offset + job.hi],
-                    observables,
-                    cfg.estimator,
-                    cfg.shots,
-                    cfg.snapshots,
-                    None if seed is None else np.random.default_rng(seed),
-                    backend,
-                )
+                block = evolved[offset + job.lo : offset + job.hi]
+                # A Pauli program's step already yields the feature block.
+                if route.mode != "pauli":
+                    rng = None if seed is None else np.random.default_rng(seed)
+                    block = measure_block(
+                        block, worker.observables, cfg.estimator, cfg.shots,
+                        cfg.snapshots, rng, cfg.backend,
+                    )
                 out[job.lo : job.hi, a * q : (a + 1) * q] = block
     return outputs

@@ -6,9 +6,9 @@ predict requests from many tenants:
 
 * **registration** names a template: a strategy + encoding rows (+ an
   optional per-template execution config and classical head).  Artifacts
-  (batched programs via the fingerprint-keyed compile cache, the
-  coalescing group key, preflight lint) are built once here, not per
-  request;
+  (the standalone sweep's route and programs, via the fingerprint-keyed
+  compile caches, the coalescing group key, preflight lint) are built once
+  here, not per request;
 * **submission** is async: a request is cache-checked, planned (the
   :class:`~repro.core.features.SweepPlan` a standalone sweep of its rows
   builds), priced at that plan's cost, admitted against its tenant's bounds
@@ -245,7 +245,7 @@ class FeatureService:
         template only; its seed is the template's *default* request seed
         (``submit(seed=...)`` overrides per request).  ``head`` is any
         object with ``predict(features)`` -- it makes :meth:`predict`
-        available for this template.  Registration compiles the batched
+        available for this template.  Registration builds the sweep's
         programs once and runs the serve preflight per the execution
         config's ``preflight`` knob.
         """
@@ -273,7 +273,7 @@ class FeatureService:
             run_serve_preflight(
                 self.config.merged(execution=execution),
                 num_qubits=strategy.num_qubits,
-                circuits=preflight_circuits(strategy, artifacts.template),
+                circuits=preflight_circuits(strategy, artifacts.route.template),
                 owner=f"FeatureService.register({name!r})",
             )
         self._registrations[name] = Registration(
@@ -409,7 +409,7 @@ class FeatureService:
         # The plan a standalone sweep of these rows builds: its jobs and
         # seeds drive the flush, its cost is the admission price.
         plan = SweepPlan.build(
-            registration.strategy, cfg, x.shape[0], artifacts.programs, seed
+            registration.strategy, cfg, x.shape[0], artifacts.route.programs, seed
         )
         cost = float(np.sum(plan.costs))
         try:

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.api import ExecutionConfig, QuantumDevice, QuantumFeatureMap
-from repro.core.features import generate_features, prepare_states
+from repro.core.features import (
+    evaluate_features,
+    generate_features,
+    iter_feature_blocks,
+    prepare_states,
+)
 from repro.core.model import PostVariationalClassifier
 from repro.core.strategies import HybridStrategy, ObservableConstruction
 from repro.hpc.runtime import ExecutionRuntime
@@ -81,6 +86,57 @@ def test_device_shared_runtime_not_closed():
         with QuantumDevice(runtime=runtime):
             pass
         assert not runtime.closed  # ownership rule: shared pools survive
+
+
+def _spmd_on(strategy, angles, device):
+    from repro.core.distributed_pipeline import generate_features_spmd
+    from repro.hpc.comm import run_spmd
+
+    return lambda: run_spmd(
+        lambda comm: generate_features_spmd(comm, strategy, angles, device=device), 1
+    )
+
+
+def _pipeline_on(strategy, angles, device):
+    from repro.core.pipeline import HybridPipeline
+
+    pipeline = HybridPipeline(strategy=strategy, device=device)
+    return lambda: pipeline.fit(angles, np.arange(len(angles)) % 2)
+
+
+def _feature_map_on(strategy, angles, device):
+    feature_map = QuantumFeatureMap(strategy, device=device).fit(angles)
+    return lambda: feature_map.transform(angles)
+
+
+#: entry point -> a factory that binds it to an open device and returns the
+#: sweep to run once the device is closed.
+CLOSED_DEVICE_CALLS = {
+    "generate_features": lambda s, x, d: lambda: generate_features(s, x, device=d),
+    "evaluate_features": lambda s, x, d: lambda: evaluate_features(
+        s, prepare_states(x), device=d
+    ),
+    "iter_feature_blocks": lambda s, x, d: lambda: iter_feature_blocks(
+        s, prepare_states(x), device=d
+    ),
+    "prepare_states": lambda s, x, d: lambda: prepare_states(x, device=d),
+    "HybridPipeline": _pipeline_on,
+    "QuantumFeatureMap.transform": _feature_map_on,
+    "generate_features_spmd": _spmd_on,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CLOSED_DEVICE_CALLS))
+def test_closed_device_runs_no_sweep(strategy, angles, entry):
+    """A closed device is refused wherever it is passed, with its own error,
+    even though the runtime it borrowed stays open."""
+    with ExecutionRuntime("thread", max_workers=2) as runtime:
+        device = QuantumDevice(ExecutionConfig(seed=1), runtime=runtime)
+        sweep = CLOSED_DEVICE_CALLS[entry](strategy, angles, device)
+        device.close()
+        with pytest.raises(RuntimeError, match="closed; create a new QuantumDevice"):
+            sweep()
+        assert not runtime.closed
 
 
 def test_device_reconfigured_shares_runtime(strategy, angles):

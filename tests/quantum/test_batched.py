@@ -4,9 +4,9 @@
 single-qubit rotation slots) pin ``apply_batch`` to the per-sample oracle --
 bind one row of angles, evolve with the naive gate walker -- to 1e-10, plus
 segment bookkeeping (chain merging on the Fig. 7 encoder), exact agreement
-with :func:`compile_circuit` on fully bound circuits, input validation and
-picklability (the property that ships one parent-side compile to every
-process worker).
+with :func:`compile_circuit` on fully bound circuits, row stability (a
+row's bits never depend on its batch), input validation and picklability
+(the property that ships one parent-side compile to every process worker).
 """
 
 from __future__ import annotations
@@ -83,6 +83,27 @@ def test_apply_batch_matches_per_sample_oracle(seed):
         [run_circuit(template.bind(angles[i]), state=states[i]) for i in range(batch)]
     )
     assert np.abs(stacked - oracle).max() < 1e-10
+
+
+@pytest.mark.parametrize("num_qubits", [2, 3])
+def test_apply_batch_is_row_stable(num_qubits):
+    """A row's bits never depend on its batch: one row alone, or the tail of
+    a short stack, equals those rows of a 64-row stack, also through shared
+    blocks on every qubit (the encoder's fused Hadamards and a bound Ansatz
+    suffix)."""
+    rng = np.random.default_rng(50 + num_qubits)
+    suffix = random_template(rng, num_qubits, 30, slot_prob=0.0)
+    program = compile_parametric(
+        extend_template(encoding_template(2, num_qubits), suffix), cache=None
+    )
+    widths = [seg.width for seg in program.segments if isinstance(seg, FusedBlock)]
+    assert num_qubits in widths
+    angles = rng.uniform(0, np.pi, size=(64, 2, num_qubits))
+    stacked = program.apply_batch(angles)
+    for i in range(64):
+        assert np.array_equal(program.apply_batch(angles[i : i + 1]), stacked[i : i + 1])
+    for height in range(2, 9):
+        assert np.array_equal(program.apply_batch(angles[-height:]), stacked[-height:])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

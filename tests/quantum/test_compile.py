@@ -4,7 +4,7 @@
 k in {1, 2, 3}) pin the fused engine to the naive gate-walker to 1e-10,
 plus unitarity of every fused block, exact partition preservation, and the
 compile-cache contract (structure + angles keyed, LRU-bounded, picklable
-programs).
+programs) and row stability (a row's bits never depend on its batch).
 """
 
 from __future__ import annotations
@@ -79,6 +79,24 @@ def test_fused_matches_naive(seed):
         eye = np.eye(2**block.width)
         assert np.abs(block.matrix @ block.matrix.conj().T - eye).max() < 1e-10
     assert sum(block.source_gates for block in program.blocks) == circuit.num_gates
+
+
+@pytest.mark.parametrize("num_qubits", [2, 3])
+def test_apply_is_row_stable(num_qubits):
+    """A row's bits never depend on its batch: one row alone, or the tail of
+    a short stack, equals those rows of a 64-row call, also where a fused
+    block covers every qubit (a one-row contraction, or a final partial
+    BLAS panel, must not round differently)."""
+    rng = np.random.default_rng(40 + num_qubits)
+    program = compile_circuit(random_circuit(rng, num_qubits, 30), cache=None)
+    assert any(block.width == num_qubits for block in program.blocks)
+    states = random_states(rng, num_qubits, 64)
+    stacked = program.apply(states)
+    for i in range(64):
+        assert np.array_equal(program.apply(states[i : i + 1]), stacked[i : i + 1])
+        assert np.array_equal(program.apply(states[i]), stacked[i])
+    for height in range(2, 9):
+        assert np.array_equal(program.apply(states[-height:]), stacked[-height:])
 
 
 @pytest.mark.parametrize("seed", range(20))

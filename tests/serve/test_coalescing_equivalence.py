@@ -16,7 +16,7 @@ import pytest
 
 from repro.api.config import ExecutionConfig
 from repro.api.device import QuantumDevice
-from repro.core.features import generate_features
+from repro.core.features import generate_features, sweep_mode
 from repro.core.strategies import strategy_from_name
 from repro.quantum.backends import DensityMatrixBackend
 from repro.serve import FeatureService, ServeConfig
@@ -48,6 +48,8 @@ CASES = [
         ),
         id="shots-density-multi-ansatz-fast-path",
     ),
+    # An exact ensemble of Clifford instances: it coalesces on "pauli" now,
+    # the id predates that.
     pytest.param(
         "hybrid",
         ExecutionConfig(vectorize="auto", compile="auto"),
@@ -73,12 +75,48 @@ CASES = [
         ),
         id="shadows-statevector-fast-path",
     ),
+    pytest.param(
+        "hybrid",
+        ExecutionConfig(chunk_size=2, vectorize="auto", compile="auto"),
+        id="exact-pauli-chunked",
+    ),
+    pytest.param(
+        "hybrid-theta",
+        ExecutionConfig(vectorize="auto", compile="auto"),
+        id="exact-shared-encoder",
+    ),
+    pytest.param(
+        "hybrid",
+        ExecutionConfig(
+            estimator="shots", shots=64, vectorize="auto", compile="auto"
+        ),
+        id="shots-shared-encoder",
+    ),
+    pytest.param(
+        "hybrid",
+        ExecutionConfig(
+            estimator="shadows", snapshots=32, vectorize="auto", compile="auto"
+        ),
+        id="shadows-shared-encoder",
+    ),
+    # One generic 3-qubit block per program: 1-row requests must round
+    # like their rows of a taller flush.
+    pytest.param(
+        "ansatz-theta",
+        ExecutionConfig(vectorize="auto", compile="auto"),
+        id="exact-single-ansatz-full-width-block",
+    ),
 ]
 
 
 #: Flushes ship to process workers unchanged (FlushRequest and its
-#: SweepPlan pickle): one fast-path and one fallback case run there too.
-PROCESS_CASES = {"shots-statevector-fast-path", "exact-multi-ansatz-statevector-fallback"}
+#: SweepPlan pickle): one case per coalescing mode runs there too.
+PROCESS_CASES = {
+    "shots-statevector-fast-path",
+    "exact-multi-ansatz-statevector-fallback",
+    "exact-pauli-chunked",
+    "exact-shared-encoder",
+}
 POOL_CASES = [pytest.param(*case.values, "serial", id=case.id) for case in CASES] + [
     pytest.param(*case.values, "process", id=f"{case.id}-process")
     for case in CASES
@@ -86,10 +124,32 @@ POOL_CASES = [pytest.param(*case.values, "serial", id=case.id) for case in CASES
 ]
 
 
+def _theta(layers: int) -> np.ndarray:
+    """A seeded non-Clifford expansion point for the Fig. 8 Ansatz."""
+    return np.random.default_rng(11).uniform(-np.pi, np.pi, size=QUBITS * layers)
+
+
 def _strategy(kind: str):
+    """``"hybrid"`` is the 1-layer Fig. 8 ensemble, Clifford at theta = 0;
+    ``"hybrid-theta"`` expands it at a non-Clifford point instead, and
+    ``"ansatz-theta"`` is one non-Clifford 2-layer instance, whose second
+    rotation layer fuses into a generic block on every qubit."""
     if kind == "hybrid":
         return strategy_from_name("hybrid", num_qubits=QUBITS, layers=1)
+    if kind == "hybrid-theta":
+        return strategy_from_name(
+            "hybrid", num_qubits=QUBITS, layers=1, base_parameters=_theta(1)
+        )
+    if kind == "ansatz-theta":
+        return strategy_from_name(
+            "ansatz", num_qubits=QUBITS, order=0, base_parameters=_theta(2)
+        )
     return strategy_from_name(kind, num_qubits=QUBITS)
+
+
+def test_cases_cover_every_sweep_mode():
+    modes = {sweep_mode(_strategy(case.values[0]), case.values[1]) for case in CASES}
+    assert modes == {"batched", "pauli", "shared_encoder", "prepared"}
 
 
 @pytest.mark.parametrize("kind,execution,pool", POOL_CASES)
@@ -142,12 +202,29 @@ def test_coalesced_responses_bit_equal_standalone(kind, execution, pool):
         assert np.array_equal(response, reference)
 
 
-def test_same_seed_same_input_identical_across_flush_compositions():
+@pytest.mark.parametrize(
+    "kind,execution",
+    [
+        pytest.param(
+            "observable",
+            ExecutionConfig(
+                estimator="shots", shots=128, vectorize="auto", compile="auto"
+            ),
+            id="batched",
+        ),
+        pytest.param(
+            "hybrid", ExecutionConfig(vectorize="auto", compile="auto"), id="pauli"
+        ),
+        pytest.param(
+            "hybrid-theta",
+            ExecutionConfig(vectorize="auto", compile="auto"),
+            id="shared-encoder",
+        ),
+    ],
+)
+def test_same_seed_same_input_identical_across_flush_compositions(kind, execution):
     """One request's bits never depend on who shared its flush."""
-    strategy = _strategy("observable")
-    execution = ExecutionConfig(
-        estimator="shots", shots=128, vectorize="auto", compile="auto"
-    )
+    strategy = _strategy(kind)
     x = np.random.default_rng(7).uniform(0, np.pi, size=(2, ROWS, QUBITS))
 
     async def run_with_peers(num_peers: int) -> np.ndarray:

@@ -419,18 +419,13 @@ def test_stop_is_idempotent():
     asyncio.run(main())
 
 
-def test_pauli_template_admitted_at_its_standalone_sweep_cost(monkeypatch):
-    """A multi-instance Clifford template runs the Pauli engine per request,
-    so admission prices it as that standalone sweep -- below the price of
-    the same jobs as statevector evolutions."""
-    from repro.core.features import generate_features, sweep_mode, unbound_programs
+def _admitted_and_standalone_cost(monkeypatch, strategy, execution):
+    """Serve one request of ``strategy`` and sweep its rows standalone: the
+    costs admission charged, and the standalone plan's cost."""
+    from repro.core.features import generate_features
     from repro.serve.fairness import AdmissionController
 
-    execution = ExecutionConfig(vectorize="auto", compile="auto", seed=7)
-    strategy = strategy_from_name("ansatz", num_qubits=QUBITS, layers=1, order=1)
-    assert sweep_mode(strategy, execution) == "pauli"
     x = angles(k=3)
-
     plans: list[SweepPlan] = []
     real_build = SweepPlan.build.__func__
 
@@ -461,8 +456,65 @@ def test_pauli_template_admitted_at_its_standalone_sweep_cost(monkeypatch):
 
     served = asyncio.run(main())
     assert np.array_equal(served, standalone)
+    return admitted, standalone_cost
+
+
+def test_pauli_template_admitted_at_its_standalone_sweep_cost(monkeypatch):
+    """A multi-instance Clifford template runs the Pauli engine per request,
+    so admission prices it as that standalone sweep -- below the price of
+    the same jobs as statevector evolutions."""
+    from repro.core.features import sweep_mode, unbound_programs
+
+    execution = ExecutionConfig(vectorize="auto", compile="auto", seed=7)
+    strategy = strategy_from_name("ansatz", num_qubits=QUBITS, layers=1, order=1)
+    assert sweep_mode(strategy, execution) == "pauli"
+    admitted, standalone_cost = _admitted_and_standalone_cost(
+        monkeypatch, strategy, execution
+    )
     assert admitted == [standalone_cost]
-    statevector_plan = real_build(
-        SweepPlan, strategy, execution, len(x), unbound_programs(strategy), 7
+    statevector_plan = SweepPlan.build(
+        strategy, execution, 3, unbound_programs(strategy), 7
     )
     assert standalone_cost < float(np.sum(statevector_plan.costs))
+
+
+def _hybrid(theta: float):
+    return strategy_from_name(
+        "hybrid", num_qubits=QUBITS, layers=1, base_parameters=np.full(QUBITS, theta)
+    )
+
+
+SHOTS = ExecutionConfig(estimator="shots", shots=64, vectorize="auto", compile="auto", seed=7)
+EXACT = ExecutionConfig(vectorize="auto", compile="auto", seed=7)
+
+
+@pytest.mark.parametrize(
+    "strategy,execution,mode",
+    [
+        pytest.param(_hybrid(0.0), SHOTS, "shared_encoder", id="clifford-shots"),
+        pytest.param(_hybrid(0.3), EXACT, "shared_encoder", id="rotated-exact"),
+        pytest.param(_hybrid(0.3), SHOTS, "shared_encoder", id="rotated-shots"),
+        pytest.param(
+            strategy_from_name(
+                "ansatz", num_qubits=QUBITS, order=0, base_parameters=np.full(2 * QUBITS, 0.3)
+            ),
+            EXACT,
+            "batched",
+            id="single-instance",
+        ),
+        pytest.param(
+            _hybrid(0.3), EXACT.merged(vectorize="off"), "prepared", id="vectorize-off"
+        ),
+    ],
+)
+def test_template_admitted_at_its_standalone_sweep_cost(monkeypatch, strategy, execution, mode):
+    """Every template is priced by the programs its standalone sweep runs,
+    whether its flushes coalesce or not, so admission charges exactly that
+    sweep's plan."""
+    from repro.core.features import sweep_mode
+
+    assert sweep_mode(strategy, execution) == mode
+    admitted, standalone_cost = _admitted_and_standalone_cost(
+        monkeypatch, strategy, execution
+    )
+    assert admitted == [standalone_cost]

@@ -33,13 +33,22 @@ FAST_EXECUTION = ExecutionConfig(vectorize="auto", compile="auto", seed=7)
 FALLBACK_EXECUTION = ExecutionConfig(vectorize="off", seed=7)
 
 
-def make_service(execution: ExecutionConfig = FAST_EXECUTION, **overrides):
+OBSERVABLE = strategy_from_name("observable", num_qubits=QUBITS)
+#: Multi-instance templates: Clifford at theta = 0 (the Pauli engine), and a
+#: non-Clifford expansion point (one shared encoder pass).
+PAULI_HYBRID = strategy_from_name("hybrid", num_qubits=QUBITS, layers=1)
+ROTATED_HYBRID = strategy_from_name(
+    "hybrid", num_qubits=QUBITS, layers=1, base_parameters=np.full(QUBITS, 0.3)
+)
+
+
+def make_service(
+    execution: ExecutionConfig = FAST_EXECUTION, strategy=OBSERVABLE, **overrides
+):
     defaults = dict(batch_window_ms=2.0, pool="serial", execution=execution)
     defaults.update(overrides)
     service = FeatureService(ServeConfig(**defaults))
-    service.register(
-        "t", strategy_from_name("observable", num_qubits=QUBITS), rows=ROWS
-    )
+    service.register("t", strategy, rows=ROWS)
     return service
 
 
@@ -131,13 +140,20 @@ def test_array_codec_is_bit_exact():
 
 # --------------------------------------------------------- the equality chain
 @pytest.mark.parametrize(
-    "execution", [FAST_EXECUTION, FALLBACK_EXECUTION], ids=["fast", "fallback"]
+    "strategy,execution",
+    [
+        (OBSERVABLE, FAST_EXECUTION),
+        (OBSERVABLE, FALLBACK_EXECUTION),
+        (PAULI_HYBRID, FAST_EXECUTION),
+        (ROTATED_HYBRID, FAST_EXECUTION),
+    ],
+    ids=["fast", "fallback", "pauli", "shared-encoder"],
 )
-def test_tcp_response_bit_equal_to_in_process_and_standalone(execution):
-    """The PR's contract: TCP == in-process submit == generate_features."""
+def test_tcp_response_bit_equal_to_in_process_and_standalone(strategy, execution):
+    """The serving contract: TCP == in-process submit == generate_features."""
 
     async def main():
-        service = make_service(execution)
+        service = make_service(execution, strategy)
         x = angles(k=4)
         async with service:
             in_process = await service.submit("t", x, seed=5)
@@ -148,7 +164,6 @@ def test_tcp_response_bit_equal_to_in_process_and_standalone(execution):
         return in_process, over_tcp
 
     in_process, over_tcp = asyncio.run(main())
-    strategy = strategy_from_name("observable", num_qubits=QUBITS)
     execution_cfg = execution if execution.seed == 5 else execution.merged(seed=5)
     standalone = np.asarray(
         generate_features(strategy, angles(k=4), config=execution_cfg)
