@@ -13,14 +13,16 @@ Three estimators exercise the paper's three measurement models:
 * ``shadows`` -- classical-shadow estimation, one shadow batch per
   (data point, Ansatz) reused across all q observables (Proposition 2).
 
-The work grid (Ansatz instance x data chunk) is embarrassingly parallel.
-:class:`SweepPlan` plans it once per sweep -- the jobs, one RNG seed and one
-dispatch cost (chunk size x Ansatz depth x shot budget, priced by
-:func:`repro.hpc.cluster.task_costs`) per job -- and is the package's only
-planner: the serving layer (:mod:`repro.serve.engine`) plans each request
-with the same :meth:`SweepPlan.build` and runs it through the same
-:class:`SweepRoute`, so a served response and a standalone sweep share
-programs, jobs and seeds by construction.  Dispatch runs through the
+The work grid (program x data chunk) is embarrassingly parallel: one
+program per Ansatz instance, or a Pauli sweep's single ensemble program,
+whose job covers every column of its rows.  :class:`SweepPlan` plans it once
+per sweep -- the jobs, one RNG seed and one dispatch cost (chunk size x
+Ansatz depth x shot budget, priced by :func:`repro.hpc.cluster.task_costs`)
+per job -- and is the package's only planner: the serving layer
+(:mod:`repro.serve.engine`) plans each request with the same
+:meth:`SweepPlan.build` and runs it through the same :class:`SweepRoute`,
+so a served response and a standalone sweep share programs, jobs and seeds
+by construction.  Dispatch runs through the
 persistent :class:`repro.hpc.runtime.ExecutionRuntime` and is *streaming*:
 the plan's costs order submission via the scheduling policies, and each
 completed block is scattered into the preallocated Q matrix as its future
@@ -50,7 +52,9 @@ raw angle chunk through one
 ensemble whose every instance is Clifford -- the paper's shifts at
 theta = 0 -- evolves no state at all (``"pauli"``): Appendix A's Heisenberg
 picture turns each feature into a signed product of the encoder's per-qubit
-Bloch components (:mod:`repro.quantum.pauli`).  The job grid and per-task
+Bloch components (:mod:`repro.quantum.pauli`), so each row chunk is one job
+that multiplies out the ensemble's distinct Pauli strings, and assembly
+fills every column from them by a signed gather.  The job grid and per-task
 seeds are the plan's either way, and the per-sample path remains the
 reference oracle (``tests/integration/test_batched_features.py``).
 
@@ -118,23 +122,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FeatureJob:
-    """One schedulable unit: Ansatz instance ``a`` on data rows [lo, hi)."""
+    """One schedulable unit: program ``ansatz_index`` on data rows [lo, hi).
+
+    A program is one Ansatz instance, whose job yields its ``q`` columns --
+    except a ``"pauli"`` sweep's single ensemble program (index 0), whose
+    job yields every column of its rows.
+    """
 
     ansatz_index: int
     lo: int
     hi: int
 
 
-def feature_jobs(num_ansatze: int, num_samples: int, chunk_size: int) -> list[FeatureJob]:
-    """The sweep's work grid: one job per (Ansatz instance, data chunk).
+def feature_jobs(num_programs: int, num_samples: int, chunk_size: int) -> list[FeatureJob]:
+    """A work grid: one job per (program, data chunk), program-major.
 
-    The single source of truth for job enumeration: :meth:`SweepPlan.build`
-    (and so every sweep and every served request) and
-    :meth:`HybridPipeline.circuit_tasks`' analytic projection build on it.
+    :meth:`SweepPlan.build` (and so every sweep and every served request)
+    enumerates its jobs here, one program per Ansatz instance -- or, for a
+    ``"pauli"`` sweep, its one ensemble program, so one job per chunk --
+    and :meth:`HybridPipeline.circuit_tasks`' analytic projection asks for
+    the per-instance grid.
     """
     return [
         FeatureJob(a, lo, hi)
-        for a in range(num_ansatze)
+        for a in range(num_programs)
         for (lo, hi) in chunk_ranges(num_samples, chunk_size)
     ]
 
@@ -150,8 +161,9 @@ def sweep_mode(strategy: Strategy, cfg: ExecutionConfig) -> str:
     * ``"pauli"`` -- several instances, the exact estimator, a backend with
       ``supports_pauli`` (the ideal statevector) and every bound instance
       Clifford: each observable conjugates to one signed Pauli string and
-      each job multiplies the encoder's Bloch components
-      (:mod:`repro.quantum.pauli`) -- no state is evolved or measured;
+      each row-chunk job multiplies the encoder's Bloch components for the
+      ensemble's distinct strings (:mod:`repro.quantum.pauli`) -- no state
+      is evolved or measured;
     * ``"shared_encoder"`` -- several statevector instances share one
       batched-encoder pass, then every instance evolves the prepared batch;
     * ``"prepared"`` -- per-sample preparation, then per-instance evolution
@@ -167,9 +179,10 @@ def sweep_route(strategy: Strategy, cfg: ExecutionConfig) -> tuple[str, list | N
     """:func:`sweep_mode` plus the programs its Clifford check built.
 
     Deciding ``"pauli"`` means propagating every (instance, observable) row
-    through the Ansatz; the programs fall out of that same pass, so they are
-    returned with the mode (``None`` for every other mode) instead of being
-    rebuilt.
+    through the Ansatz; the ensemble's one
+    :class:`~repro.quantum.pauli.PauliProgram` falls out of that same pass,
+    so it is returned with the mode (``None`` for every other mode) instead
+    of being rebuilt.
     """
     backend = cfg.backend
     if cfg.vectorize != "auto" or not backend.supports_vectorize:
@@ -177,11 +190,11 @@ def sweep_route(strategy: Strategy, cfg: ExecutionConfig) -> tuple[str, list | N
     if strategy.num_ansatze == 1 or backend.representation == "density":
         return "batched", None
     if cfg.estimator == "exact" and backend.supports_pauli:
-        programs = propagate(
+        program = propagate(
             strategy.ansatz, strategy.parameter_sets(), strategy.observables()
         )
-        if programs is not None:
-            return "pauli", programs
+        if program is not None:
+            return "pauli", [program]
     return "shared_encoder", None
 
 
@@ -253,8 +266,9 @@ def sweep_programs(
 @dataclass(frozen=True)
 class SweepRoute:
     """A raw-angle sweep's :func:`sweep_mode`, its programs (one per Ansatz
-    instance) and, by :meth:`payload`, what they consume: routed once per
-    sweep, or once per served template and then per flush
+    instance, or one ensemble program for ``"pauli"``) and, by
+    :meth:`payload`, what they consume: routed once per sweep, or once per
+    served template and then per flush
     (:mod:`repro.serve.engine`).  ``cfg`` built the programs: the sweep's
     own, its fusion width pinned for ``"shared_encoder"``.
     """
@@ -314,7 +328,9 @@ def preflight_circuits(strategy: Strategy, template: Circuit | None) -> list[Cir
 class SweepPlan:
     """Algorithm 1's work grid for one sweep (Eq. 26), built by :meth:`build`.
 
-    ``jobs`` enumerate (Ansatz instance x data chunk), ansatz-major;
+    ``jobs`` enumerate (program x data chunk), program-major: one program
+    per Ansatz instance, or a ``"pauli"`` sweep's one ensemble program, so
+    one job per chunk covering every column;
     ``seeds`` hold one RNG seed per job (``None`` throughout for exact
     estimation), keyed by job *index* so results do not depend on the
     executor backend, policy or completion order; ``costs`` price each job
@@ -337,11 +353,11 @@ class SweepPlan:
     ) -> SweepPlan:
         """Plan ``num_samples`` rows of ``strategy`` under ``cfg``.
 
-        ``programs`` (one per Ansatz instance) price the jobs and ``seed``
-        roots the per-job RNG streams (a sweep passes ``cfg.seed``; a
-        served request its own seed).
+        ``programs`` (a :class:`SweepRoute`'s) shape and price the jobs and
+        ``seed`` roots the per-job RNG streams (a sweep passes ``cfg.seed``;
+        a served request its own seed).
         """
-        jobs = feature_jobs(strategy.num_ansatze, num_samples, cfg.resolved_chunk_size)
+        jobs = feature_jobs(len(programs), num_samples, cfg.resolved_chunk_size)
         if cfg.estimator == "exact":
             seeds: tuple[int | None, ...] = (None,) * len(jobs)
         else:
@@ -439,7 +455,8 @@ class BlockWorker:
     for density states (4^n entries each) would dominate the sweep.
 
     A job is :meth:`run` (the program step a serve flush also runs, over
-    its stacked requests), then :func:`measure_block`.
+    its stacked requests), then :func:`measure_block`; the host writes the
+    block into Q with :meth:`place`.
     """
 
     def __init__(self, strategy: Strategy, programs: list, cfg: ExecutionConfig):
@@ -455,9 +472,9 @@ class BlockWorker:
         self.array_backend = cfg.resolved_array_backend
 
     def run(self, ansatz_index: int, payload: np.ndarray) -> np.ndarray:
-        """The program step: one Ansatz instance over any number of payload
-        rows, row-stably -- evolved states, or a Pauli program's finished
-        feature block."""
+        """The program step: one program over any number of payload rows,
+        row-stably -- an Ansatz instance's evolved states, or the Pauli
+        ensemble program's ``(rows, S)`` distinct-string expectations."""
         program = self.programs[ansatz_index]
         if isinstance(program, PauliProgram):
             return program.expectations(payload)
@@ -486,6 +503,18 @@ class BlockWorker:
             )
         return job, block
 
+    def place(self, job: FeatureJob, block: np.ndarray, out: np.ndarray) -> None:
+        """Write ``job``'s finished block into its rows of Q-shaped ``out``:
+        its instance's ``q`` columns, or every column by the Pauli program's
+        signed gather."""
+        rows = out[job.lo : job.hi]
+        program = self.programs[job.ansatz_index]
+        if isinstance(program, PauliProgram):
+            program.gather(block, rows)
+        else:
+            q = len(self.observables)
+            rows[:, job.ansatz_index * q : (job.ansatz_index + 1) * q] = block
+
 
 def feature_circuit_tasks(
     jobs: list[FeatureJob],
@@ -505,7 +534,8 @@ def feature_circuit_tasks(
     mitigated sweeps) all enter the cost, so the scheduling policies see
     the same heterogeneity the real execution pays.  A
     :class:`~repro.quantum.pauli.PauliProgram` job costs what it runs:
-    chunk x q x n products, no state.  A sharded backend's
+    chunk x S x n products over the ensemble's ``S`` distinct strings, no
+    state, and ships back its ``(chunk, S)`` values.  A sharded backend's
     slab count carries through as ``num_shards``, which divides the
     simulation flops but adds remap-synchronisation latency per circuit.
     """
@@ -522,8 +552,10 @@ def feature_circuit_tasks(
     for job in jobs:
         chunk = job.hi - job.lo
         program = programs[job.ansatz_index]
+        width = q
         if isinstance(program, PauliProgram):
-            flops = float(chunk * q * num_qubits)
+            width = len(program.letters)
+            flops = float(chunk * width * num_qubits)
         elif getattr(program, "num_kernel_passes", None) is not None:
             # Vectorized density programs count every stacked pass directly
             # (Kraus operators and folded ZNE copies included), so they are
@@ -536,7 +568,7 @@ def feature_circuit_tasks(
             CircuitTask(
                 num_circuits=chunk,
                 shots=shots_per_circuit,
-                result_bytes=8 * chunk * q,
+                result_bytes=8 * chunk * width,
                 classical_flops=flops,
                 num_shards=backend.shards,
             )
@@ -590,7 +622,7 @@ def _sweep_stream(
     strategy: Strategy,
     payload: np.ndarray,
     cfg: ExecutionConfig,
-    programs: list,
+    worker: BlockWorker,
     runtime: ExecutionRuntime | None,
     records: list[TaskCompletion] | None,
 ) -> tuple[Iterator[TaskCompletion], tuple[float, ...], ExecutionRuntime]:
@@ -598,20 +630,19 @@ def _sweep_stream(
 
     ``cfg`` is already validated (backend resolved, regime checked) -- the
     :class:`~repro.api.config.ExecutionConfig` constructor guarantees it.
-    ``programs`` (one per Ansatz instance) decide what ``payload`` is:
-    prepared states for plain or compiled circuits, the raw
-    ``(d, rows, cols)`` angle batch for batched programs, per-qubit Bloch
-    vectors for Pauli programs.  The :class:`SweepPlan` is built the same
-    way every time, so the paths are directly comparable estimator by
-    estimator.
+    The ``worker``'s programs decide what ``payload`` is: prepared states
+    for plain or compiled circuits, the raw ``(d, rows, cols)`` angle batch
+    for batched programs, per-qubit Bloch vectors for the Pauli program.
+    The :class:`SweepPlan` is built the same way every time, so the paths
+    are directly comparable estimator by estimator.
     """
     if runtime is None:  # config= runs inline serial
         runtime = ExecutionRuntime()
-    plan = SweepPlan.build(strategy, cfg, payload.shape[0], programs, cfg.seed)
+    plan = SweepPlan.build(strategy, cfg, payload.shape[0], worker.programs, cfg.seed)
     # Each task ships its own chunk (a view in-process; O(chunk) pickled
     # bytes for process pools) instead of the whole prepared batch.
     stream = runtime.stream(
-        BlockWorker(strategy, programs, cfg),
+        worker,
         [
             (job, seed, payload[job.lo : job.hi])
             for job, seed in zip(plan.jobs, plan.seeds, strict=True)
@@ -726,7 +757,7 @@ def _assemble_features(
 
     ``payload`` is whatever ``programs`` consume (see :func:`_sweep_stream`);
     axis 0 indexes data points and blocks scatter into ``out`` as futures
-    resolve.
+    resolve (:meth:`BlockWorker.place`).
     """
     d = payload.shape[0]
     p = strategy.num_ansatze
@@ -739,9 +770,8 @@ def _assemble_features(
     # Timing records are only collected when a report is requested; they
     # are result-free (index + seconds), so nothing pins completed blocks.
     records: list[TaskCompletion] | None = [] if return_report else None
-    stream, costs, runtime = _sweep_stream(
-        strategy, payload, cfg, programs, runtime, records
-    )
+    worker = BlockWorker(strategy, programs, cfg)
+    stream, costs, runtime = _sweep_stream(strategy, payload, cfg, worker, runtime, records)
     # Timed window covers dispatch + assembly only: binding/compilation,
     # RNG spawning and (via warm()) pool construction are one-time setup
     # the replayed makespan never models, so including them would inflate
@@ -749,8 +779,7 @@ def _assemble_features(
     runtime.warm()
     start = time.perf_counter()
     for completion in stream:
-        job, block = completion.result
-        out[job.lo : job.hi, job.ansatz_index * q : (job.ansatz_index + 1) * q] = block
+        worker.place(*completion.result, out)
     wall = time.perf_counter() - start
 
     if return_report:
@@ -777,7 +806,9 @@ def iter_feature_blocks(
     features without ever materialising the full matrix.  Every job is
     yielded exactly once; the union of blocks tiles the full Q matrix.
     Identical numerics to :func:`evaluate_features` (same per-task seeds,
-    same ``config=``/``device=`` resolution, same preflight).
+    same ``config=``/``device=`` resolution, same preflight).  Prepared
+    states never take the Pauli engine, so every job is one Ansatz
+    instance's block.
 
     Setup (validation, preflight, binding/compilation, cost model) runs
     eagerly at the call, so bad arguments raise here rather than at the
@@ -786,7 +817,6 @@ def iter_feature_blocks(
     cfg, runtime = resolve_call(config, device, owner="iter_feature_blocks")
     _run_preflight(strategy, None, cfg, owner="iter_feature_blocks")
     states = cfg.backend.coerce_states(np.asarray(states))
-    stream, _, _ = _sweep_stream(
-        strategy, states, cfg, sweep_programs(strategy, cfg), runtime, None
-    )
+    worker = BlockWorker(strategy, sweep_programs(strategy, cfg), cfg)
+    stream, _, _ = _sweep_stream(strategy, states, cfg, worker, runtime, None)
     return (completion.result for completion in stream)

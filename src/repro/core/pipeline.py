@@ -122,12 +122,15 @@ class HybridPipeline:
     def circuit_tasks(self, num_samples: int) -> list[CircuitTask]:
         """The dispatch units a real cluster would receive.
 
-        Priced by the same cost model (chunk x Ansatz depth x shot budget)
-        that orders live dispatch, so the analytic projection and the real
-        submission order agree by construction; the unbound Ansatz
-        (:func:`~repro.core.features.unbound_programs`) prices every
-        instance without compiling anything just for a projection.  It runs
-        nothing, so a closed device still prices it.
+        The p x chunk circuit grid a QPU would run: one task per (Ansatz
+        instance, data chunk), priced by the same cost model (chunk x
+        Ansatz depth x shot budget) that orders live dispatch; the unbound
+        Ansatz (:func:`~repro.core.features.unbound_programs`) prices every
+        instance without compiling anything just for a projection.  A
+        ``"pauli"`` sweep does not dispatch this grid -- it simulates the
+        ensemble classically, one job per chunk -- so its live
+        :class:`~repro.hpc.runtime.DispatchReport` has fewer tasks.  It
+        runs nothing, so a closed device still prices it.
         """
         cfg = self.device.config if self.device is not None else self._execution()[0]
         jobs = feature_jobs(

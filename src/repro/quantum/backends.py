@@ -731,14 +731,25 @@ class MitigatedBackend(QuantumBackend):
             axis=1,
         )
 
+    def _extrapolate(self, values: list[np.ndarray]) -> np.ndarray:
+        """Richardson-extrapolate per-scale ``(d,)`` values to scale 0.
+
+        A weighted sum accumulated elementwise in scale order, so a row's
+        bits never depend on how many rows share the call (a matrix product
+        over the stack runs as a dot for one row and a gemv for more).
+        """
+        total = self._zne_weights[0] * values[0]
+        for weight, value in zip(self._zne_weights[1:], values[1:], strict=True):
+            total = total + weight * value
+        return total
+
     def expectation(self, evolved: np.ndarray, observable: PauliString) -> np.ndarray:
-        values = np.stack(
+        return self._extrapolate(
             [
                 self.backend.expectation(evolved[:, k], observable)
                 for k in range(len(self.scales))
             ]
         )
-        return self._zne_weights @ values
 
     def sample(
         self,
@@ -750,13 +761,12 @@ class MitigatedBackend(QuantumBackend):
         from repro.utils.rng import as_rng
 
         rng = as_rng(rng) if shots else rng
-        values = np.stack(
+        return self._extrapolate(
             [
                 self.backend.sample(evolved[:, k], observable, shots, rng)
                 for k in range(len(self.scales))
             ]
         )
-        return self._zne_weights @ values
 
 
 def backend_to_dict(backend: QuantumBackend | str | None) -> dict:

@@ -18,16 +18,22 @@ Three pieces:
   ``None`` when the gate is not Clifford at that angle.  One table serves
   both directions: observables propagate backwards through the Ansatz, and
   a fixed encoder gate moves a Bloch vector by ``r'[P] = s * r[P']``.
-* :func:`propagate` -- every (instance, observable) row in ONE reverse pass
-  over the unbound Ansatz, one vectorized step per (gate, distinct angle);
-  returns one :class:`PauliProgram` per instance, or ``None`` as soon as an
+* :func:`propagate` -- every (instance, observable) column in ONE reverse
+  pass over the unbound Ansatz, one vectorized step per (gate, distinct
+  angle); returns the ensemble's :class:`PauliProgram` -- its distinct
+  strings, and each column's string and sign -- or ``None`` as soon as an
   instance is not Clifford.
 * :func:`bloch_vectors` -- the encoder's per-qubit Bloch vectors for a raw
   angle batch, by closed-form rotations on ``(d,)`` columns.
 
-Every per-row operation is elementwise (no matmul, einsum or BLAS call
-across rows), so a row's features are bit-identical whatever batch it
-arrives in -- the property serve coalescing and row slicing rely on.
+Columns repeat up to sign (17 columns of an order-1 shift ensemble measured
+on one observable conjugate to 8 distinct strings), so a sweep multiplies
+Bloch components once per (row, distinct string) and fills every column by
+a signed gather.  Every per-row operation is elementwise (no matmul, einsum
+or BLAS call across rows), so a row's features are bit-identical whatever
+batch it arrives in -- the property serve coalescing and row slicing rely
+on.
+
 Letter codes: 0 = I, 1 = X, 2 = Y, 3 = Z; a ``k``-qubit Pauli's table
 index is its letters read base 4, the gate's first qubit most significant.
 """
@@ -124,26 +130,45 @@ def clear_pauli_tables() -> None:
 
 @dataclass(frozen=True)
 class PauliProgram:
-    """One Ansatz instance's observables in the Heisenberg picture.
+    """An ensemble's observables in the Heisenberg picture, one string each.
 
-    Row ``b`` is ``U^dag O_b U = signs[b] * P_b`` with ``letters[b]`` the
-    ``n`` letter codes of ``P_b``.  Plain arrays, so the program pickles to
-    process workers; a job ships the Bloch vectors of its rows alongside.
+    Column ``c = a * q + b`` (Ansatz instance ``a``, observable ``b``) is
+    ``U_a^dag O_b U_a = signs[c] * P``, where ``P`` is distinct string
+    ``index[c]`` and ``letters[s]`` holds the ``n`` letter codes of distinct
+    string ``s``.  A sweep evaluates the ``S = len(letters)`` strings per
+    row (:meth:`expectations`) and fills all ``p * q`` columns from them
+    (:meth:`gather`).  Plain arrays, so the program pickles to process
+    workers; a job ships the Bloch vectors of its rows alongside.
     """
 
-    signs: np.ndarray
     letters: np.ndarray
+    index: np.ndarray
+    signs: np.ndarray
 
     def expectations(self, bloch: np.ndarray) -> np.ndarray:
-        """``(d, n, 4)`` Bloch vectors -> the ``(d, q)`` feature block.
+        """``(d, n, 4)`` Bloch vectors -> ``(d, S)``: ``<P_s>`` on each row's
+        product state, the product of its per-qubit Bloch components.
 
         Elementwise products in a fixed qubit order: each entry's bits
         depend on its own row only.
         """
-        block = np.broadcast_to(self.signs, (bloch.shape[0], len(self.signs)))
-        for qubit, column in enumerate(self.letters.T):
-            block = block * bloch[:, qubit, column]
-        return block
+        columns = self.letters.T
+        values = bloch[:, 0, columns[0]]
+        for qubit in range(1, len(columns)):
+            values *= bloch[:, qubit, columns[qubit]]
+        return values
+
+    def gather(self, values: np.ndarray, out: np.ndarray) -> None:
+        """Fill ``(d, p * q)`` ``out`` from ``(d, S)`` :meth:`expectations`:
+        column ``c`` is ``signs[c] * values[:, index[c]]``.
+
+        Exact: a sign is +-1, so applying it last gives the bits applying it
+        first would.
+        """
+        # The indices are in range by construction; "clip" lets np.take write
+        # ``out`` directly, where the default mode fills a buffered copy.
+        np.take(values, self.index, axis=1, out=out, mode="clip")
+        out *= self.signs
 
 
 def _conjugate(
@@ -170,15 +195,16 @@ def propagate(
     circuit: Circuit | None,
     parameter_sets: Sequence[np.ndarray],
     observables: Sequence[PauliString],
-) -> list[PauliProgram] | None:
+) -> PauliProgram | None:
     """Conjugate every observable by every bound instance of ``circuit``.
 
-    One reverse pass over the *unbound* gate list covers all
-    ``p x q`` (instance, observable) rows: a parametric gate reads each
-    instance's angle from ``parameter_sets`` and takes one vectorized step
-    per distinct angle.  Returns one :class:`PauliProgram` per instance, or
-    ``None`` at the first gate that is not Clifford at some instance's
-    angle.  ``circuit`` None (or gate-free) is the identity Ansatz.
+    One reverse pass over the *unbound* gate list covers all ``p x q``
+    (instance, observable) columns: a parametric gate reads each instance's
+    angle from ``parameter_sets`` and takes one vectorized step per distinct
+    angle.  Returns the ensemble's :class:`PauliProgram`, its strings
+    deduplicated, or ``None`` at the first gate that is not Clifford at some
+    instance's angle.  ``circuit`` None (or gate-free) is the identity
+    Ansatz.
     """
     p, q = len(parameter_sets), len(observables)
     letters = np.tile(
@@ -200,10 +226,18 @@ def propagate(
             if table is None:
                 return None
             _conjugate(letters, signs, rows, op.qubits, table)
-    return [
-        PauliProgram(signs=signs[a * q : (a + 1) * q], letters=letters[a * q : (a + 1) * q])
-        for a in range(p)
-    ]
+    # One void scalar per row of letter codes: rows compare byte for byte,
+    # so every register width dedupes the same way (a base-4 integer key
+    # would overflow int64 past 32 qubits).
+    codes = letters.astype(np.uint8)
+    distinct, index = np.unique(
+        codes.view(np.dtype((np.void, codes.shape[1]))).ravel(), return_inverse=True
+    )
+    return PauliProgram(
+        letters=distinct.view(np.uint8).reshape(len(distinct), -1),
+        index=index,
+        signs=signs,
+    )
 
 
 def bloch_vectors(template: Circuit, angles: np.ndarray) -> np.ndarray:

@@ -13,10 +13,12 @@ requests happened to share its flush.  Two properties make that possible:
   :func:`repro.core.features.measure_block`, the sweep's own measurement.
 
 So a flush builds the template's :class:`~repro.core.features.SweepRoute`
-payload once over the requests' stacked angles, runs each Ansatz program
-ONCE over it with the sweep worker's program step
+payload once over the requests' stacked angles, runs each program ONCE over
+it with the sweep worker's program step
 (:meth:`~repro.core.features.BlockWorker.run`) -- the coalescing payoff --
-then measures each request's jobs on its rows under their own seeds.  That
+then measures each request's jobs on its rows under their own seeds and
+places them as the sweep does (:meth:`~repro.core.features.BlockWorker.place`;
+for ``"pauli"``, the ensemble program's signed gather).  That
 holds for every :func:`~repro.core.features.sweep_mode` but ``"prepared"``
 (``vectorize="off"``, or a backend without ``supports_vectorize``), which
 runs per-request ``generate_features`` inside its flush: trivially
@@ -128,8 +130,11 @@ def execute_flush(
     """Run one coalesced flush; returns one ``(k_r, p*q)`` block per request.
 
     The route's payload once over the stacked angles, the worker's program
-    step once per Ansatz program, then each request's jobs measured on its
-    rows under their plan seeds; a ``"prepared"`` template runs per-request
+    step once per program, then each request's jobs measured on its rows
+    under their plan seeds and placed into its block.  A ``"pauli"`` route
+    has one program: its step yields every row's distinct-string
+    expectations, and each job's signed gather writes all ``p*q`` columns
+    of its rows.  A ``"prepared"`` template runs per-request
     :func:`generate_features` instead (inline serial; see the module
     docstring on nesting).
     """
@@ -144,8 +149,8 @@ def execute_flush(
     worker = BlockWorker(artifacts.strategy, route.programs, cfg)
     payload = route.payload(np.concatenate([r.angles for r in requests], axis=0))
     offsets = np.cumsum([0] + [len(r.angles) for r in requests])
-    q = len(worker.observables)
-    outputs = [np.empty((len(r.angles), len(route.programs) * q)) for r in requests]
+    columns = artifacts.strategy.num_ansatze * len(worker.observables)
+    outputs = [np.empty((len(r.angles), columns)) for r in requests]
     for a in range(len(route.programs)):
         evolved = worker.run(a, payload)
         for request, offset, out in zip(requests, offsets[:-1], outputs, strict=True):
@@ -153,12 +158,12 @@ def execute_flush(
                 if job.ansatz_index != a:
                     continue
                 block = evolved[offset + job.lo : offset + job.hi]
-                # A Pauli program's step already yields the feature block.
+                # The Pauli program's step already yields expectations.
                 if route.mode != "pauli":
                     rng = None if seed is None else np.random.default_rng(seed)
                     block = measure_block(
                         block, worker.observables, cfg.estimator, cfg.shots,
                         cfg.snapshots, rng, cfg.backend,
                     )
-                out[job.lo : job.hi, a * q : (a + 1) * q] = block
+                worker.place(job, block, out)
     return outputs

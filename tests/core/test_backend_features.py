@@ -20,7 +20,8 @@ import pytest
 from repro.api import ExecutionConfig, QuantumDevice
 from repro.core.features import evaluate_features, generate_features, iter_feature_blocks
 from repro.core.pipeline import PIPELINE_DEFAULT_CONFIG, HybridPipeline
-from repro.core.strategies import AnsatzExpansion, ObservableConstruction
+from repro.core.ansatz import fig8_ansatz, hardware_efficient_ansatz
+from repro.core.strategies import AnsatzExpansion, HybridStrategy, ObservableConstruction
 from repro.data.encoding import encoding_circuit
 from repro.hpc.runtime import ExecutionRuntime
 from repro.hpc.scheduler import SCHEDULING_POLICIES
@@ -216,6 +217,43 @@ def test_mitigated_features_closer_to_ideal_than_noisy(angles):
         config=ExecutionConfig(backend=MitigatedBackend(DensityMatrixBackend(noise))),
     )
     assert np.abs(mitigated - ideal).max() < np.abs(noisy - ideal).max()
+
+
+#: Exact ZNE on a noisy density engine: depolarizing 0.01, scales (1, 3, 5).
+ZNE = ExecutionConfig(
+    backend=MitigatedBackend(DensityMatrixBackend(NoiseModel.depolarizing(0.01)), scales=(1, 3, 5))
+)
+
+
+def _zne_cases():
+    """Both strategy kinds at n = 2 and 3 on the vectorized path; the
+    per-sample Kraus walk (``vectorize="off"``, ~1 s a sweep at n = 3) at
+    n = 2 only."""
+    for n in (2, 3):
+        for kind, strategy in (
+            ("ansatz", AnsatzExpansion(circuit=hardware_efficient_ansatz(n, 1), order=1)),
+            ("hybrid", HybridStrategy(circuit=fig8_ansatz(n, 1), order=1, locality=1)),
+        ):
+            for vectorize in ("auto", "off") if n == 2 else ("auto",):
+                yield pytest.param(strategy, vectorize, id=f"{kind}-{n}q-{vectorize}")
+
+
+@pytest.mark.parametrize("strategy,vectorize", _zne_cases())
+def test_exact_zne_rows_bit_identical_across_chunk_sizes_and_slices(strategy, vectorize):
+    """Extrapolation is elementwise in scale order, so a row's mitigated
+    features do not depend on how many rows share its chunk (a matrix
+    product over the fold stack runs as a dot for one row and a gemv for
+    more, which round differently)."""
+    n = strategy.num_qubits
+    x = np.random.default_rng(n).uniform(0, 2 * np.pi, (5, 2, n))
+    config = ZNE.merged(vectorize=vectorize)
+    reference = generate_features(strategy, x, config=config.merged(chunk_size=8))
+    for chunk_size in (1, 2):
+        q = generate_features(strategy, x, config=config.merged(chunk_size=chunk_size))
+        assert np.array_equal(q, reference)
+    for lo, k in ((0, 1), (1, 3), (4, 1)):
+        q = generate_features(strategy, x[lo : lo + k], config=config.merged(chunk_size=8))
+        assert np.array_equal(q, reference[lo : lo + k])
 
 
 def test_default_chunking_is_fine_grained_for_noisy_backends(noise):

@@ -1,17 +1,22 @@
 """The Heisenberg-picture Pauli engine against its dense oracles.
 
 (a) conjugation tables against the dense ``U^dag P U`` of every gate;
-(b) propagated (sign, string) against Appendix A's dense decomposition
-(``core.decomposition.heisenberg_observable``, Eq. A7);
+(b) each column's propagated (sign, string) against Appendix A's dense
+decomposition (``core.decomposition.heisenberg_observable``, Eq. A7) and
+against a gate-by-gate walk of its own instance, with the distinct strings
+deduplicated at any register width;
 (c) encoder Bloch vectors against statevector expectations;
 (d) Pauli-mode Q against the per-sample oracle, and bit-identical across
 runtimes, dispatch policies, chunk sizes and row slices;
-(e) one non-Clifford instance keeps the ensemble on the statevector path.
+(e) one non-Clifford instance keeps the ensemble on the statevector path;
+(f) a Pauli sweep runs one job per row chunk; every other path keeps one
+job per (instance, chunk).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 import threading
 
@@ -23,7 +28,12 @@ from hypothesis import strategies as st
 from repro.api import ExecutionConfig, QuantumDevice
 from repro.core.ansatz import fig8_ansatz
 from repro.core.decomposition import heisenberg_observable
-from repro.core.features import generate_features, sweep_mode
+from repro.core.features import (
+    evaluate_features,
+    generate_features,
+    iter_feature_blocks,
+    sweep_mode,
+)
 from repro.core.strategies import AnsatzExpansion, HybridStrategy
 from repro.data.encoding import encode_batch, encoding_template
 from repro.hpc.runtime import ExecutionRuntime
@@ -61,6 +71,30 @@ NON_CLIFFORD_CASES = (
 def _string(code: int, k: int) -> str:
     """Table index -> Pauli letters (base 4, first qubit most significant)."""
     return "".join(LETTERS[(code >> 2 * (k - 1 - j)) & 3] for j in range(k))
+
+
+def _column(program, column: int) -> tuple[str, float]:
+    """A propagated column's (string, sign)."""
+    letters = program.letters[program.index[column]]
+    return "".join(LETTERS[c] for c in letters), float(program.signs[column])
+
+
+def _walk(bound: Circuit, observable: PauliString) -> tuple[str, float]:
+    """One instance's row, conjugated gate by gate through its own tables."""
+    letters = [LETTERS.index(c) for c in observable.string]
+    sign = 1.0
+    for op in reversed(bound.operations):
+        table = conjugation_table(op.gate, op.param)
+        index = letters[op.qubits[0]]
+        if len(op.qubits) == 2:
+            index = 4 * index + letters[op.qubits[1]]
+        sign *= float(table.signs[index])
+        image = int(table.images[index])
+        if len(op.qubits) == 1:
+            letters[op.qubits[0]] = image
+        else:
+            letters[op.qubits[0]], letters[op.qubits[1]] = divmod(image, 4)
+    return "".join(LETTERS[c] for c in letters), sign
 
 
 # ------------------------------------------------------------------ (a)
@@ -140,16 +174,59 @@ def clifford_ansatz(draw, max_qubits=3, max_gates=10):
 @settings(max_examples=40, deadline=None)
 def test_propagation_matches_dense_heisenberg_observable(case):
     circuit, thetas, observables = case
-    programs = propagate(circuit, thetas, observables)
-    assert programs is not None and len(programs) == len(thetas)
-    for params, program in zip(thetas, programs, strict=True):
+    program = propagate(circuit, thetas, observables)
+    assert program is not None
+    q = len(observables)
+    for a, params in enumerate(thetas):
         bound = circuit.bind(params)
         for b, observable in enumerate(observables):
             (term,) = heisenberg_observable(bound, observable).items()
             coeff, pauli = term
-            string = "".join(LETTERS[c] for c in program.letters[b])
+            string, sign = _column(program, a * q + b)
             assert string == pauli.string
-            assert abs(coeff - program.signs[b]) < 1e-12
+            assert abs(coeff - sign) < 1e-12
+
+
+@given(case=clifford_ansatz(max_qubits=4, max_gates=12))
+@settings(max_examples=60, deadline=None)
+def test_every_column_reproduces_its_instance_row(case):
+    """The ensemble pass dedupes strings across instances and observables;
+    each column still maps to exactly the (string, sign) its own instance
+    gives, and every distinct string is some column's."""
+    circuit, thetas, observables = case
+    program = propagate(circuit, thetas, observables)
+    q = len(observables)
+    assert program.letters.dtype == np.uint8
+    assert program.index.shape == program.signs.shape == (len(thetas) * q,)
+    assert len({row.tobytes() for row in program.letters}) == len(program.letters)
+    assert sorted(set(program.index.tolist())) == list(range(len(program.letters)))
+    for a, params in enumerate(thetas):
+        bound = circuit.bind(params)
+        for b, observable in enumerate(observables):
+            assert _column(program, a * q + b) == _walk(bound, observable)
+
+
+def test_strings_differing_only_above_qubit_31_stay_distinct():
+    """40 qubits: a base-4 integer key would need 80 bits, so two strings
+    that differ only on the last qubit must still dedupe apart."""
+    n = 40
+    circuit = Circuit(n).append("ry", n - 1, "a")
+    observables = [PauliString("Z" + "I" * (n - 2) + last) for last in "XY"]
+    # ry(pi) = -iY: X -> -X, Y -> Y.
+    program = propagate(circuit, [np.array([0.0]), np.array([np.pi])], observables)
+    assert program.letters.shape == (2, n)
+    assert [_column(program, c) for c in range(4)] == [
+        (observables[0].string, 1.0),
+        (observables[1].string, 1.0),
+        (observables[0].string, -1.0),
+        (observables[1].string, 1.0),
+    ]
+    x = np.random.default_rng(3).uniform(0, 2 * np.pi, (5, 1, n))
+    bloch = bloch_vectors(encoding_template(1, n), x)
+    q = np.empty((5, 4))
+    program.gather(program.expectations(bloch), q)
+    z0x, z0y = bloch[:, 0, 3] * bloch[:, n - 1, 1], bloch[:, 0, 3] * bloch[:, n - 1, 2]
+    assert np.array_equal(q, np.stack([z0x, z0y, -z0x, z0y], axis=1))
 
 
 def test_non_clifford_instance_stops_the_pass():
@@ -162,9 +239,9 @@ def test_non_clifford_instance_stops_the_pass():
 
 def test_identity_ansatz_keeps_the_observables():
     observables = [PauliString("XZ"), PauliString("IY")]
-    (program,) = propagate(None, [np.zeros(0)], observables)
-    assert program.letters.tolist() == [[1, 3], [0, 2]]
-    assert program.signs.tolist() == [1.0, 1.0]
+    program = propagate(None, [np.zeros(0), np.zeros(0)], observables)
+    assert len(program.letters) == 2
+    assert [_column(program, c) for c in range(4)] == [("XZ", 1.0), ("IY", 1.0)] * 2
 
 
 # ------------------------------------------------------------------ (c)
@@ -330,10 +407,10 @@ def test_concurrent_propagation_survives_table_clears():
 
     def worker():
         for _ in range(20):
-            programs = propagate(*args)
-            if programs is None or any(
-                not (np.array_equal(a.signs, b.signs) and np.array_equal(a.letters, b.letters))
-                for a, b in zip(programs, reference, strict=True)
+            program = propagate(*args)
+            if program is None or not all(
+                np.array_equal(getattr(program, field), getattr(reference, field))
+                for field in ("letters", "index", "signs")
             ):
                 failures.append("program changed under concurrency")
 
@@ -357,3 +434,40 @@ def test_concurrent_propagation_survives_table_clears():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in [*threads, sweeper])
     assert failures == []
+
+
+# ------------------------------------------------------------------ (f)
+@pytest.mark.parametrize("chunk_size", [4, 5, 64])
+def test_pauli_sweep_runs_one_job_per_row_chunk(reference, chunk_size):
+    with QuantumDevice(AUTO.merged(chunk_size=chunk_size), pool="thread", max_workers=2) as device:
+        q, report = device.run(STRATEGY, X)
+    assert report.num_tasks == math.ceil(len(X) / chunk_size)
+    assert np.array_equal(q, reference)
+
+
+def test_shared_encoder_sweep_keeps_one_job_per_instance_chunk():
+    strategy = HybridStrategy(
+        circuit=fig8_ansatz(4, 2), order=1, locality=1,
+        base_parameters=np.array([0, 0, 0, 0.4, 0, 0, 0, 0]),
+    )
+    assert sweep_mode(strategy, AUTO) == "shared_encoder"
+    with QuantumDevice(AUTO.merged(chunk_size=5), pool="thread", max_workers=2) as device:
+        _, report = device.run(strategy, X)
+    assert report.num_tasks == strategy.num_ansatze * math.ceil(len(X) / 5)
+
+
+def test_prepared_states_keep_per_instance_blocks(reference):
+    """Prepared states have lost their angles, so ``evaluate_features`` and
+    ``iter_feature_blocks`` never take the Pauli engine: each job is one
+    instance's ``(chunk, q)`` block."""
+    p, q = STRATEGY.num_ansatze, STRATEGY.num_observables
+    cfg = AUTO.merged(chunk_size=5)
+    states = encode_batch(X)
+    blocks = list(iter_feature_blocks(STRATEGY, states, config=cfg))
+    assert sorted((job.ansatz_index, job.lo) for job, _ in blocks) == [
+        (a, lo) for a in range(p) for lo in range(0, len(X), 5)
+    ]
+    assert all(block.shape == (job.hi - job.lo, q) for job, block in blocks)
+    evaluated, report = evaluate_features(STRATEGY, states, config=cfg, return_report=True)
+    assert report.num_tasks == p * math.ceil(len(X) / 5)
+    assert np.abs(evaluated - reference).max() < 1e-10
