@@ -37,8 +37,8 @@ __all__ = ["MIN_EFFICIENT_CHUNK", "lint_config", "lint_serve_config"]
 #: (``EXPENSIVE_CHUNK_SIZE = 8``) sits deliberately above this floor.
 MIN_EFFICIENT_CHUNK = 4
 
-#: Estimators that sample measurement outcomes host-side (``rng.multinomial``
-#: on NumPy probabilities) after every chunk evolution.
+#: Estimators that sample host-side after every chunk evolution: shots draw
+#: ``rng.binomial`` on NumPy expectations, shadows draw random-basis snapshots.
 _STOCHASTIC_ESTIMATORS = ("shots", "shadows")
 
 
@@ -75,8 +75,8 @@ def _lint_round_trips(config: ExecutionConfig) -> list[Diagnostic]:
     return [
         Diagnostic(
             "RPA102",
-            f"estimator={config.estimator!r} samples outcomes host-side "
-            f"(rng.multinomial on NumPy probabilities), so {spelled} forces "
+            f"estimator={config.estimator!r} samples host-side (NumPy RNG "
+            f"draws on host arrays), so {spelled} forces "
             f"a device->host round-trip per chunk",
             fix_hint="use estimator='exact' to stay device-resident, or "
             "array_backend='numpy' if sampling dominates anyway",

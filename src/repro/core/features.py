@@ -48,15 +48,17 @@ With ``config.vectorize="auto"`` on a backend that supports it,
 (``"batched"``): each (Ansatz instance, chunk) job encodes and evolves its
 raw angle chunk through one
 :class:`~repro.quantum.batched.ParametricCompiledCircuit` stacked pass
-(shared fused blocks + per-sample angle chains).  An exact ideal-statevector
-ensemble whose every instance is Clifford -- the paper's shifts at
-theta = 0 -- evolves no state at all (``"pauli"``): Appendix A's Heisenberg
-picture turns each feature into a signed product of the encoder's per-qubit
-Bloch components (:mod:`repro.quantum.pauli`), so each row chunk is one job
-that multiplies out the ensemble's distinct Pauli strings, and assembly
-fills every column from them by a signed gather.  The job grid and per-task
-seeds are the plan's either way, and the per-sample path remains the
-reference oracle (``tests/integration/test_batched_features.py``).
+(shared fused blocks + per-sample angle chains).  An exact or finite-shot
+ideal-statevector ensemble whose every instance is Clifford -- the paper's
+shifts at theta = 0 -- evolves no state at all (``"pauli"``): Appendix A's
+Heisenberg picture turns each feature into a signed product of the
+encoder's per-qubit Bloch components (:mod:`repro.quantum.pauli`), so each
+row chunk is one job that multiplies out the ensemble's distinct Pauli
+strings; assembly fills every exact column from them by a signed gather,
+and a shots job draws every column's binomial estimate from its signed
+value under the seeds the per-instance grid gives its rows.  The job grid
+and per-task seeds are the plan's either way, and the per-sample path
+remains the reference oracle (``tests/integration/test_batched_features.py``).
 
 All executor backends and policies produce identical matrices for
 ``exact`` and seed-deterministic matrices otherwise (child RNG streams are
@@ -158,12 +160,14 @@ def sweep_mode(strategy: Strategy, cfg: ExecutionConfig) -> str:
       in stacked passes (``vectorize="auto"`` on a supporting backend, with
       one Ansatz instance or a density representation, whose encoder stage
       carries gate-level noise and ZNE folding);
-    * ``"pauli"`` -- several instances, the exact estimator, a backend with
-      ``supports_pauli`` (the ideal statevector) and every bound instance
-      Clifford: each observable conjugates to one signed Pauli string and
-      each row-chunk job multiplies the encoder's Bloch components for the
-      ensemble's distinct strings (:mod:`repro.quantum.pauli`) -- no state
-      is evolved or measured;
+    * ``"pauli"`` -- several instances, the exact or shots estimator, a
+      backend with ``supports_pauli`` (the ideal statevector) and every
+      bound instance Clifford: each observable conjugates to one signed
+      Pauli string and each row-chunk job multiplies the encoder's Bloch
+      components for the ensemble's distinct strings
+      (:mod:`repro.quantum.pauli`) -- no state is evolved or measured, and
+      shots are one binomial draw per column from its exact value, draw for
+      draw what ``vectorize="off"`` samples;
     * ``"shared_encoder"`` -- several statevector instances share one
       batched-encoder pass, then every instance evolves the prepared batch;
     * ``"prepared"`` -- per-sample preparation, then per-instance evolution
@@ -182,14 +186,17 @@ def sweep_route(strategy: Strategy, cfg: ExecutionConfig) -> tuple[str, list | N
     through the Ansatz; the ensemble's one
     :class:`~repro.quantum.pauli.PauliProgram` falls out of that same pass,
     so it is returned with the mode (``None`` for every other mode) instead
-    of being rebuilt.
+    of being rebuilt.  Exact and shots sweeps take it alike: every shot
+    estimate is one binomial draw from an exact expectation
+    (:func:`~repro.quantum.sampling.sample_expectations`), whichever path
+    computed it.  Shadows need a state to snapshot and never do.
     """
     backend = cfg.backend
     if cfg.vectorize != "auto" or not backend.supports_vectorize:
         return "prepared", None
     if strategy.num_ansatze == 1 or backend.representation == "density":
         return "batched", None
-    if cfg.estimator == "exact" and backend.supports_pauli:
+    if cfg.estimator in ("exact", "shots") and backend.supports_pauli:
         program = propagate(
             strategy.ansatz, strategy.parameter_sets(), strategy.observables()
         )
@@ -333,13 +340,17 @@ class SweepPlan:
     one job per chunk covering every column;
     ``seeds`` hold one RNG seed per job (``None`` throughout for exact
     estimation), keyed by job *index* so results do not depend on the
-    executor backend, policy or completion order; ``costs`` price each job
-    in the scheduler's units.  Plain picklable data: the serving layer ships
-    one plan per request to thread or process flush workers.
+    executor backend, policy or completion order.  Seeds are spawned over
+    the per-instance (instance x chunk) grid whatever the route, so a
+    ``"pauli"`` shots job holds a tuple: instance ``a``'s seed for its
+    chunk, the seed that instance's own job would draw under.  ``costs``
+    price each job in the scheduler's units.  Plain picklable data: the
+    serving layer ships one plan per request to thread or process flush
+    workers.
     """
 
     jobs: tuple[FeatureJob, ...]
-    seeds: tuple[int | None, ...]
+    seeds: tuple[int | tuple[int, ...] | None, ...]
     costs: tuple[float, ...]
 
     @classmethod
@@ -358,10 +369,16 @@ class SweepPlan:
         a served request its own seed).
         """
         jobs = feature_jobs(len(programs), num_samples, cfg.resolved_chunk_size)
-        if cfg.estimator == "exact":
-            seeds: tuple[int | None, ...] = (None,) * len(jobs)
-        else:
-            seeds = tuple(int(c.integers(0, 2**63)) for c in spawn_rngs(seed, len(jobs)))
+        seeds: tuple[int | tuple[int, ...] | None, ...] = (None,) * len(jobs)
+        if cfg.estimator != "exact":
+            # One seed per (instance, chunk) of the instance-major grid.
+            chunks = len(jobs) // len(programs)
+            grid = spawn_rngs(seed, strategy.num_ansatze * chunks)
+            seeds = tuple(int(c.integers(0, 2**63)) for c in grid)
+            if isinstance(programs[0], PauliProgram):
+                # One job per chunk: chunk c's instance seeds stride by the
+                # chunk count.
+                seeds = tuple(seeds[c::chunks] for c in range(chunks))
         tasks = feature_circuit_tasks(
             jobs,
             programs,
@@ -420,9 +437,10 @@ def measure_block(
     backend: QuantumBackend,
 ) -> np.ndarray:
     """Feature block from *already-evolved* states: the measurement half of
-    every job, shared verbatim with the serving layer
-    (:mod:`repro.serve.engine`), whose coalesced flushes must measure
-    exactly like a standalone sweep to stay bit-equal per request.
+    every Ansatz-instance job (:meth:`BlockWorker.measure`), shared verbatim
+    with the serving layer (:mod:`repro.serve.engine`), whose coalesced
+    flushes must measure exactly like a standalone sweep to stay bit-equal
+    per request.
 
     ``evolved`` has data points on axis 0 in the backend's evolved
     representation (statevectors, density matrices, or a mitigated
@@ -454,8 +472,9 @@ class BlockWorker:
     re-pickling the full (d, ...) prepared batch with every task -- which
     for density states (4^n entries each) would dominate the sweep.
 
-    A job is :meth:`run` (the program step a serve flush also runs, over
-    its stacked requests), then :func:`measure_block`; the host writes the
+    A job is :meth:`run` then :meth:`measure` -- the program and
+    measurement steps a serve flush also runs, the first once over its
+    stacked requests, the second per request job -- and the host writes the
     block into Q with :meth:`place`.
     """
 
@@ -490,30 +509,48 @@ class BlockWorker:
         xp = None if self.array_backend == "numpy" else get_namespace(self.array_backend)
         return evolve(payload, program) if xp is None else evolve(payload, program, xp=xp)
 
-    def __call__(
-        self, task: tuple[FeatureJob, int | None, np.ndarray]
-    ) -> tuple[FeatureJob, np.ndarray]:
-        job, seed, payload = task
-        block = self.run(job.ansatz_index, payload)
-        if not isinstance(self.programs[job.ansatz_index], PauliProgram):
+    def measure(
+        self, job: FeatureJob, seed: int | tuple[int, ...] | None, block: np.ndarray
+    ) -> np.ndarray:
+        """The measurement step: ``job``'s rows of :meth:`run`'s output,
+        measured under the plan's ``seed`` for the job.
+
+        An Ansatz instance's evolved states go through
+        :func:`measure_block`.  The Pauli program's distinct-string
+        expectations are already exact (:meth:`place` gathers them); with
+        shots, every column draws its own estimate, each instance under its
+        seed of the tuple (:meth:`~repro.quantum.pauli.PauliProgram.sample`).
+        """
+        program = self.programs[job.ansatz_index]
+        if not isinstance(program, PauliProgram):
             rng = None if seed is None else np.random.default_rng(seed)
-            block = measure_block(
+            return measure_block(
                 block, self.observables, self.estimator, self.shots,
                 self.snapshots, rng, self.backend,
             )
-        return job, block
+        if self.estimator == "exact":
+            return block
+        return program.sample(block, self.shots, seed)
+
+    def __call__(
+        self, task: tuple[FeatureJob, int | tuple[int, ...] | None, np.ndarray]
+    ) -> tuple[FeatureJob, np.ndarray]:
+        job, seed, payload = task
+        return job, self.measure(job, seed, self.run(job.ansatz_index, payload))
 
     def place(self, job: FeatureJob, block: np.ndarray, out: np.ndarray) -> None:
         """Write ``job``'s finished block into its rows of Q-shaped ``out``:
-        its instance's ``q`` columns, or every column by the Pauli program's
-        signed gather."""
+        its instance's ``q`` columns, or every column -- by the Pauli
+        program's signed gather when exact, as drawn with shots."""
         rows = out[job.lo : job.hi]
         program = self.programs[job.ansatz_index]
-        if isinstance(program, PauliProgram):
-            program.gather(block, rows)
-        else:
+        if not isinstance(program, PauliProgram):
             q = len(self.observables)
             rows[:, job.ansatz_index * q : (job.ansatz_index + 1) * q] = block
+        elif self.estimator == "exact":
+            program.gather(block, rows)
+        else:
+            rows[...] = block
 
 
 def feature_circuit_tasks(
@@ -535,7 +572,10 @@ def feature_circuit_tasks(
     the same heterogeneity the real execution pays.  A
     :class:`~repro.quantum.pauli.PauliProgram` job costs what it runs:
     chunk x S x n products over the ensemble's ``S`` distinct strings, no
-    state, and ships back its ``(chunk, S)`` values.  A sharded backend's
+    state.  Exact, it ships back its ``(chunk, S)`` values; with shots, each
+    row stands for all ``p`` instances, so it is priced at ``p * q * shots``
+    per row and ships back its ``(chunk, p * q)`` estimates -- the shots
+    and bytes of the per-instance jobs it replaces.  A sharded backend's
     slab count carries through as ``num_shards``, which divides the
     simulation flops but adds remap-synchronisation latency per circuit.
     """
@@ -552,10 +592,11 @@ def feature_circuit_tasks(
     for job in jobs:
         chunk = job.hi - job.lo
         program = programs[job.ansatz_index]
-        width = q
+        width, shots_per_row = q, shots_per_circuit
         if isinstance(program, PauliProgram):
-            width = len(program.letters)
-            flops = float(chunk * width * num_qubits)
+            flops = float(chunk * len(program.letters) * num_qubits)
+            width = len(program.letters) if estimator == "exact" else len(program.index)
+            shots_per_row = shots_per_circuit * len(program.index) // q
         elif getattr(program, "num_kernel_passes", None) is not None:
             # Vectorized density programs count every stacked pass directly
             # (Kraus operators and folded ZNE copies included), so they are
@@ -567,7 +608,7 @@ def feature_circuit_tasks(
         tasks.append(
             CircuitTask(
                 num_circuits=chunk,
-                shots=shots_per_circuit,
+                shots=shots_per_row,
                 result_bytes=8 * chunk * width,
                 classical_flops=flops,
                 num_shards=backend.shards,
@@ -680,10 +721,10 @@ def generate_features(
     With ``config.vectorize="auto"`` (and a backend that supports it) the
     sweep runs batched: encoding and Ansatz evolution happen in one
     structure-shared stacked pass per (Ansatz instance, chunk) job instead
-    of sample at a time, or -- for an exact ensemble of Clifford instances
-    -- on the Pauli engine with no state at all (:func:`sweep_mode`).  Same
-    job grid, same per-task seeds, numerically equal to the per-sample
-    oracle to <= 1e-10.
+    of sample at a time, or -- for an exact or finite-shot ensemble of
+    Clifford instances -- on the Pauli engine with no state at all
+    (:func:`sweep_mode`).  Same per-task seeds, numerically equal to the
+    per-sample oracle to <= 1e-10 (exact) or draw for draw (shots).
     """
     cfg, runtime = resolve_call(config, device, owner="generate_features")
     angles = np.asarray(angles, dtype=float)

@@ -59,7 +59,6 @@ from repro.quantum.compile import (
 )
 from repro.quantum.density import (
     BatchedDensityProgram,
-    apply_unitary,
     compile_density_template,
     concat_density_programs,
     fold_density_program,
@@ -70,7 +69,7 @@ from repro.quantum.density import (
 from repro.quantum.mitigation import fold_circuit, richardson_weights
 from repro.quantum.noise import NoiseModel
 from repro.quantum.observables import PauliString, expectation
-from repro.quantum.sampling import estimate_from_probabilities, measure_pauli_batch
+from repro.quantum.sampling import sample_expectations
 from repro.quantum.shadows import collect_shadows, estimate_pauli
 from repro.quantum.statevector import run_circuit
 from repro.xp import get_namespace
@@ -122,10 +121,11 @@ class QuantumBackend(ABC):
     #: :class:`~repro.quantum.density.BatchedDensityProgram` for gate-level
     #: noise, where the per-gate Kraus insertion points must survive).
     supports_vectorize: bool = False
-    #: Whether exact multi-instance sweeps of Clifford instances may skip
-    #: :meth:`evolve` and :meth:`expectation` for the Heisenberg-picture
-    #: Pauli engine (:mod:`repro.quantum.pauli`): true only where those
-    #: methods compute ideal, noise-free, unsharded pure-state expectations.
+    #: Whether exact and finite-shot multi-instance sweeps of Clifford
+    #: instances may skip :meth:`evolve`, :meth:`expectation` and
+    #: :meth:`sample` for the Heisenberg-picture Pauli engine
+    #: (:mod:`repro.quantum.pauli`): true only where those methods compute
+    #: ideal, noise-free, unsharded pure-state expectations.
     supports_pauli: bool = False
     #: Whether :meth:`prepare` is expensive enough (per-sample circuit
     #: evolution) to be worth fanning out across executor workers.  False
@@ -228,7 +228,6 @@ class QuantumBackend(ABC):
     def expectation(self, evolved: np.ndarray, observable: PauliString) -> np.ndarray:
         """Analytic ``tr(O rho_i)`` per batch entry; returns shape (batch,)."""
 
-    @abstractmethod
     def sample(
         self,
         evolved: np.ndarray,
@@ -236,7 +235,17 @@ class QuantumBackend(ABC):
         shots: int,
         rng: np.random.Generator | None,
     ) -> np.ndarray:
-        """Finite-shot estimates per batch entry (``shots == 0`` -> exact)."""
+        """Finite-shot estimates per batch entry (``shots == 0`` -> exact).
+
+        One binomial draw per entry from this backend's own
+        :meth:`expectation` (:func:`~repro.quantum.sampling.sample_expectations`,
+        the sampler every backend shares); the identity is 1 with no draw.
+        """
+        if shots < 0:
+            raise ValueError(f"shots={shots} must be >= 0")
+        if observable.is_identity:
+            return np.ones(evolved.shape[0])
+        return sample_expectations(self.expectation(evolved, observable), shots, rng)
 
     def shadow_block(
         self,
@@ -335,15 +344,6 @@ class StatevectorBackend(QuantumBackend):
     def expectation(self, evolved: np.ndarray, observable: PauliString) -> np.ndarray:
         return np.asarray(expectation(evolved, observable))
 
-    def sample(
-        self,
-        evolved: np.ndarray,
-        observable: PauliString,
-        shots: int,
-        rng: np.random.Generator | None,
-    ) -> np.ndarray:
-        return measure_pauli_batch(evolved, observable, shots, rng)
-
     def shadow_block(
         self,
         evolved: np.ndarray,
@@ -413,28 +413,6 @@ class DistributedStatevectorBackend(StatevectorBackend):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DistributedStatevectorBackend(shards={self.shards})"
-
-
-def _density_pauli_probabilities(rhos: np.ndarray, pauli: PauliString) -> np.ndarray:
-    """Measurement-outcome probabilities of ``pauli`` for a density batch.
-
-    Rotates each rho into the Pauli eigenbasis (X -> H, Y -> H S^dag, the
-    same basis changes as statevector sampling) and reads the diagonal.
-    """
-    from repro.quantum.gates import H, SDG
-
-    probs = np.empty((rhos.shape[0], rhos.shape[1]))
-    for i in range(rhos.shape[0]):
-        rho = rhos[i]
-        for qubit, letter in enumerate(pauli.string):
-            if letter == "X":
-                rho = apply_unitary(rho, H, (qubit,))
-            elif letter == "Y":
-                rho = apply_unitary(rho, H @ SDG, (qubit,))
-        probs[i] = np.real(np.diagonal(rho))
-    # Kraus roundoff can leave tiny negative diagonal entries.
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -524,22 +502,6 @@ class DensityMatrixBackend(QuantumBackend):
         # tr(O rho) batched: one einsum over the whole chunk.
         matrix = observable.to_matrix()
         return np.real(np.einsum("ij,bji->b", matrix, evolved))
-
-    def sample(
-        self,
-        evolved: np.ndarray,
-        observable: PauliString,
-        shots: int,
-        rng: np.random.Generator | None,
-    ) -> np.ndarray:
-        if shots < 0:
-            raise ValueError(f"shots={shots} must be >= 0")
-        if observable.is_identity:
-            return np.ones(evolved.shape[0])
-        if shots == 0:
-            return self.expectation(evolved, observable)
-        probs = _density_pauli_probabilities(evolved, observable)
-        return estimate_from_probabilities(probs, observable, shots, rng)
 
 
 @dataclass(frozen=True)
@@ -758,6 +720,8 @@ class MitigatedBackend(QuantumBackend):
         shots: int,
         rng: np.random.Generator | None,
     ) -> np.ndarray:
+        """The wrapped backend's draws at every fold scale, in scale order
+        from one stream, extrapolated like :meth:`expectation`."""
         from repro.utils.rng import as_rng
 
         rng = as_rng(rng) if shots else rng

@@ -29,10 +29,11 @@ Three pieces:
 Columns repeat up to sign (17 columns of an order-1 shift ensemble measured
 on one observable conjugate to 8 distinct strings), so a sweep multiplies
 Bloch components once per (row, distinct string) and fills every column by
-a signed gather.  Every per-row operation is elementwise (no matmul, einsum
-or BLAS call across rows), so a row's features are bit-identical whatever
-batch it arrives in -- the property serve coalescing and row slicing rely
-on.
+a signed gather -- or, with finite shots, draws every column's own binomial
+estimate from its signed value (:meth:`PauliProgram.sample`).  Every
+per-row operation is elementwise (no matmul, einsum or BLAS call across
+rows), so a row's features are bit-identical whatever batch it arrives in
+-- the property serve coalescing and row slicing rely on.
 
 Letter codes: 0 = I, 1 = X, 2 = Y, 3 = Z; a ``k``-qubit Pauli's table
 index is its letters read base 4, the gate's first qubit most significant.
@@ -48,6 +49,7 @@ import numpy as np
 from repro.quantum.circuit import Circuit, Parameter
 from repro.quantum.gates import GATE_NUM_QUBITS, PAULI_MATRICES, gate_matrix
 from repro.quantum.observables import PauliString
+from repro.quantum.sampling import sample_expectations
 
 __all__ = [
     "ConjugationTable",
@@ -169,6 +171,26 @@ class PauliProgram:
         # ``out`` directly, where the default mode fills a buffered copy.
         np.take(values, self.index, axis=1, out=out, mode="clip")
         out *= self.signs
+
+    def sample(self, values: np.ndarray, shots: int, seeds: Sequence[int]) -> np.ndarray:
+        """``(d, p * q)`` finite-shot columns from ``(d, S)`` :meth:`expectations`.
+
+        Instance ``a`` (columns ``a * q`` to ``(a + 1) * q``, with
+        ``p = len(seeds)``) draws under ``seeds[a]``: one
+        :func:`~repro.quantum.sampling.sample_expectations` call over its
+        signed non-identity columns, observable-major, then row by row --
+        the order a per-observable loop over that instance's evolved states
+        draws in.  Each column keeps its own estimate, even where two share
+        a string; identity columns are 1 with no draw.
+        """
+        q = len(self.index) // len(seeds)
+        out = np.ones((values.shape[0], len(self.index)))
+        measured = self.letters.any(axis=1)[self.index]
+        for a, seed in enumerate(seeds):
+            columns = a * q + np.flatnonzero(measured[a * q : (a + 1) * q])
+            exact = values[:, self.index[columns]].T * self.signs[columns, None]
+            out[:, columns] = sample_expectations(exact, shots, seed).T
+        return out
 
 
 def _conjugate(

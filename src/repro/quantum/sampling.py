@@ -1,18 +1,20 @@
 """Finite-shot estimation of Pauli expectation values.
 
 Implements the *direct measurement* column of paper Table II: each quantum
-neuron ``tr(O_j rho(x_i))`` is estimated by rotating the state into the
-eigenbasis of the Pauli string and averaging +-1 eigenvalue outcomes over
-``shots`` repetitions (sample mean; Hoeffding analysis in Proposition 1).
+neuron ``tr(O_j rho(x_i))`` is estimated by averaging ``shots`` +-1
+eigenvalue outcomes of the Pauli string (sample mean; Hoeffding analysis in
+Proposition 1).  That mean depends on the outcomes only through the number
+``k`` of +1s, which is ``Binomial(shots, (1 + <P>) / 2)``, so every backend
+shares one sampler, :func:`sample_expectations`: one binomial draw per
+estimate from the exact expectation, the distribution of rotating into the
+eigenbasis, drawing a ``2^n``-way multinomial and summing the signs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from repro.quantum.observables import PauliString, PauliSum
+from repro.quantum.observables import PauliString, PauliSum, expectation
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_power_of_two
 
@@ -20,36 +22,42 @@ __all__ = [
     "measure_pauli",
     "measure_pauli_batch",
     "measure_pauli_sum",
-    "estimate_from_probabilities",
+    "sample_expectations",
     "hoeffding_shots",
 ]
 
+#: Exact expectations this close to -1, 0 or +1 are sampled at that value.
+_SNAP_TOLERANCE = 1e-12
 
-def _rotated_probabilities(states: np.ndarray, pauli: PauliString) -> np.ndarray:
-    """Outcome probabilities after rotating into the eigenbasis of ``pauli``.
 
-    X sites get H, Y sites get H S^dag (so Z-basis measurement reads the
-    Pauli eigenvalue); I/Z sites need no rotation.
+def sample_expectations(
+    values: np.ndarray,
+    shots: int,
+    seed: int | np.random.Generator | None = None,
+) -> np.ndarray:
+    """Finite-shot estimates of exact Pauli expectations ``values``.
+
+    Each entry ``v`` draws ``k ~ Binomial(shots, (1 + v) / 2)`` and
+    estimates ``(2k - shots) / shots``; ``shots == 0`` returns ``values``
+    unchanged.  Draws run in C order over ``values``, one per entry, so a
+    batched call consumes the stream exactly like a loop of per-entry calls.
+
+    A ``v`` within 1e-12 of -1, 0 or +1 is snapped to that value first.
+    NumPy's binomial is not continuous in ``p`` there: it draws on
+    ``1 - p`` above ``p = 0.5`` and uses no random number at ``p = 0``, so
+    two paths whose exact values differ by roundoff at those points would
+    otherwise draw differently, or shift every later draw in the stream.
     """
-    from repro.quantum.gates import H, SDG
-    from repro.quantum.statevector import apply_matrix_batch
-
-    rotated = states
-    for qubit, letter in enumerate(pauli.string):
-        if letter == "X":
-            rotated = apply_matrix_batch(rotated, H, (qubit,))
-        elif letter == "Y":
-            rotated = apply_matrix_batch(rotated, H @ SDG, (qubit,))
-    return np.abs(rotated) ** 2
-
-
-def _eigenvalue_signs(num_qubits: int, support: Sequence[int]) -> np.ndarray:
-    """Vector of +-1: parity of measured bits on ``support`` per basis index."""
-    indices = np.arange(2**num_qubits)
-    parity = np.zeros_like(indices)
-    for q in support:
-        parity ^= (indices >> (num_qubits - 1 - q)) & 1
-    return 1.0 - 2.0 * parity
+    if shots < 0:
+        raise ValueError(f"shots={shots} must be >= 0")
+    values = np.asarray(values, dtype=float)
+    if shots == 0:
+        return values
+    nearest = np.rint(values)
+    values = np.where(np.abs(values - nearest) <= _SNAP_TOLERANCE, nearest, values)
+    # Kraus roundoff can leave a mixed-state value just outside [-1, 1].
+    plus = as_rng(seed).binomial(shots, np.clip((1.0 + values) / 2.0, 0.0, 1.0))
+    return (2 * plus - shots) / shots
 
 
 def measure_pauli(
@@ -71,6 +79,8 @@ def measure_pauli_batch(
 ) -> np.ndarray:
     """Shot-based estimates for a batch of states; returns shape (batch,).
 
+    One binomial draw per state from its exact expectation
+    (:func:`sample_expectations`); the identity is 1 with no draw, and
     ``shots == 0`` returns the exact expectation (useful for estimator
     interchangeability in the pipeline).
     """
@@ -82,39 +92,9 @@ def measure_pauli_batch(
         raise ValueError("Pauli width mismatch")
     if shots < 0:
         raise ValueError(f"shots={shots} must be >= 0")
-
     if pauli.is_identity:
         return np.ones(states.shape[0])
-
-    from repro.quantum.observables import expectation
-
-    if shots == 0:
-        return np.asarray(expectation(states, pauli))
-
-    probs = _rotated_probabilities(states, pauli)
-    probs = probs / probs.sum(axis=1, keepdims=True)
-    return estimate_from_probabilities(probs, pauli, shots, seed)
-
-
-def estimate_from_probabilities(
-    probs: np.ndarray,
-    pauli: PauliString,
-    shots: int,
-    seed: int | np.random.Generator | None = None,
-) -> np.ndarray:
-    """Finite-shot Pauli estimates from (batch, dim) outcome probabilities.
-
-    The shared tail of every finite-shot estimator (statevector and
-    density backends compute ``probs`` differently but sample identically).
-    One batched multinomial over the whole chunk: NumPy draws the same
-    conditional binomials in the same order as sequential per-row calls,
-    so seeded results are bit-identical to a per-row Python loop -- the
-    seed-determinism contract the regression test pins.
-    """
-    rng = as_rng(seed)
-    signs = _eigenvalue_signs(pauli.num_qubits, pauli.support)
-    counts = rng.multinomial(shots, probs)
-    return (counts @ signs) / shots
+    return sample_expectations(expectation(states, pauli), shots, seed)
 
 
 def measure_pauli_sum(

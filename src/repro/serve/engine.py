@@ -9,8 +9,9 @@ requests happened to share its flush.  Two properties make that possible:
   rows, or how many, share its pass;
 * each request carries the :class:`~repro.core.features.SweepPlan` a
   standalone sweep of its rows builds (its jobs, and per-job seeds spawned
-  from the *request* seed), and every job is measured with
-  :func:`repro.core.features.measure_block`, the sweep's own measurement.
+  from the *request* seed), and every job is measured with the sweep
+  worker's own measurement step
+  (:meth:`~repro.core.features.BlockWorker.measure`).
 
 So a flush builds the template's :class:`~repro.core.features.SweepRoute`
 payload once over the requests' stacked angles, runs each program ONCE over
@@ -18,7 +19,8 @@ it with the sweep worker's program step
 (:meth:`~repro.core.features.BlockWorker.run`) -- the coalescing payoff --
 then measures each request's jobs on its rows under their own seeds and
 places them as the sweep does (:meth:`~repro.core.features.BlockWorker.place`;
-for ``"pauli"``, the ensemble program's signed gather).  That
+for ``"pauli"``, the ensemble program's signed gather, or with shots its
+per-column draws).  That
 holds for every :func:`~repro.core.features.sweep_mode` but ``"prepared"``
 (``vectorize="off"``, or a backend without ``supports_vectorize``), which
 runs per-request ``generate_features`` inside its flush: trivially
@@ -47,8 +49,12 @@ from repro.core.features import (
     SweepRoute,
     bound_ansatz,
     generate_features,
-    measure_block,
 )
+
+# Flushes measure through ``BlockWorker.measure``, which calls
+# ``core.features.measure_block``; the name stays importable here because
+# perfbench's tracer (``perfbench/spans.py``) wraps it in both modules.
+from repro.core.features import measure_block  # noqa: F401
 from repro.core.strategies import Strategy
 from repro.data.encoding import encoding_template
 from repro.quantum.batched import extend_template, template_fingerprint
@@ -131,12 +137,13 @@ def execute_flush(
 
     The route's payload once over the stacked angles, the worker's program
     step once per program, then each request's jobs measured on its rows
-    under their plan seeds and placed into its block.  A ``"pauli"`` route
-    has one program: its step yields every row's distinct-string
-    expectations, and each job's signed gather writes all ``p*q`` columns
-    of its rows.  A ``"prepared"`` template runs per-request
-    :func:`generate_features` instead (inline serial; see the module
-    docstring on nesting).
+    by the worker's measurement step under their plan seeds and placed into
+    its block.  A ``"pauli"`` route has one program: its step yields every
+    row's distinct-string expectations, and each job writes all ``p*q``
+    columns of its rows, by the signed gather or, with shots, by drawing
+    every instance's columns under that job's seeds.  A ``"prepared"``
+    template runs per-request :func:`generate_features` instead (inline
+    serial; see the module docstring on nesting).
     """
     cfg, route = artifacts.cfg, artifacts.route
     if not artifacts.fast_path:
@@ -158,12 +165,5 @@ def execute_flush(
                 if job.ansatz_index != a:
                     continue
                 block = evolved[offset + job.lo : offset + job.hi]
-                # The Pauli program's step already yields expectations.
-                if route.mode != "pauli":
-                    rng = None if seed is None else np.random.default_rng(seed)
-                    block = measure_block(
-                        block, worker.observables, cfg.estimator, cfg.shots,
-                        cfg.snapshots, rng, cfg.backend,
-                    )
-                worker.place(job, block, out)
+                worker.place(job, worker.measure(job, seed, block), out)
     return outputs

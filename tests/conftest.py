@@ -2,8 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
+
+# A failing hypothesis property makes the plugin import
+# ``hypothesis.extra._patching``, whose libcst import warns that
+# ``mypy_extensions.TypedDict`` is deprecated; under ``filterwarnings =
+# error`` that warning became an INTERNALERROR that hid the falsifying
+# example.  Import it once here with only that warning ignored; without
+# libcst there is nothing to import.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.filterwarnings(
+        "ignore",
+        message="mypy_extensions.TypedDict is deprecated",
+        category=DeprecationWarning,
+    )
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

@@ -27,6 +27,7 @@ from repro.core.strategies import (
     HybridStrategy,
     ObservableConstruction,
 )
+from repro.data.datasets import binary_coat_vs_shirt
 from repro.data.encoding import encoding_template
 from repro.hpc.runtime import ExecutionRuntime
 from repro.quantum.backends import (
@@ -87,6 +88,31 @@ def test_stochastic_sweeps_seed_identical(strategy, angles, estimator, kwargs):
         config=_cfg(estimator=estimator, seed=11, vectorize="auto", **kwargs),
     )
     assert np.array_equal(oracle, batched)
+
+
+@pytest.fixture(scope="module")
+def table3_rows():
+    return binary_coat_vs_shirt(seed=1).x_train[:200]
+
+
+@pytest.mark.parametrize("shots", [64, 1024])
+def test_seeded_shots_independent_of_vectorize_and_compile_on_table3_data(table3_rows, shots):
+    """Table III's own angles put encoder Bloch components at 0 and +-1,
+    where the paths' exact values differ by roundoff and NumPy's binomial
+    is discontinuous (it draws on 1 - p above p = 0.5 and uses no random
+    number at p = 0): seeded shots must still not depend on the path."""
+    strategy = HybridStrategy(order=1, locality=2)
+    cfg = _cfg(estimator="shots", shots=shots, seed=11)
+    results = {
+        (vectorize, compile): generate_features(
+            strategy, table3_rows, config=cfg.merged(vectorize=vectorize, compile=compile)
+        )
+        for vectorize in ("auto", "off")
+        for compile in ("auto", "off")
+    }
+    reference = results["off", "off"]
+    for q in results.values():
+        assert np.array_equal(q, reference)
 
 
 @pytest.mark.parametrize("pool", ["serial", "thread", "process"])

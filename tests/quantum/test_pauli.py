@@ -7,9 +7,11 @@ against a gate-by-gate walk of its own instance, with the distinct strings
 deduplicated at any register width;
 (c) encoder Bloch vectors against statevector expectations;
 (d) Pauli-mode Q against the per-sample oracle, and bit-identical across
-runtimes, dispatch policies, chunk sizes and row slices;
+runtimes, dispatch policies, chunk sizes and row slices; seeded shots
+draw for draw equal to the per-sample oracle;
 (e) one non-Clifford instance keeps the ensemble on the statevector path;
-(f) a Pauli sweep runs one job per row chunk; every other path keeps one
+(f) a Pauli sweep runs one job per row chunk, priced at the shots and
+bytes of the per-instance grid it replaces; every other path keeps one
 job per (instance, chunk).
 """
 
@@ -29,7 +31,10 @@ from repro.api import ExecutionConfig, QuantumDevice
 from repro.core.ansatz import fig8_ansatz
 from repro.core.decomposition import heisenberg_observable
 from repro.core.features import (
+    SweepPlan,
+    SweepRoute,
     evaluate_features,
+    feature_circuit_tasks,
     generate_features,
     iter_feature_blocks,
     sweep_mode,
@@ -354,6 +359,45 @@ def test_pauli_rows_bit_identical_in_any_slice(reference, lo, k):
     assert np.array_equal(q, reference[lo : lo + k])
 
 
+@pytest.fixture(scope="module")
+def runtimes():
+    """One pool per runtime kind for the whole module; spawned processes,
+    since forking a process that already runs threads warns."""
+    with (
+        ExecutionRuntime("serial") as serial,
+        ExecutionRuntime("thread", 2) as thread,
+        ExecutionRuntime("process", 2, start_method="spawn") as process,
+    ):
+        yield {"serial": serial, "thread": thread, "process": process}
+
+
+@given(
+    case=clifford_ensemble(),
+    quarter_turns=st.booleans(),
+    shots=st.sampled_from([1, 7, 64, 1024]),
+    seed=st.integers(0, 2**32 - 1),
+    chunk_size=st.integers(1, 6),
+    pool=st.sampled_from(["serial", "thread", "process"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_pauli_shots_sweep_equals_vectorize_off_draw_for_draw(
+    runtimes, case, quarter_turns, shots, seed, chunk_size, pool
+):
+    """Angles on the quarter-turn grid put Bloch components at 0 and +-1,
+    where the two paths' exact values differ by roundoff and NumPy's
+    binomial is discontinuous: the sampler's snap must absorb that."""
+    strategy, x = case
+    if quarter_turns:
+        x = np.round(x / (np.pi / 2)) * (np.pi / 2)
+    cfg = ExecutionConfig(
+        estimator="shots", shots=shots, seed=seed, chunk_size=chunk_size, vectorize="auto"
+    )
+    assert sweep_mode(strategy, cfg) == "pauli"
+    q = generate_features(strategy, x, device=QuantumDevice(cfg, runtime=runtimes[pool]))
+    oracle = generate_features(strategy, x, config=cfg.merged(vectorize="off"))
+    assert np.array_equal(q, oracle)
+
+
 # ------------------------------------------------------------------ (e)
 @pytest.mark.parametrize(
     "strategy",
@@ -380,15 +424,18 @@ def test_non_clifford_instance_selects_shared_encoder(strategy):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config,mode",
     [
-        pytest.param(AUTO.merged(vectorize="off"), id="vectorize-off"),
-        pytest.param(AUTO.merged(estimator="shots", shots=32), id="shots"),
-        pytest.param(AUTO.merged(estimator="shadows", snapshots=16), id="shadows"),
+        pytest.param(AUTO.merged(vectorize="off"), "prepared", id="vectorize-off"),
+        pytest.param(AUTO.merged(estimator="shots", shots=32), "pauli", id="shots"),
+        pytest.param(
+            AUTO.merged(estimator="shadows", snapshots=16), "shared_encoder", id="shadows"
+        ),
     ],
 )
-def test_pauli_needs_auto_vectorize_and_the_exact_estimator(config):
-    assert sweep_mode(STRATEGY, config) != "pauli"
+def test_pauli_needs_auto_vectorize_and_the_exact_or_shots_estimator(config, mode):
+    """Shadows snapshot a state, so they keep the statevector path."""
+    assert sweep_mode(STRATEGY, config) == mode
 
 
 def test_single_instance_stays_batched():
@@ -443,6 +490,38 @@ def test_pauli_sweep_runs_one_job_per_row_chunk(reference, chunk_size):
         q, report = device.run(STRATEGY, X)
     assert report.num_tasks == math.ceil(len(X) / chunk_size)
     assert np.array_equal(q, reference)
+
+
+@pytest.mark.parametrize("chunk_size", [4, 5, 64])
+def test_pauli_shots_plan_prices_the_per_instance_grid(chunk_size):
+    """A Pauli shots job stands for every instance of its rows: the plan's
+    total shots (sum of shots x circuits) and result bytes equal the
+    ``vectorize="off"`` plan's, and each job holds that grid's seeds."""
+    cfg = AUTO.merged(estimator="shots", shots=64, chunk_size=chunk_size, seed=3)
+    template = encoding_template(X.shape[1], X.shape[2])
+    modes, totals, plans = [], [], []
+    for config in (cfg, cfg.merged(vectorize="off")):
+        route = SweepRoute.build(STRATEGY, config, template)
+        plan = SweepPlan.build(STRATEGY, config, len(X), route.programs, config.seed)
+        tasks = feature_circuit_tasks(
+            list(plan.jobs), route.programs, STRATEGY.num_qubits,
+            STRATEGY.num_observables, "shots", config.shots, config.snapshots,
+        )
+        modes.append(route.mode)
+        totals.append(
+            (sum(t.shots * t.num_circuits for t in tasks), sum(t.result_bytes for t in tasks))
+        )
+        plans.append(plan)
+    assert modes == ["pauli", "prepared"]
+    p, q = STRATEGY.num_ansatze, STRATEGY.num_observables
+    assert totals[0] == totals[1] == (len(X) * p * q * 64, 8 * len(X) * p * q)
+    pauli, per_instance = plans
+    chunks = len(pauli.jobs)
+    assert [job.ansatz_index for job in pauli.jobs] == [0] * chunks
+    assert all(len(seeds) == p for seeds in pauli.seeds)
+    assert [s for c in range(chunks) for s in pauli.seeds[c]] == [
+        per_instance.seeds[a * chunks + c] for c in range(chunks) for a in range(p)
+    ]
 
 
 def test_shared_encoder_sweep_keeps_one_job_per_instance_chunk():

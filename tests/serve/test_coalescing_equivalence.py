@@ -85,12 +85,21 @@ CASES = [
         ExecutionConfig(vectorize="auto", compile="auto"),
         id="exact-shared-encoder",
     ),
+    # A non-Clifford expansion point: shots on a Clifford ensemble run
+    # "pauli" (the next row).
     pytest.param(
-        "hybrid",
+        "hybrid-theta",
         ExecutionConfig(
             estimator="shots", shots=64, vectorize="auto", compile="auto"
         ),
         id="shots-shared-encoder",
+    ),
+    pytest.param(
+        "hybrid",
+        ExecutionConfig(
+            estimator="shots", shots=64, chunk_size=2, vectorize="auto", compile="auto"
+        ),
+        id="shots-pauli",
     ),
     pytest.param(
         "hybrid",
@@ -116,6 +125,7 @@ PROCESS_CASES = {
     "exact-multi-ansatz-statevector-fallback",
     "exact-pauli-chunked",
     "exact-shared-encoder",
+    "shots-pauli",
 }
 POOL_CASES = [pytest.param(*case.values, "serial", id=case.id) for case in CASES] + [
     pytest.param(*case.values, "process", id=f"{case.id}-process")
@@ -214,6 +224,11 @@ def test_coalesced_responses_bit_equal_standalone(kind, execution, pool):
         ),
         pytest.param(
             "hybrid", ExecutionConfig(vectorize="auto", compile="auto"), id="pauli"
+        ),
+        pytest.param(
+            "hybrid",
+            ExecutionConfig(estimator="shots", shots=64, vectorize="auto", compile="auto"),
+            id="shots-pauli",
         ),
         pytest.param(
             "hybrid-theta",

@@ -491,7 +491,7 @@ EXACT = ExecutionConfig(vectorize="auto", compile="auto", seed=7)
 @pytest.mark.parametrize(
     "strategy,execution,mode",
     [
-        pytest.param(_hybrid(0.0), SHOTS, "shared_encoder", id="clifford-shots"),
+        pytest.param(_hybrid(0.0), SHOTS, "pauli", id="clifford-shots"),
         pytest.param(_hybrid(0.3), EXACT, "shared_encoder", id="rotated-exact"),
         pytest.param(_hybrid(0.3), SHOTS, "shared_encoder", id="rotated-shots"),
         pytest.param(

@@ -31,6 +31,7 @@ ROWS = 2
 
 FAST_EXECUTION = ExecutionConfig(vectorize="auto", compile="auto", seed=7)
 FALLBACK_EXECUTION = ExecutionConfig(vectorize="off", seed=7)
+SHOTS_EXECUTION = FAST_EXECUTION.merged(estimator="shots", shots=64)
 
 
 OBSERVABLE = strategy_from_name("observable", num_qubits=QUBITS)
@@ -145,9 +146,10 @@ def test_array_codec_is_bit_exact():
         (OBSERVABLE, FAST_EXECUTION),
         (OBSERVABLE, FALLBACK_EXECUTION),
         (PAULI_HYBRID, FAST_EXECUTION),
+        (PAULI_HYBRID, SHOTS_EXECUTION),
         (ROTATED_HYBRID, FAST_EXECUTION),
     ],
-    ids=["fast", "fallback", "pauli", "shared-encoder"],
+    ids=["fast", "fallback", "pauli", "shots-pauli", "shared-encoder"],
 )
 def test_tcp_response_bit_equal_to_in_process_and_standalone(strategy, execution):
     """The serving contract: TCP == in-process submit == generate_features."""
