@@ -85,7 +85,7 @@ DIAGNOSTIC_CODES: dict[str, CodeSpec] = _registry(
     CodeSpec("RPA110", "micro-batch window is zero or negative", WARNING),
     CodeSpec("RPA111", "retired: result caching enabled with a zero-entry cache", WARNING),
     CodeSpec("RPA112", "tenant fairness weight starves a tenant", ERROR),
-    CodeSpec("RPA113", "micro-batching without vectorized execution", WARNING),
+    CodeSpec("RPA113", "retired: micro-batching without vectorized execution", WARNING),
     CodeSpec("RPA114", "request deadline shorter than the batch window", WARNING),
     CodeSpec("RPA115", "max_frame_bytes cannot carry one feature row", ERROR),
     CodeSpec("RPA116", "retired: stream threshold set on a non-streaming transport", WARNING),

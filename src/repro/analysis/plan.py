@@ -246,30 +246,6 @@ def _lint_tenant_weights(config: ServeConfig) -> list[Diagnostic]:
     ]
 
 
-def _lint_serve_vectorize(config: ServeConfig) -> list[Diagnostic]:
-    """RPA113: micro-batching pays off under vectorized execution only."""
-    execution = config.execution
-    assert execution is not None  # ServeConfig canonicalized it
-    if (
-        config.batch_window_ms <= 0
-        or config.max_batch_size <= 1
-        or execution.vectorize == "auto"
-    ):
-        return []
-    return [
-        Diagnostic(
-            "RPA113",
-            f"batch_window_ms={config.batch_window_ms} with "
-            f"execution.vectorize={execution.vectorize!r}: coalesced "
-            f"requests fall back to per-request dispatch (no stacked "
-            f"apply_batch pass), so the window only adds latency",
-            fix_hint="set execution vectorize='auto' (the serving "
-            "default), or batch_window_ms=0 to serve per-request",
-            location="serve.execution.vectorize",
-        )
-    ]
-
-
 def _lint_transport_timeout(config: ServeConfig) -> list[Diagnostic]:
     """RPA114: a deadline inside the batch window times every request out."""
     transport = config.transport
@@ -335,7 +311,6 @@ def lint_serve_config(
     report = lint_config(execution, num_qubits=num_qubits)
     found = _lint_batch_window(config)
     found += _lint_tenant_weights(config)
-    found += _lint_serve_vectorize(config)
     found += _lint_transport_timeout(config)
     found += _lint_frame_bytes(config, num_qubits)
     return report + DiagnosticReport.collect(found)

@@ -447,8 +447,8 @@ class ServeConfig:
 
     * ``execution``          -- the nested per-request execution config;
       ``None`` picks the serving default (``vectorize="auto"``,
-      ``compile="auto"``: micro-batching coalesces requests into stacked
-      passes, which needs vectorized execution);
+      ``compile="auto"``: the faster engines; requests coalesce into
+      stacked passes under any setting);
     * ``batch_window_ms``    -- how long an admitted request may wait for
       peers to coalesce with before its micro-batch flushes.  ``0`` flushes
       every request alone (coalescing off; RPA110 lints it), negative

@@ -102,8 +102,8 @@ def _add_execution_flags(
     """The unified execution knobs, one flag per ExecutionConfig field.
 
     The defaults are the library's reference path (``vectorize=off``,
-    ``compile=off``); serving flips both to ``auto`` because coalescing
-    without batched execution forfeits the payoff (lint RPA113).
+    ``compile=off``); serving flips both to ``auto``, the faster engines
+    (every sweep mode coalesces).
     """
     from repro.hpc.scheduler import SCHEDULING_POLICIES
 

@@ -173,8 +173,7 @@ def sweep_mode(strategy: Strategy, cfg: ExecutionConfig) -> str:
     * ``"prepared"`` -- per-sample preparation, then per-instance evolution
       (the reference oracle; always under ``vectorize="off"``).
 
-    The serving layer coalesces every mode but ``"prepared"``, which it
-    runs per request.
+    The serving layer coalesces every mode (:mod:`repro.serve.engine`).
     """
     return sweep_route(strategy, cfg)[0]
 

@@ -20,18 +20,17 @@ it with the sweep worker's program step
 then measures each request's jobs on its rows under their own seeds and
 places them as the sweep does (:meth:`~repro.core.features.BlockWorker.place`;
 for ``"pauli"``, the ensemble program's signed gather, or with shots its
-per-column draws).  That
-holds for every :func:`~repro.core.features.sweep_mode` but ``"prepared"``
-(``vectorize="off"``, or a backend without ``supports_vectorize``), which
-runs per-request ``generate_features`` inside its flush: trivially
-bit-equal, just without cross-request sharing (RPA113 lints the window
-then).  Admission always prices the standalone sweep's own programs.
+per-column draws).  That holds for every
+:func:`~repro.core.features.sweep_mode`: a ``"prepared"`` template
+(``vectorize="off"``, or a backend without ``supports_vectorize``) prepares
+the stacked rows once and evolves them once per program.  Admission always
+prices the standalone sweep's own programs.
 
 Everything here is plain picklable data + a module-level function, so a
 flush ships to thread *or process* pool workers unchanged.  Flush workers
-never dispatch nested pool work (``generate_features`` runs with its
-inline serial runtime): the flush itself is the pool's unit of
-parallelism, and nesting could deadlock a saturated pool.
+never dispatch nested pool work (a ``"prepared"`` payload is prepared
+inline): the flush itself is the pool's unit of parallelism, and nesting
+could deadlock a saturated pool.
 """
 
 from __future__ import annotations
@@ -43,18 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.api.config import ExecutionConfig
-from repro.core.features import (
-    BlockWorker,
-    SweepPlan,
-    SweepRoute,
-    bound_ansatz,
-    generate_features,
-)
+from repro.core.features import BlockWorker, SweepPlan, SweepRoute, bound_ansatz
 
-# Flushes measure through ``BlockWorker.measure``, which calls
-# ``core.features.measure_block``; the name stays importable here because
-# perfbench's tracer (``perfbench/spans.py``) wraps it in both modules.
-from repro.core.features import measure_block  # noqa: F401
+# Flushes call neither name (they run ``BlockWorker``'s steps); both stay
+# importable because perfbench's tracer (``perfbench/spans.py``) wraps them here.
+from repro.core.features import generate_features, measure_block  # noqa: F401
 from repro.core.strategies import Strategy
 from repro.data.encoding import encoding_template
 from repro.quantum.batched import extend_template, template_fingerprint
@@ -69,10 +61,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FlushRequest:
-    """One request's share of a flush: its angles, seed, and sweep plan."""
+    """One request's share of a flush: its angles and its sweep plan,
+    whose per-job seeds were spawned from the request's seed."""
 
     angles: np.ndarray
-    seed: int | None
     plan: SweepPlan
 
 
@@ -82,10 +74,10 @@ class TemplateArtifacts:
 
     ``route`` is the standalone sweep's own
     :class:`~repro.core.features.SweepRoute`, whose programs price every
-    request's plan and run every flush but a ``"prepared"`` one.
+    request's plan and run every flush.
     ``group_key`` is the coalescing identity: fingerprints, observables and
     config-minus-seed (the per-request seed lives in each
-    :class:`FlushRequest`, never in the key).
+    :class:`FlushRequest`'s plan, never in the key).
     """
 
     strategy: Strategy
@@ -95,8 +87,9 @@ class TemplateArtifacts:
 
     @property
     def fast_path(self) -> bool:
-        """Whether flushes coalesce: every mode but ``"prepared"``."""
-        return self.route.mode != "prepared"
+        """Always True: flushes of every sweep mode coalesce.  Read-only, and
+        still read by perfbench's ``serve.engine.fallback_share``."""
+        return True
 
 
 def _config_key(cfg: ExecutionConfig) -> str:
@@ -142,18 +135,11 @@ def execute_flush(
     row's distinct-string expectations, and each job writes all ``p*q``
     columns of its rows, by the signed gather or, with shots, by drawing
     every instance's columns under that job's seeds.  A ``"prepared"``
-    template runs per-request :func:`generate_features` instead (inline
-    serial; see the module docstring on nesting).
+    route's payload is the stacked rows' prepared states, built inline (see
+    the module docstring on nesting).
     """
-    cfg, route = artifacts.cfg, artifacts.route
-    if not artifacts.fast_path:
-        return [
-            generate_features(
-                artifacts.strategy, r.angles, config=cfg.merged(seed=r.seed, preflight="off")
-            )
-            for r in requests
-        ]
-    worker = BlockWorker(artifacts.strategy, route.programs, cfg)
+    route = artifacts.route
+    worker = BlockWorker(artifacts.strategy, route.programs, artifacts.cfg)
     payload = route.payload(np.concatenate([r.angles for r in requests], axis=0))
     offsets = np.cumsum([0] + [len(r.angles) for r in requests])
     columns = artifacts.strategy.num_ansatze * len(worker.observables)

@@ -70,15 +70,15 @@ class _TemplateSeed:
 TEMPLATE_SEED: Any = _TemplateSeed()
 
 
-def _check_request(x: np.ndarray, seed: Any, timeout_s: Any) -> None:
+def _check_request(x: np.ndarray, tenant: Any, seed: Any, timeout_s: Any) -> None:
     """Reject a request no template can serve, before it costs anything.
 
-    Non-finite angles, a seed that is not :data:`TEMPLATE_SEED`, ``None``
-    or an integer (a bool or float seed is refused, not truncated), and a
-    deadline that is not a positive number (``True`` is not one).  One
-    body for both ends of the wire:
-    :meth:`FeatureService.submit` runs it before metrics, the result cache
-    and admission see the request, and
+    Non-finite angles, a tenant that is not a ``str``, a seed that is not
+    :data:`TEMPLATE_SEED`, ``None`` or an integer (a bool or float seed is
+    refused, not truncated) or is negative, and a deadline that is not a
+    positive number (``True`` is not one).  One body for both ends of the
+    wire: :meth:`FeatureService.submit` runs it before metrics, the result
+    cache and admission see the request, and
     :class:`~repro.serve.transport.TcpTransport` before the request is
     framed -- so a bad request fails the same way in-process and over TCP.
     """
@@ -88,12 +88,16 @@ def _check_request(x: np.ndarray, seed: Any, timeout_s: Any) -> None:
         or not timeout_s > 0
     ):
         raise ValueError(f"timeout_s={timeout_s!r} must be > 0 or None")
+    if not isinstance(tenant, str):
+        raise TypeError(f"tenant must be a str, got {tenant!r}")
     if not (
         seed is TEMPLATE_SEED
         or seed is None
         or (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool))
     ):
         raise TypeError(f"per-request seeds must be int or None, got {seed!r}")
+    if seed is not TEMPLATE_SEED and seed is not None and seed < 0:
+        raise ValueError(f"seed={seed} must be >= 0")
     if not np.isfinite(x).all():
         raise ValueError("angles must be finite: got NaN or inf")
 
@@ -353,11 +357,12 @@ class FeatureService:
 
         ``x`` is ``(k, rows, cols)`` with ``k >= 1`` (or a single
         ``(rows, cols)`` sample, returned as ``(m,)``).  Any other shape, a
-        non-finite angle, a seed that is neither an integer nor ``None``
-        and a deadline that is not a positive number raise before the
-        request is counted, cached or admitted.  ``seed`` defaults to the
-        template's execution seed; per-request seeds keep the standalone seed
-        contract -- the response equals
+        non-finite angle, a tenant that is not a ``str``, a seed that is
+        neither a non-negative integer nor ``None`` and a deadline that is
+        not a positive number raise before the request is counted, cached
+        or admitted.  ``seed`` defaults to the template's execution seed;
+        per-request seeds keep the standalone seed contract -- the response
+        equals
         ``generate_features(strategy, x, config=execution.merged(seed=seed))``
         bit for bit.  Raises
         :class:`~repro.serve.fairness.BackpressureError` when the tenant's
@@ -372,7 +377,7 @@ class FeatureService:
         """
         self._check_serving()
         x = np.asarray(x, dtype=float)
-        _check_request(x, seed, timeout_s)
+        _check_request(x, tenant, seed, timeout_s)
         registration = self._require_registration(template)
         artifacts = registration.artifacts
         cfg = artifacts.cfg
@@ -426,7 +431,7 @@ class FeatureService:
         try:
             assert self._loop is not None and self._batcher is not None
             future: asyncio.Future = self._loop.create_future()
-            payload = FlushRequest(angles=x, seed=seed, plan=plan)
+            payload = FlushRequest(angles=x, plan=plan)
             pending = PendingRequest(tenant, payload, cost, future)
             self._batcher.add(artifacts.group_key, pending)
             try:

@@ -19,10 +19,11 @@ Deadlines and disconnects map onto the service's withdrawal paths:
 * a client that disconnects mid-request has its server-side tasks
   cancelled, which withdraws its requests the same way.
 
-Header values reach ``service.submit`` as sent, so a frame with a
-non-integer seed, a deadline that is not a positive number or non-finite
-angles gets a ``bad_request`` error frame -- the client half runs the
-same check before framing.
+Header values reach ``service.submit`` as sent, so a frame with a tenant
+that is not a string, a seed that is not a non-negative integer, a
+deadline that is not a positive number or non-finite angles gets a
+``bad_request`` error frame -- the client half runs the same check before
+framing.
 
 The frame bound decides streaming: a 2-D response whose single
 ``result`` frame would exceed ``max_frame_bytes`` streams as one ``block``
@@ -304,7 +305,7 @@ class FeatureServer:
             if self._draining:
                 raise ServiceClosedError("server is draining; reconnect elsewhere")
             x = decode_array(header.get("array", {}), payload)
-            tenant = str(header.get("tenant", "default"))
+            tenant = header.get("tenant", "default")
             # Tri-state seed: key absent = template default, null = fresh
             # entropy per call, int = that seed.
             seed = header["seed"] if "seed" in header else TEMPLATE_SEED
@@ -524,7 +525,7 @@ class TcpTransport:
         if self._closed:
             raise ConnectionError("transport is closed")
         x = np.asarray(x, dtype=float)
-        _check_request(x, seed, timeout_s)
+        _check_request(x, tenant, seed, timeout_s)
         self._counter += 1
         request_id = f"r{self._counter}"
         meta, payload = encode_array(x)

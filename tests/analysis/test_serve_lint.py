@@ -68,15 +68,19 @@ def test_rpa112_not_on_positive_weights():
     assert "RPA112" not in lint_serve_config(cfg).codes()
 
 
-# ------------------------------------- RPA113 (window without batching)
+# ------------------------- RPA113 (retired: window without batching)
 def test_rpa113_window_with_vectorize_off():
+    """Retired: a ``vectorize="off"`` template coalesces like every other
+    sweep mode, so no analyzer flags its window; the code stays reserved."""
+    assert DIAGNOSTIC_CODES["RPA113"].title.startswith("retired:")
     cfg = ServeConfig(
         batch_window_ms=2.0,
-        execution=ExecutionConfig(vectorize="off"),
+        execution=ExecutionConfig(vectorize="off", preflight="warn"),
     )
-    report = lint_serve_config(cfg)
-    assert "RPA113" in report.codes()
-    assert report.ok  # warning: correct, just not profitable
+    assert lint_serve_config(cfg, num_qubits=3).clean
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PreflightWarning)
+        assert run_serve_preflight(cfg, num_qubits=3).clean
 
 
 def test_rpa113_not_when_window_off_or_vectorized():

@@ -13,8 +13,8 @@ from repro.api.config import SERVE_CONFIG_FIELDS, TRANSPORT_CONFIG_FIELDS
 def test_defaults_canonicalize_execution():
     config = ServeConfig()
     assert isinstance(config.execution, ExecutionConfig)
-    # Serving defaults to the batched path -- coalescing without it
-    # forfeits the payoff (RPA113).
+    # Serving defaults to the faster engines; every sweep mode coalesces,
+    # so these are a speed choice, not a coalescing one.
     assert config.execution.vectorize == "auto"
     assert config.execution.compile == "auto"
     assert config.pool == "thread"

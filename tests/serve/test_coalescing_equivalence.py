@@ -18,12 +18,20 @@ from repro.api.config import ExecutionConfig
 from repro.api.device import QuantumDevice
 from repro.core.features import generate_features, sweep_mode
 from repro.core.strategies import strategy_from_name
-from repro.quantum.backends import DensityMatrixBackend
+from repro.quantum.backends import (
+    DensityMatrixBackend,
+    DistributedStatevectorBackend,
+    MitigatedBackend,
+    StatevectorBackend,
+)
+from repro.quantum.noise import NoiseModel
 from repro.serve import FeatureService, ServeConfig
 
 QUBITS = 3
 ROWS = 2
 
+#: Ids ending in ``-fallback`` name paths that once ran request by request;
+#: every one of them coalesces now, and the ids keep their names.
 CASES = [
     pytest.param(
         "observable",
@@ -59,6 +67,46 @@ CASES = [
         "observable",
         ExecutionConfig(estimator="shots", shots=64, vectorize="off"),
         id="shots-vectorize-off-fallback",
+    ),
+    # "prepared": the stacked rows are prepared once, each program evolves
+    # them once -- on every backend that runs per sample.
+    pytest.param(
+        "hybrid-theta",
+        ExecutionConfig(vectorize="off", compile="off"),
+        id="exact-prepared-compile-off",
+    ),
+    pytest.param(
+        "hybrid",
+        ExecutionConfig(
+            estimator="shots",
+            shots=64,
+            backend=DensityMatrixBackend(NoiseModel.depolarizing(0.01)),
+            vectorize="off",
+        ),
+        id="shots-prepared-noisy-density",
+    ),
+    pytest.param(
+        "hybrid-theta",
+        ExecutionConfig(
+            backend=MitigatedBackend(StatevectorBackend()),
+            vectorize="auto",
+            compile="auto",
+        ),
+        id="exact-prepared-zne",
+    ),
+    pytest.param(
+        "hybrid-theta",
+        ExecutionConfig(
+            backend=DistributedStatevectorBackend(shards=2), compile="auto"
+        ),
+        id="exact-prepared-sharded",
+    ),
+    pytest.param(
+        "hybrid-theta",
+        ExecutionConfig(
+            estimator="shadows", snapshots=32, vectorize="off", compile="auto"
+        ),
+        id="shadows-prepared-compiled",
     ),
     pytest.param(
         "observable",
@@ -126,6 +174,8 @@ PROCESS_CASES = {
     "exact-pauli-chunked",
     "exact-shared-encoder",
     "shots-pauli",
+    "shots-prepared-noisy-density",
+    "exact-prepared-sharded",
 }
 POOL_CASES = [pytest.param(*case.values, "serial", id=case.id) for case in CASES] + [
     pytest.param(*case.values, "process", id=f"{case.id}-process")
@@ -210,6 +260,49 @@ def test_coalesced_responses_bit_equal_standalone(kind, execution, pool):
             strategy, x, config=execution.merged(seed=seed)
         )
         assert np.array_equal(response, reference)
+
+
+def test_prepared_flush_prepares_once_and_evolves_each_program_once(monkeypatch):
+    """A ``"prepared"`` flush runs like every other mode: one preparation of
+    the stacked rows and one evolution per program, not one per request."""
+    strategy = _strategy("hybrid-theta")
+    execution = ExecutionConfig(vectorize="off", compile="auto")
+    assert sweep_mode(strategy, execution) == "prepared"
+    calls = {"prepare": 0, "evolve": 0}
+
+    def counted(name):
+        method = getattr(StatevectorBackend, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(StatevectorBackend, name, counted(name))
+    config = ServeConfig(
+        batch_window_ms=50.0,
+        max_batch_size=64,
+        pool="serial",
+        result_cache_size=0,
+        execution=execution,
+    )
+    service = FeatureService(config)
+    service.register("t", strategy, rows=ROWS)
+    rng = np.random.default_rng(3)
+    inputs = [rng.uniform(0, np.pi, size=(1 + i % 3, ROWS, QUBITS)) for i in range(6)]
+
+    async def main():
+        async with service:
+            await asyncio.gather(
+                *(service.submit("t", x, seed=i) for i, x in enumerate(inputs))
+            )
+            return service.metrics()
+
+    metrics = asyncio.run(main())
+    assert metrics.flushes_total == 1
+    assert calls == {"prepare": 1, "evolve": strategy.num_ansatze}
 
 
 @pytest.mark.parametrize(

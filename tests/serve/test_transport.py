@@ -427,6 +427,8 @@ MALFORMED = {
     "inf": (np.inf, {}, ValueError),
     "seed-float": (None, {"seed": 1.5}, TypeError),
     "seed-bool": (None, {"seed": True}, TypeError),
+    "seed-negative": (None, {"seed": -1}, ValueError),
+    "tenant-int": (None, {"tenant": 7}, TypeError),
     "timeout-bool": (None, {"timeout_s": True}, ValueError),
 }
 
