@@ -1,7 +1,7 @@
 """Serving layer -- micro-batched vs per-request dispatch under load.
 
 The serving claim: when many concurrent requests share a template
-fingerprint, coalescing them into one stacked ``evolve_batch`` pass per
+fingerprint, coalescing them into one stacked ``evolve`` pass per
 flush amortizes the per-call program walk that per-request dispatch pays
 over and over.  Measured here as a closed-loop load test through the real
 :class:`~repro.serve.service.FeatureService` -- admission, fairness,

@@ -158,13 +158,15 @@ def _check_kernel_hygiene(
                 and isinstance(sub.func.value, ast.Name)
                 and sub.func.value.id in np_names
             ):
+                # The namespaces carry no tensordot: einsum spells any contraction.
+                op = "einsum" if sub.func.attr == "tensordot" else sub.func.attr
                 yield Diagnostic(
                     "RPA301",
                     f"{func.name}() takes an xp namespace but calls "
                     f"np.{sub.func.attr}() directly: that contraction is "
                     f"pinned to host NumPy regardless of the configured "
                     f"array backend",
-                    fix_hint=f"call xp.{sub.func.attr}() instead; xp=None "
+                    fix_hint=f"call xp.{op}() instead; xp=None "
                     f"means the NumPy namespace, so one body serves every "
                     f"backend",
                     location=f"{path}:{sub.lineno}",

@@ -223,7 +223,7 @@ def _lint_batch_window(config: ServeConfig) -> list[Diagnostic]:
             "requests sharing a template fingerprint never coalesce into "
             "one stacked pass",
             fix_hint="use a small positive window (1-10 ms) to let "
-            "in-flight peers share evolve_batch calls",
+            "in-flight peers share each program's evolve call",
             location="serve.batch_window_ms",
         )
     ]

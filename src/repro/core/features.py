@@ -491,22 +491,15 @@ class BlockWorker:
 
     def run(self, ansatz_index: int, payload: np.ndarray) -> np.ndarray:
         """The program step: one program over any number of payload rows,
-        row-stably -- an Ansatz instance's evolved states, or the Pauli
-        ensemble program's ``(rows, S)`` distinct-string expectations."""
+        row-stably -- the Pauli ensemble program's ``(rows, S)``
+        distinct-string expectations, or an Ansatz instance's evolved states
+        from the backend's :meth:`~QuantumBackend.evolve`, whose program
+        decides what the payload is (prepared states, or raw angles for a
+        ``"batched"`` template)."""
         program = self.programs[ansatz_index]
         if isinstance(program, PauliProgram):
             return program.expectations(payload)
-        # Batched templates consume raw (chunk, rows, cols) angles and run
-        # encoding + Ansatz evolution in one stacked pass (evolve_batch).
-        evolve = (
-            self.backend.evolve_batch
-            if getattr(program, "consumes_angles", False)
-            else self.backend.evolve
-        )
-        # ``xp=None`` (the default numpy namespace) never reaches backend
-        # signatures, so third-party backends without the keyword keep working.
-        xp = None if self.array_backend == "numpy" else get_namespace(self.array_backend)
-        return evolve(payload, program) if xp is None else evolve(payload, program, xp=xp)
+        return self.backend.evolve(payload, program, xp=get_namespace(self.array_backend))
 
     def measure(
         self, job: FeatureJob, seed: int | tuple[int, ...] | None, block: np.ndarray

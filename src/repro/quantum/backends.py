@@ -113,10 +113,11 @@ class QuantumBackend(ABC):
     supports_compile: bool = True
     #: Whether the classical-shadow estimator is available (pure states only).
     supports_shadows: bool = False
-    #: Whether :meth:`batch_program`/:meth:`evolve_batch` can run a whole
-    #: raw-angle chunk in stacked passes -- i.e. whether ``vectorize="auto"``
-    #: batches this backend's sweep.  The program *kind* is backend-specific
-    #: (fused :class:`~repro.quantum.batched.ParametricCompiledCircuit` for
+    #: Whether :meth:`batch_program` builds a program :meth:`evolve` runs
+    #: over a whole raw-angle chunk in stacked passes -- i.e. whether
+    #: ``vectorize="auto"`` batches this backend's sweep.  The program *kind*
+    #: is backend-specific (fused
+    #: :class:`~repro.quantum.batched.ParametricCompiledCircuit` for
     #: statevectors, fusion-free
     #: :class:`~repro.quantum.density.BatchedDensityProgram` for gate-level
     #: noise, where the per-gate Kraus insertion points must survive).
@@ -173,15 +174,15 @@ class QuantumBackend(ABC):
 
     # -------------------------------------------------------------- evolution
     @abstractmethod
-    def evolve(
-        self, states: np.ndarray, program: Circuit | CompiledCircuit | None
-    ) -> np.ndarray:
-        """Push a prepared-state batch through one Ansatz program.
+    def evolve(self, payload: np.ndarray, program, *, xp=None) -> np.ndarray:
+        """Run one program over a payload batch (data points on axis 0).
 
-        Concrete backends additionally accept a keyword-only ``xp`` (an
-        array namespace from :mod:`repro.xp`); the pipeline only passes it
-        when a non-NumPy namespace is selected, so third-party subclasses
-        that ignore the knob keep working under the default config.
+        The program decides what the payload is: a bound ``Circuit`` or a
+        ``CompiledCircuit`` evolves prepared states (:meth:`prepare`), and
+        the artifact :meth:`batch_program` built encodes *and* evolves a raw
+        ``(chunk, rows, cols)`` angle slice in stacked passes.  ``None``
+        returns the payload.  ``xp`` selects the array namespace
+        (:mod:`repro.xp`; ``None`` is NumPy); results return as NumPy.
         """
 
     def batch_program(
@@ -191,7 +192,8 @@ class QuantumBackend(ABC):
         compile: str | int = "auto",
     ):
         """Compile encoder ``template`` + bound ``ansatz`` into the program
-        :meth:`evolve_batch` consumes (the ``vectorize="auto"`` artifact).
+        :meth:`evolve` runs on raw angle chunks (the ``vectorize="auto"``
+        artifact).
 
         Backend-specific: the statevector backend fuses into a
         :class:`~repro.quantum.batched.ParametricCompiledCircuit`; density
@@ -199,24 +201,6 @@ class QuantumBackend(ABC):
         :class:`~repro.quantum.density.BatchedDensityProgram` so Kraus
         insertion points stay per-gate; the mitigated backend stacks one
         folded density program per noise scale.
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} has no batched structure-shared execution "
-            f"(supports_vectorize=False)"
-        )
-
-    def evolve_batch(
-        self, angles: np.ndarray, program, *, xp=None
-    ) -> np.ndarray:
-        """Encode *and* evolve a raw angle chunk in one stacked pass.
-
-        The batched counterpart of ``prepare`` + ``evolve``: ``program`` is
-        the artifact :meth:`batch_program` compiled (encoder angle slots +
-        one Ansatz instance) and ``angles`` is the raw
-        ``(chunk, rows, cols)`` slice.  Only backends with
-        ``supports_vectorize = True`` implement it; the feature pipeline
-        falls back to the per-sample path everywhere else.  ``xp`` selects
-        the array namespace (:mod:`repro.xp`); results return as NumPy.
         """
         raise NotImplementedError(
             f"backend {self.name!r} has no batched structure-shared execution "
@@ -309,17 +293,23 @@ class StatevectorBackend(QuantumBackend):
         return run_circuit(circuit)
 
     def evolve(
-        self, states: np.ndarray, program: Circuit | CompiledCircuit | None, *, xp=None
+        self,
+        payload: np.ndarray,
+        program: Circuit | CompiledCircuit | ParametricCompiledCircuit | None,
+        *,
+        xp=None,
     ) -> np.ndarray:
         if program is None:
-            return states
+            return payload
+        if isinstance(program, ParametricCompiledCircuit):
+            return program.apply_batch(payload, xp=xp)
         if isinstance(program, CompiledCircuit):
             # Device arrays stay inside the kernel: callers measure NumPy.
             xp = xp or get_namespace("numpy")
-            return xp.to_numpy(program.apply(states, xp=xp))
+            return xp.to_numpy(program.apply(payload, xp=xp))
         # Raw-circuit evolution is the naive reference walk and stays on the
         # host namespace regardless of ``xp`` (it is never the hot path).
-        return run_circuit(program, state=states)
+        return run_circuit(program, state=payload)
 
     def batch_program(
         self,
@@ -331,15 +321,6 @@ class StatevectorBackend(QuantumBackend):
         # only means "no explicit width choice" -- the default applies.
         width = resolve_fusion_width(compile) or DEFAULT_FUSION_WIDTH
         return compile_parametric(extend_template(template, ansatz), max_width=width)
-
-    def evolve_batch(
-        self, angles: np.ndarray, program: ParametricCompiledCircuit, *, xp=None
-    ) -> np.ndarray:
-        if not isinstance(program, ParametricCompiledCircuit):
-            raise TypeError(
-                f"evolve_batch expects a ParametricCompiledCircuit, got {program!r}"
-            )
-        return program.apply_batch(angles, xp=xp)
 
     def expectation(self, evolved: np.ndarray, observable: PauliString) -> np.ndarray:
         return np.asarray(expectation(evolved, observable))
@@ -401,15 +382,19 @@ class DistributedStatevectorBackend(StatevectorBackend):
         return self.evolve(zero_state(circuit.num_qubits), circuit)
 
     def evolve(
-        self, states: np.ndarray, program: Circuit | CompiledCircuit | None, *, xp=None
+        self,
+        payload: np.ndarray,
+        program: Circuit | CompiledCircuit | ParametricCompiledCircuit | None,
+        *,
+        xp=None,
     ) -> np.ndarray:
-        # ``xp`` is accepted but unused: the sharded SPMD kernels are a
-        # host-NumPy scale-out axis, not a device fast path.
-        if program is None:
-            return states
+        # The inherited batched program runs unsharded; otherwise ``xp`` is
+        # unused: the sharded SPMD kernels are a host-NumPy scale-out axis.
+        if program is None or isinstance(program, ParametricCompiledCircuit):
+            return super().evolve(payload, program, xp=xp)
         from repro.quantum.distributed import run_sharded
 
-        return run_sharded(program, states, self.shards)
+        return run_sharded(program, payload, self.shards)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DistributedStatevectorBackend(shards={self.shards})"
@@ -456,10 +441,12 @@ class DensityMatrixBackend(QuantumBackend):
         return run_circuit_density(circuit, noise_model=self.noise_model)
 
     def evolve(
-        self, states: np.ndarray, program: Circuit | CompiledCircuit | None, *, xp=None
+        self, payload: np.ndarray, program: Circuit | BatchedDensityProgram | None, *, xp=None
     ) -> np.ndarray:
         if program is None:
-            return states
+            return payload
+        if isinstance(program, BatchedDensityProgram):
+            return run_batched_density(program, payload, xp=xp)
         if isinstance(program, CompiledCircuit):
             raise TypeError(
                 "density backends evolve raw circuits only: gate fusion would "
@@ -470,7 +457,7 @@ class DensityMatrixBackend(QuantumBackend):
                 run_circuit_density(
                     program, rho=rho, noise_model=self.noise_model, xp=xp
                 )
-                for rho in states
+                for rho in payload
             ]
         )
 
@@ -488,15 +475,6 @@ class DensityMatrixBackend(QuantumBackend):
             self.noise_model,
             cache=GLOBAL_PARAMETRIC_CACHE,
         )
-
-    def evolve_batch(
-        self, angles: np.ndarray, program: BatchedDensityProgram, *, xp=None
-    ) -> np.ndarray:
-        if not isinstance(program, BatchedDensityProgram):
-            raise TypeError(
-                f"evolve_batch expects a BatchedDensityProgram, got {program!r}"
-            )
-        return run_batched_density(program, angles, xp=xp)
 
     def expectation(self, evolved: np.ndarray, observable: PauliString) -> np.ndarray:
         # tr(O rho) batched: one einsum over the whole chunk.
@@ -517,9 +495,6 @@ class MitigatedBatchProgram:
     """
 
     programs: tuple[BatchedDensityProgram, ...]
-
-    #: Dispatch marker shared with the other batched program types.
-    consumes_angles = True
 
     @property
     def num_qubits(self) -> int:
@@ -632,21 +607,25 @@ class MitigatedBackend(QuantumBackend):
         )
 
     def evolve(
-        self, states: np.ndarray, program: Circuit | CompiledCircuit | None, *, xp=None
+        self, payload: np.ndarray, program: Circuit | MitigatedBatchProgram | None, *, xp=None
     ) -> np.ndarray:
         if program is None:
-            return states
+            return payload
+        if isinstance(program, MitigatedBatchProgram):
+            # (d, scales, 2^n, 2^n): the same stack shape prepare()+evolve()
+            # produce, so the extrapolating estimators index it unchanged.
+            return np.stack(
+                [run_batched_density(p, payload, xp=xp) for p in program.programs],
+                axis=1,
+            )
         if isinstance(program, CompiledCircuit):
             raise TypeError(
                 "mitigated backends fold raw circuits; compiled programs are "
                 "not foldable (supports_compile=False)"
             )
-        # Forward ``xp`` only when set: arbitrary wrapped backends need not
-        # accept the keyword under the default NumPy config.
-        kwargs = {} if xp is None else {"xp": xp}
         return np.stack(
             [
-                self.backend.evolve(states[:, k], fold_circuit(program, s), **kwargs)
+                self.backend.evolve(payload[:, k], fold_circuit(program, s), xp=xp)
                 for k, s in enumerate(self.scales)
             ],
             axis=1,
@@ -678,20 +657,6 @@ class MitigatedBackend(QuantumBackend):
                 parts.append(fold_density_program(suffix, s))
             programs.append(concat_density_programs(*parts))
         return MitigatedBatchProgram(programs=tuple(programs))
-
-    def evolve_batch(
-        self, angles: np.ndarray, program: MitigatedBatchProgram, *, xp=None
-    ) -> np.ndarray:
-        if not isinstance(program, MitigatedBatchProgram):
-            raise TypeError(
-                f"evolve_batch expects a MitigatedBatchProgram, got {program!r}"
-            )
-        # (d, scales, 2^n, 2^n): the same stack shape prepare()+evolve()
-        # produce, so the extrapolating estimators index it unchanged.
-        return np.stack(
-            [run_batched_density(p, angles, xp=xp) for p in program.programs],
-            axis=1,
-        )
 
     def _extrapolate(self, values: list[np.ndarray]) -> np.ndarray:
         """Richardson-extrapolate per-scale ``(d,)`` values to scale 0.

@@ -141,11 +141,6 @@ class ParametricCompiledCircuit:
     source_gates: int
     name: str = "parametric"
 
-    #: Dispatch marker: this program consumes raw angle chunks via
-    #: ``evolve_batch`` rather than prepared states via ``evolve`` (shared
-    #: with the batched density programs, replacing isinstance dispatch).
-    consumes_angles = True
-
     @property
     def num_segments(self) -> int:
         return len(self.segments)

@@ -240,10 +240,6 @@ class BatchedDensityProgram:
     steps: tuple[DensityStep, ...] = field(default=())
     name: str = "density[batched]"
 
-    #: Dispatch marker shared with ParametricCompiledCircuit: the program
-    #: consumes raw angle chunks via ``evolve_batch``.
-    consumes_angles = True
-
     @property
     def num_steps(self) -> int:
         return len(self.steps)

@@ -93,6 +93,14 @@ def _error_code(exc: BaseException) -> str:
     return "internal"
 
 
+def _check_frame_size(frame: bytes, max_frame_bytes: int) -> None:
+    """Refuse to write a frame the reading side would reject."""
+    if len(frame) > max_frame_bytes:
+        raise ProtocolError(
+            f"frame of {len(frame)} bytes exceeds max_frame_bytes={max_frame_bytes}"
+        )
+
+
 def _raise_for_code(code: str, message: str, header: dict[str, Any]) -> None:
     """Client side: re-raise the typed exception a wire code stands for."""
     if code == "timeout":
@@ -118,14 +126,18 @@ def _raise_for_code(code: str, message: str, header: dict[str, Any]) -> None:
 class _Connection:
     """Server-side state of one accepted connection."""
 
-    __slots__ = ("reader", "writer", "tasks")
+    __slots__ = ("reader", "writer", "tasks", "max_frame_bytes")
 
     def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        max_frame_bytes: int,
     ) -> None:
         self.reader = reader
         self.writer = writer
         self.tasks: set[asyncio.Task] = set()
+        self.max_frame_bytes = max_frame_bytes
 
     async def send(self, header: dict[str, Any], payload: bytes = b"") -> None:
         """Write one frame (see :meth:`write`)."""
@@ -134,10 +146,14 @@ class _Connection:
     async def write(self, frame: bytes) -> None:
         """Write one packed frame; drain for backpressure.
 
-        No write lock: each frame is ONE bytes object and
+        A frame over the bound is refused with :class:`ProtocolError`
+        before any byte is written, so it fails only the request that
+        produced it; the peer would drop the whole connection on it.  No
+        write lock: each frame is ONE bytes object and
         ``StreamWriter.write`` appends it atomically on the loop, so
         concurrent senders cannot interleave frame fragments.
         """
+        _check_frame_size(frame, self.max_frame_bytes)
         self.writer.write(frame)
         await self.writer.drain()
 
@@ -226,7 +242,7 @@ class FeatureServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        connection = _Connection(reader, writer)
+        connection = _Connection(reader, writer, self.config.max_frame_bytes)
         self._connections.add(connection)
         try:
             while True:
@@ -332,7 +348,12 @@ class FeatureServer:
                 error["tenant"] = exc.tenant
                 error["timeout_s"] = exc.timeout_s
             with contextlib.suppress(Exception):
-                await connection.send(error)
+                try:
+                    await connection.send(error)
+                except ProtocolError:
+                    # Over the frame bound: the id and code alone still
+                    # answer the request, which would otherwise wait forever.
+                    await connection.send({k: error[k] for k in ("type", "id", "code")})
 
     async def _send_result(
         self,
@@ -367,7 +388,8 @@ class FeatureServer:
 
         Chunk rows follow the template's resolved chunk size -- the same
         block decomposition ``iter_feature_blocks`` yields -- further
-        capped so every frame fits ``max_frame_bytes``.
+        capped so every frame fits ``max_frame_bytes``; a single row too
+        wide for any frame fails the request at :meth:`_Connection.write`.
         """
         k, cols = result.shape
         info = self.service.template_info(template)
@@ -427,8 +449,10 @@ class TcpTransport:
     route responses), so ``asyncio.gather`` over many submits coalesces
     server-side exactly like in-process callers.  A request the service
     would refuse for its angles, seed or deadline raises here, before it
-    is framed, with the service's own error type.  Connection loss fails
-    every pending request with :class:`ConnectionError`.
+    is framed, with the service's own error type, and one whose frame
+    exceeds ``max_frame_bytes`` raises :class:`ProtocolError` before it
+    is sent.  Connection loss fails every pending request with
+    :class:`ConnectionError`, and every later one at once.
     """
 
     def __init__(
@@ -446,6 +470,8 @@ class TcpTransport:
         self._templates: dict[str, dict[str, Any]] = {}
         self._counter = 0
         self._closed = False
+        #: Why the read loop ended; set, no reply can arrive any more.
+        self._lost: BaseException | None = None
         self._read_task: asyncio.Task | None = None
 
     @classmethod
@@ -524,6 +550,8 @@ class TcpTransport:
     ) -> np.ndarray:
         if self._closed:
             raise ConnectionError("transport is closed")
+        if self._lost is not None:
+            raise ConnectionError(f"connection lost: {self._lost}")
         x = np.asarray(x, dtype=float)
         _check_request(x, tenant, seed, timeout_s)
         self._counter += 1
@@ -552,7 +580,9 @@ class TcpTransport:
     async def _send(self, header: dict[str, Any], payload: bytes = b"") -> None:
         # Frames are single bytes objects: write() appends atomically on
         # the loop, so no lock is needed to keep frames contiguous.
-        self._writer.write(pack_frame(header, payload))
+        frame = pack_frame(header, payload)
+        _check_frame_size(frame, self.config.max_frame_bytes)
+        self._writer.write(frame)
         await self._writer.drain()
 
     # ------------------------------------------------------------- read loop
@@ -571,6 +601,7 @@ class TcpTransport:
         except BaseException as exc:  # noqa: B036 - fail pending, never die silent
             error = exc
         finally:
+            self._lost = error
             self._fail_pending(error)
 
     def _handle_frame(self, header: dict[str, Any], payload: bytes) -> None:

@@ -1,12 +1,12 @@
 """Array-namespace shim: one tensor abstraction over NumPy / CuPy / torch.
 
-Every hot kernel (fused-block tensordots, the batched structure-shared
+Every hot kernel (fused-block matmuls, the batched structure-shared
 engine, Kraus application, the stacked density walker) has one body,
 written against an optional ``xp`` namespace.  ``xp=None`` means the
 process-wide NumPy namespace (``get_namespace("numpy")``), whose ops are
 NumPy's own, so the default path computes exactly what plain NumPy code
 would.  Any other namespace runs the same body through that library's ops
-(``torch.tensordot``, ``cupy.einsum``, ...), with device transfer at the
+(``torch.matmul``, ``cupy.einsum``, ...), with device transfer at the
 edges: constant gate matrices move host->device once per namespace via an
 id-keyed memo (:meth:`ArrayNamespace.to_device_cached`; NumPy has nothing
 to transfer and keeps no memo), angles move once per chunk at the job
@@ -177,9 +177,6 @@ class ArrayNamespace:
     def einsum(self, subscripts: str, *operands: Any) -> Any:
         raise NotImplementedError
 
-    def tensordot(self, a: Any, b: Any, axes: Any) -> Any:
-        raise NotImplementedError
-
     def moveaxis(self, array: Any, source: Any, destination: Any) -> Any:
         raise NotImplementedError
 
@@ -227,9 +224,6 @@ class _NumpyNamespace(ArrayNamespace):
     def einsum(self, subscripts, *operands):
         return np.einsum(subscripts, *operands)
 
-    def tensordot(self, a, b, axes):
-        return np.tensordot(a, b, axes=axes)
-
     def moveaxis(self, array, source, destination):
         return np.moveaxis(array, source, destination)
 
@@ -276,9 +270,6 @@ class _CupyNamespace(ArrayNamespace):
     def einsum(self, subscripts, *operands):
         return self._cp.einsum(subscripts, *operands)
 
-    def tensordot(self, a, b, axes):
-        return self._cp.tensordot(a, b, axes=axes)
-
     def moveaxis(self, array, source, destination):
         return self._cp.moveaxis(array, source, destination)
 
@@ -304,10 +295,9 @@ class _CupyNamespace(ArrayNamespace):
 class _TorchNamespace(ArrayNamespace):
     """Torch adapter (CUDA when available, else CPU tensors).
 
-    Differences papered over here so kernels stay library-agnostic:
-    ``tensordot(dims=)`` / ``movedim`` spellings, and
-    conjugation via the lazy conj bit (``resolve_conj`` before handing a
-    tensor back to NumPy).
+    Differences papered over here so kernels stay library-agnostic: the
+    ``movedim`` spelling, and conjugation via the lazy conj bit
+    (``resolve_conj`` before handing a tensor back to NumPy).
     """
 
     def __init__(self) -> None:
@@ -337,11 +327,6 @@ class _TorchNamespace(ArrayNamespace):
 
     def einsum(self, subscripts, *operands):
         return self._torch.einsum(subscripts, *operands)
-
-    def tensordot(self, a, b, axes):
-        if isinstance(axes, tuple):
-            axes = (list(axes[0]), list(axes[1]))
-        return self._torch.tensordot(a, b, dims=axes)
 
     def moveaxis(self, array, source, destination):
         if not isinstance(source, int):

@@ -56,6 +56,23 @@ def test_rpa301_trigger_and_pass():
     assert "RPA301" not in lint_source(RPA301_TRIGGER, PLAIN_PATH).codes()
 
 
+def test_rpa301_fix_hint_names_a_namespace_op():
+    """The namespaces carry no ``tensordot``: its hint spells the fix with
+    ``xp.einsum``, and every other hint keeps the call's own name."""
+    from repro.xp import ArrayNamespace
+
+    call = 'np.einsum("ij,bj->bi", states, states)'
+    for np_call, op in (
+        ("np.tensordot(states, states, 1)", "einsum"),
+        ("np.matmul(states, states)", "matmul"),
+    ):
+        (finding,) = lint_source(RPA301_TRIGGER.replace(call, np_call), KERNEL_PATH)
+        assert finding.code == "RPA301"
+        assert f"call xp.{op}()" in finding.fix_hint
+        assert hasattr(ArrayNamespace, op)
+    assert not hasattr(ArrayNamespace, "tensordot")
+
+
 # ------------------------------------- RPA302 (frozen mutation escape hatch)
 RPA302_TRIGGER = """
 def retune(config, shards):

@@ -131,6 +131,27 @@ def test_removed_compatibility_names_stay_gone():
         assert importlib.util.find_spec(module) is None, module
 
 
+def test_backends_have_one_program_step():
+    """``evolve`` runs every program a backend builds; the batched entry
+    point and the program-side dispatch marker are gone."""
+    from repro.quantum.backends import MitigatedBatchProgram, QuantumBackend
+    from repro.quantum.batched import ParametricCompiledCircuit
+    from repro.quantum.compile import CompiledCircuit
+    from repro.quantum.density import BatchedDensityProgram
+    from repro.quantum.pauli import PauliProgram
+
+    assert not hasattr(QuantumBackend, "evolve_batch")
+    assert "xp" in inspect.signature(QuantumBackend.evolve).parameters
+    for program in (
+        CompiledCircuit,
+        ParametricCompiledCircuit,
+        BatchedDensityProgram,
+        MitigatedBatchProgram,
+        PauliProgram,
+    ):
+        assert not hasattr(program, "consumes_angles"), program.__name__
+
+
 @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda entry: entry.__name__)
 def test_entry_points_take_no_loose_execution_kwargs(entry):
     params = set(inspect.signature(entry).parameters)

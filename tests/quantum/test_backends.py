@@ -14,6 +14,7 @@ import pytest
 
 from repro.quantum.backends import (
     DensityMatrixBackend,
+    DistributedStatevectorBackend,
     MitigatedBackend,
     QuantumBackend,
     StatevectorBackend,
@@ -148,6 +149,32 @@ def test_density_backend_refuses_compiled_programs():
     mit = MitigatedBackend(dm)
     with pytest.raises(TypeError):
         mit.evolve(mit.coerce_states(rho), compiled)
+
+
+ONE_STEP_BACKENDS = [
+    StatevectorBackend(),
+    DistributedStatevectorBackend(shards=2),
+    DensityMatrixBackend(NoiseModel.depolarizing(0.01)),
+    MitigatedBackend(DensityMatrixBackend(NoiseModel.depolarizing(0.01))),
+]
+
+
+@pytest.mark.parametrize("backend", ONE_STEP_BACKENDS, ids=lambda b: b.name)
+def test_evolve_runs_every_program_the_backend_builds(backend):
+    """One program step: ``evolve`` runs the backend's own batched program
+    on raw angles exactly like a bound circuit on prepared states."""
+    from repro.data.encoding import encoding_template
+
+    rng = np.random.default_rng(31)
+    angles = rng.uniform(0, np.pi, size=(3, 2, 2))
+    template = encoding_template(2, 2)
+    bound = random_circuit(2, depth=8, rng=rng)
+    batched = backend.evolve(angles, backend.batch_program(template, bound, "auto"))
+    prepared = backend.evolve(backend.prepare(angles), bound)
+    assert batched.shape == prepared.shape
+    assert np.abs(batched - prepared).max() <= 1e-10
+    states = backend.prepare(angles)
+    assert backend.evolve(states, None) is states
 
 
 def test_shadow_block_requires_pure_states():

@@ -323,6 +323,103 @@ def test_oversized_response_fails_cleanly_when_streaming_disabled():
     asyncio.run(main())
 
 
+#: Deadline on every await of the frame-bound and connection-loss tests:
+#: a request that never gets an answer fails here instead of hanging.
+DEADLINE_S = 5.0
+
+
+def within(awaitable):
+    return asyncio.wait_for(awaitable, DEADLINE_S)
+
+
+def test_oversized_block_fails_only_its_request():
+    """One row too wide for any frame: the server refuses the ``block``
+    frame it cannot write, so that request alone fails with the ``protocol``
+    code and the same connection carries the next request."""
+
+    async def main():
+        bound = TransportConfig(max_frame_bytes=400)
+        service = make_service(transport=bound)
+        wide = strategy_from_name("observable", num_qubits=4, locality=2)
+        service.register("wide", wide, rows=1)  # 67 features: 536 bytes a row
+        x = np.random.default_rng(0).uniform(0, np.pi, size=(3, 1, 4))
+        async with service:
+            async with FeatureServer(service) as server:
+                host, port = server.address
+                connect = TcpTransport.connect(host, port, config=bound)
+                async with await within(connect) as transport:
+                    with pytest.raises(ProtocolError, match="max_frame_bytes"):
+                        await within(transport.submit("wide", x, seed=1))
+                    small = await within(transport.submit("t", angles(k=2), seed=1))
+                    assert small.shape == (2, 10)
+
+    asyncio.run(main())
+
+
+def test_oversized_request_fails_before_it_is_sent():
+    """The client refuses a request frame over its own bound before writing
+    it (the server would hang up on it), and the connection survives."""
+
+    async def main():
+        bound = TransportConfig(max_frame_bytes=400)
+        service = make_service(transport=bound)
+        async with service:
+            async with FeatureServer(service) as server:
+                host, port = server.address
+                connect = TcpTransport.connect(host, port, config=bound)
+                async with await within(connect) as transport:
+                    with pytest.raises(ProtocolError, match="max_frame_bytes"):
+                        await within(transport.submit("t", angles(k=40), seed=1))
+                    small = await within(transport.submit("t", angles(k=2), seed=1))
+                    assert small.shape == (2, 10)
+            assert service.metrics().requests_total == 1
+
+    asyncio.run(main())
+
+
+def test_oversized_error_frame_still_answers_its_request():
+    """A timeout error frame over the bound goes out bare (id and code), so
+    the request fails with its typed error instead of waiting forever, and
+    the connection carries the next request."""
+
+    async def main():
+        # The full timeout frame is 237 bytes; a bare one fits.  The deadline
+        # expires inside the batch window.
+        bound = TransportConfig(max_frame_bytes=230)
+        service = make_service(transport=bound, batch_window_ms=200.0)
+        async with service:
+            async with FeatureServer(service) as server:
+                host, port = server.address
+                connect = TcpTransport.connect(host, port, config=bound)
+                async with await within(connect) as transport:
+                    with pytest.raises(RequestTimeoutError):
+                        await within(transport.submit("t", angles(k=1), timeout_s=0.05))
+                    small = await within(transport.submit("t", angles(k=1), seed=1))
+                    assert small.shape == (1, 10)
+
+    asyncio.run(main())
+
+
+def test_request_after_connection_loss_fails_fast():
+    """Once the server is gone no reply can arrive: every later request on
+    the transport raises ``ConnectionError`` instead of waiting forever."""
+
+    async def main():
+        service = make_service()
+        async with service:
+            async with FeatureServer(service) as server:
+                host, port = server.address
+                async with await within(TcpTransport.connect(host, port)) as transport:
+                    await within(transport.submit("t", angles(k=1)[0], seed=1))
+                    await server.stop()
+                    await asyncio.sleep(0.05)  # the client reads the hang-up
+                    for _ in range(2):
+                        with pytest.raises(ConnectionError, match="connection lost: "):
+                            await within(transport.submit("t", angles(k=1)[0], seed=1))
+
+    asyncio.run(main())
+
+
 def test_single_sample_round_trip_over_tcp():
     async def main():
         service = make_service()
