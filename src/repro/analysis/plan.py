@@ -268,26 +268,25 @@ def _lint_transport_timeout(config: ServeConfig) -> list[Diagnostic]:
     ]
 
 
-def _lint_frame_bytes(
-    config: ServeConfig, num_qubits: int | None
-) -> list[Diagnostic]:
-    """RPA115: a frame bound below one feature row can carry no response."""
+def _lint_frame_bytes(config: ServeConfig, num_features: int | None) -> list[Diagnostic]:
+    """RPA115: a bound below one feature row's frame answers no multi-row request."""
     transport = config.transport
     if transport is None:
         return []
-    from repro.serve.protocol import FRAME_OVERHEAD
+    from repro.serve.protocol import _result_frame_bytes
 
-    cols = num_qubits if num_qubits is not None else 1
-    floor = FRAME_OVERHEAD + 8 * cols
+    cols = num_features if num_features is not None else 1
+    # One row of a two-row answer, its request id as TcpTransport numbers it.
+    floor = _result_frame_bytes("r1", 2, (cols,))
     if transport.max_frame_bytes >= floor:
         return []
     return [
         Diagnostic(
             "RPA115",
             f"transport.max_frame_bytes={transport.max_frame_bytes} is below "
-            f"the {floor}-byte floor of one frame prefix plus one float64 "
-            f"feature row of {cols} column(s): even a maximally streamed "
-            f"response cannot fit any frame, so every request fails",
+            f"the {floor}-byte result frame of one feature row of {cols} "
+            f"value(s): no split answer fits a frame, so multi-row requests "
+            f"cannot be answered (each fails with the protocol code)",
             fix_hint=f"use max_frame_bytes >= {floor} (generously larger in "
             f"practice; the default is 16 MiB)",
             location="serve.transport.max_frame_bytes",
@@ -296,7 +295,7 @@ def _lint_frame_bytes(
 
 
 def lint_serve_config(
-    config: ServeConfig, *, num_qubits: int | None = None
+    config: ServeConfig, *, num_qubits: int | None = None, num_features: int | None = None
 ) -> DiagnosticReport:
     """Cross-field lint of one (already-validated) serving config.
 
@@ -304,7 +303,8 @@ def lint_serve_config(
     execution config's plan lint, so ``repro lint --serve`` and
     :meth:`ServeConfig.diagnose` see the whole plan a service would run.
     The transport checks (RPA114, RPA115) only apply when the config
-    carries a :class:`~repro.api.config.TransportConfig`.
+    carries a :class:`~repro.api.config.TransportConfig`; RPA115 sizes a
+    response row of ``num_features`` values (one when not given).
     """
     execution = config.execution
     assert execution is not None  # ServeConfig canonicalized it
@@ -312,5 +312,5 @@ def lint_serve_config(
     found = _lint_batch_window(config)
     found += _lint_tenant_weights(config)
     found += _lint_transport_timeout(config)
-    found += _lint_frame_bytes(config, num_qubits)
+    found += _lint_frame_bytes(config, num_features)
     return report + DiagnosticReport.collect(found)

@@ -109,6 +109,7 @@ def run_serve_preflight(
     config: ServeConfig,
     *,
     num_qubits: int | None = None,
+    num_features: int | None = None,
     circuits: Iterable[Circuit] = (),
     owner: str = "serve-preflight",
 ) -> DiagnosticReport:
@@ -126,7 +127,7 @@ def run_serve_preflight(
     mode = resolve_preflight(execution.preflight)
     if mode == "off":
         return DiagnosticReport()
-    report = lint_serve_config(config, num_qubits=num_qubits)
+    report = lint_serve_config(config, num_qubits=num_qubits, num_features=num_features)
     return _enforce(report, mode, execution, circuits, owner)
 
 

@@ -364,10 +364,10 @@ class TransportConfig:
       (RPA114) but constructible;
     * ``max_frame_bytes``       -- per-frame size bound (header +
       payload) enforced on both read and write.  It also decides
-      streaming: a 2-D response streams as one frame per ansatz block
-      exactly when a single ``result`` frame would exceed it.  A bound
-      too small to carry one feature row lints at error severity
-      (RPA115).
+      splitting: a response is split into ``result`` frames of
+      consecutive rows (values, for a 1-D response) exactly when a
+      single frame would exceed it.  A bound too small for the frame of
+      one feature row lints at error severity (RPA115).
     """
 
     host: str = "127.0.0.1"

@@ -32,7 +32,7 @@ Serve flags (``--window-ms``, ``--max-batch``, ``--queue-depth``,
 {serial,thread,process}``, ``--workers``) build one
 :class:`~repro.api.config.ServeConfig` around the execution flags;
 transport flags (``--listen [HOST:PORT]``, ``--request-timeout``,
-``--max-frame-bytes``, which also decides when a response streams) nest a
+``--max-frame-bytes``, which also decides when an answer is split) nest a
 :class:`~repro.api.config.TransportConfig` inside it.  ``repro serve``
 runs a multi-tenant load test through the micro-batching feature service
 -- in-process by default; with ``--listen`` it starts a real TCP server
@@ -231,7 +231,7 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--max-frame-bytes", type=_int_at_least(1), default=16 * 2**20,
         help="wire frame size bound in bytes; a response larger than one "
-        "frame streams as per-ansatz blocks (default: 16 MiB)",
+        "frame is split into frames of consecutive rows (default: 16 MiB)",
     )
 
 

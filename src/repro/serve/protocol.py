@@ -24,10 +24,7 @@ Message types (``header["type"]``), client -> server::
 and server -> client::
 
     welcome  {version, templates: {name: {rows, cols, layout, head}}}
-    result   {id, array}                    response that fits one frame
-    begin    {id, shape}                    streamed response opens
-    block    {id, ansatz, lo, hi, array}    one ansatz-block slice
-    end      {id}                           streamed response closes
+    result   {id, lo, rows, array}          slices lo.. of a rows-slice answer
     error    {id, code, message, ...}       structured failure
 
 ``seed`` is tri-state exactly like :meth:`FeatureService.submit`: key
@@ -35,6 +32,10 @@ absent = the template's default seed, ``null`` = fresh entropy per call,
 an int = that seed.  Errors carry a stable ``code`` from
 :data:`ERROR_CODES` so clients re-raise the matching exception type
 instead of parsing prose.
+
+Every answer is one or more ``result`` frames, in order, of consecutive
+slices along axis 0 of the response (rows of a 2-D answer, values of a
+1-D one); ``array`` holds slices ``lo`` onward of the answer's ``rows``.
 
 Everything here is pure framing -- no sockets, no service -- so both the
 server and the client transports build on one implementation, and tests
@@ -45,8 +46,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import struct
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import Any
 
 import numpy as np
@@ -65,7 +67,7 @@ __all__ = [
 ]
 
 #: Wire protocol version; bumped on any frame- or message-level change.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frame magic: "Repro Quantum Feature" + frame marker.
 FRAME_MAGIC = b"RQF\x00"
@@ -73,8 +75,7 @@ FRAME_MAGIC = b"RQF\x00"
 _PREFIX = struct.Struct("!4sBII")
 
 #: Fixed bytes every frame spends before its header: magic + version +
-#: the two length words.  The lint floor for ``max_frame_bytes`` (RPA115)
-#: is this plus one float64 feature row.
+#: the two length words.
 FRAME_OVERHEAD = _PREFIX.size
 
 #: Default per-frame size bound (header + payload), generous enough for
@@ -169,6 +170,18 @@ def encode_array(x: np.ndarray) -> tuple[dict[str, Any], bytes]:
     """
     arr = np.ascontiguousarray(x, dtype=np.float64)
     return {"shape": list(arr.shape), "dtype": "float64"}, arr.tobytes()
+
+
+def _result_frame_bytes(
+    request_id: Any, rows: int, slice_shape: Sequence[int], slices: int = 1
+) -> int:
+    """Bytes of the largest ``result`` frame of ``slices`` slices, each of
+    ``slice_shape``, from a ``rows``-slice answer (its header sized at the
+    last start, ``lo = rows - 1``).  The server splits answers and RPA115
+    lints the frame bound with it."""
+    meta = {"shape": [slices, *slice_shape], "dtype": "float64"}
+    header = {"type": "result", "id": request_id, "lo": rows - 1, "rows": rows, "array": meta}
+    return len(pack_frame(header)) + 8 * slices * math.prod(slice_shape)
 
 
 def decode_array(meta: Mapping[str, Any], payload: bytes) -> np.ndarray:

@@ -219,9 +219,8 @@ class FeatureService:
 
         This is what the transport handshake advertises per template:
         input shape (``rows`` x ``cols``), feature ``layout``
-        ``[num_ansatze, num_observables]`` (the response's column blocks),
-        whether a classical ``head`` is registered, and the template's
-        resolved ``chunk_size`` (the streaming block granularity).
+        ``[num_ansatze, num_observables]`` (the response's column blocks)
+        and whether a classical ``head`` is registered.
         """
         registration = self._require_registration(name)
         strategy = registration.strategy
@@ -230,7 +229,6 @@ class FeatureService:
             "cols": strategy.num_qubits,
             "layout": [strategy.num_ansatze, strategy.num_observables],
             "head": registration.head is not None,
-            "chunk_size": registration.artifacts.cfg.resolved_chunk_size,
         }
 
     # ---------------------------------------------------------- registration
@@ -277,6 +275,7 @@ class FeatureService:
             run_serve_preflight(
                 self.config.merged(execution=execution),
                 num_qubits=strategy.num_qubits,
+                num_features=strategy.num_features,
                 circuits=preflight_circuits(strategy, artifacts.route.template),
                 owner=f"FeatureService.register({name!r})",
             )

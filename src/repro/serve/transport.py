@@ -25,37 +25,39 @@ deadline that is not a positive number or non-finite angles gets a
 ``bad_request`` error frame -- the client half runs the same check before
 framing.
 
-The frame bound decides streaming: a 2-D response whose single
-``result`` frame would exceed ``max_frame_bytes`` streams as one ``block``
-frame per (ansatz, chunk) slice, the same block decomposition
-``iter_feature_blocks`` yields, bracketed by ``begin`` / ``end``; an
-oversized 1-D response fails that request with a ``protocol`` error.
-:meth:`FeatureServer.stop` drains gracefully: the listener closes first
-(no new connections), in-flight requests run to completion, then
-connections close.
+Every answer is one or more ``result`` frames of consecutive slices along
+axis 0 of the response (rows of a 2-D response, values of a 1-D one).
+The whole response is one frame when that frame fits ``max_frame_bytes``;
+a larger one is split into as many slices per frame as fit, and one of
+which not even a single slice fits fails its request with a ``protocol``
+error before any of its frames is written.  A ``welcome`` over the bound
+answers its ``hello`` with a connection-scoped ``protocol`` error, then
+the server hangs up.  :meth:`FeatureServer.stop` drains gracefully: the
+listener closes first (no new connections), in-flight requests run to
+completion, then connections close.
 
 :class:`TcpTransport` is the client half: it implements the
 :class:`~repro.serve.client.Transport` protocol over a socket, caching
 the ``welcome`` catalog so ``templates()`` / ``template_shape()`` stay
-synchronous, reassembling streamed blocks into the preallocated response
-array, and re-raising typed errors from stable wire codes.
+synchronous, filling a split answer's slices in order into one array,
+and re-raising typed errors from stable wire codes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 from typing import Any
 
 import numpy as np
 
 from repro.api.config import TransportConfig
-from repro.hpc.partition import chunk_ranges
 from repro.serve.fairness import BackpressureError
 from repro.serve.protocol import (
-    FRAME_OVERHEAD,
     PROTOCOL_VERSION,
     ProtocolError,
+    _result_frame_bytes,
     decode_array,
     encode_array,
     pack_frame,
@@ -70,10 +72,6 @@ from repro.serve.service import (
 )
 
 __all__ = ["FeatureServer", "TcpTransport"]
-
-#: Slack reserved for the JSON header when sizing streamed block payloads
-#: against ``max_frame_bytes`` (headers are tens of bytes; 512 is safe).
-_HEADER_SLACK = 512
 
 
 def _error_code(exc: BaseException) -> str:
@@ -99,6 +97,41 @@ def _check_frame_size(frame: bytes, max_frame_bytes: int) -> None:
         raise ProtocolError(
             f"frame of {len(frame)} bytes exceeds max_frame_bytes={max_frame_bytes}"
         )
+
+
+def _result_frames(
+    request_id: Any, result: np.ndarray, max_frame_bytes: int
+) -> list[bytes]:
+    """The ``result`` frames answering ``request_id`` with ``result``.
+
+    One frame holds the whole response when it fits ``max_frame_bytes``;
+    otherwise each frame holds as many consecutive slices along axis 0 as
+    fit.  A response of which not even one slice fits raises
+    :class:`ProtocolError`, so none of its frames is written.
+    """
+    result = np.ascontiguousarray(result, dtype=np.float64)
+    rows = len(result) if result.ndim else 1
+
+    def frame(lo: int, block: np.ndarray) -> bytes:
+        meta, payload = encode_array(block)
+        return pack_frame(
+            {"type": "result", "id": request_id, "lo": lo, "rows": rows, "array": meta}, payload
+        )
+
+    whole = frame(0, result)
+    if len(whole) <= max_frame_bytes:
+        return [whole]
+    shape = result.shape[1:]
+    if not result.ndim or _result_frame_bytes(request_id, rows, shape) > max_frame_bytes:
+        raise ProtocolError(
+            f"response of {len(whole)} bytes exceeds max_frame_bytes="
+            f"{max_frame_bytes}, and no frame fits one slice of shape {shape}"
+        )
+    # Trim the widest frame (every slice, header sized at the last start)
+    # by as many slices as its excess over the bound needs.
+    widest = _result_frame_bytes(request_id, rows, shape, rows)
+    step = max(1, rows + (max_frame_bytes - widest) // (8 * math.prod(shape)))
+    return [frame(lo, result[lo : lo + step]) for lo in range(0, rows, step)]
 
 
 def _raise_for_code(code: str, message: str, header: dict[str, Any]) -> None:
@@ -250,19 +283,19 @@ class FeatureServer:
                     frame = await read_frame(
                         reader, max_frame_bytes=self.config.max_frame_bytes
                     )
+                    if frame is None:
+                        break  # client closed cleanly
+                    await self._dispatch(connection, *frame)
                 except ProtocolError as exc:
                     # The stream position is untrustworthy past a framing
-                    # error: answer once, then hang up.
+                    # error, and a welcome over the bound opens no session:
+                    # answer once, then hang up.
                     with contextlib.suppress(Exception):
                         await connection.send(
                             {"type": "error", "id": None, "code": "protocol",
                              "message": str(exc)}
                         )
                     break
-                if frame is None:
-                    break  # client closed cleanly
-                header, payload = frame
-                await self._dispatch(connection, header, payload)
         finally:
             # A vanished client withdraws its outstanding requests: the
             # cancellation rides into service.submit, which discards each
@@ -331,7 +364,10 @@ class FeatureServer:
             result = await serve(
                 template, x, tenant=tenant, seed=seed, timeout_s=timeout_s
             )
-            await self._send_result(connection, request_id, template, result)
+            for frame in _result_frames(
+                request_id, result, self.config.max_frame_bytes
+            ):
+                await connection.write(frame)
         except asyncio.CancelledError:
             raise
         except (ConnectionError, BrokenPipeError):
@@ -354,87 +390,6 @@ class FeatureServer:
                     # Over the frame bound: the id and code alone still
                     # answer the request, which would otherwise wait forever.
                     await connection.send({k: error[k] for k in ("type", "id", "code")})
-
-    async def _send_result(
-        self,
-        connection: _Connection,
-        request_id: Any,
-        template: str,
-        result: np.ndarray,
-    ) -> None:
-        """One ``result`` frame, or a stream when that frame would not fit."""
-        result = np.ascontiguousarray(result, dtype=np.float64)
-        meta, payload = encode_array(result)
-        frame = pack_frame({"type": "result", "id": request_id, "array": meta}, payload)
-        if len(frame) <= self.config.max_frame_bytes:
-            await connection.write(frame)
-        elif result.ndim == 2:
-            await self._stream_result(connection, request_id, template, result)
-        else:
-            raise ProtocolError(
-                f"response of {len(frame)} bytes exceeds max_frame_bytes="
-                f"{self.config.max_frame_bytes} and a {result.ndim}-D "
-                f"response cannot stream"
-            )
-
-    async def _stream_result(
-        self,
-        connection: _Connection,
-        request_id: Any,
-        template: str,
-        result: np.ndarray,
-    ) -> None:
-        """One ``block`` frame per (ansatz, chunk) slice, begin/end bracketed.
-
-        Chunk rows follow the template's resolved chunk size -- the same
-        block decomposition ``iter_feature_blocks`` yields -- further
-        capped so every frame fits ``max_frame_bytes``; a single row too
-        wide for any frame fails the request at :meth:`_Connection.write`.
-        """
-        k, cols = result.shape
-        info = self.service.template_info(template)
-        num_blocks, q = (int(d) for d in info["layout"])
-        if num_blocks * q != cols:  # a head reshaped the output: one block
-            num_blocks, q = 1, cols
-        chunk = max(1, min(k, self._max_rows_per_frame(q), int(info["chunk_size"])))
-        await connection.send(
-            {"type": "begin", "id": request_id, "shape": [k, cols]}
-        )
-        for a in range(num_blocks):
-            for lo, hi in chunk_ranges(k, chunk):
-                block = np.ascontiguousarray(result[lo:hi, a * q : (a + 1) * q])
-                meta, payload = encode_array(block)
-                await connection.send(
-                    {
-                        "type": "block",
-                        "id": request_id,
-                        "ansatz": a,
-                        "lo": lo,
-                        "hi": hi,
-                        "array": meta,
-                    },
-                    payload,
-                )
-        await connection.send({"type": "end", "id": request_id})
-
-    def _max_rows_per_frame(self, cols: int) -> int:
-        budget = self.config.max_frame_bytes - FRAME_OVERHEAD - _HEADER_SLACK
-        return max(1, budget // (8 * max(1, cols)))
-
-
-class _StreamState:
-    """Client-side reassembly of one streamed response."""
-
-    __slots__ = ("array", "filled")
-
-    def __init__(self, shape: tuple[int, int]) -> None:
-        self.array = np.empty(shape, dtype=np.float64)
-        self.filled = 0
-
-    def add(self, ansatz: int, lo: int, hi: int, block: np.ndarray) -> None:
-        q = block.shape[1]
-        self.array[lo:hi, ansatz * q : (ansatz + 1) * q] = block
-        self.filled += block.size
 
 
 class TcpTransport:
@@ -466,7 +421,8 @@ class TcpTransport:
         self._writer = writer
         self.config = config if config is not None else TransportConfig()
         self._pending: dict[str, asyncio.Future] = {}
-        self._streams: dict[str, _StreamState] = {}
+        #: A split answer so far: its array and how many slices are in.
+        self._partial: dict[str, tuple[np.ndarray, int]] = {}
         self._templates: dict[str, dict[str, Any]] = {}
         self._counter = 0
         self._closed = False
@@ -485,21 +441,25 @@ class TcpTransport:
         """Open a connection, handshake, and cache the template catalog."""
         reader, writer = await asyncio.open_connection(host, port)
         transport = cls(reader, writer, config=config)
-        await transport._send({"type": "hello", "version": PROTOCOL_VERSION})
-        frame = await read_frame(
-            reader, max_frame_bytes=transport.config.max_frame_bytes
-        )
-        if frame is None:
-            raise ConnectionError("server closed during handshake")
-        header, _ = frame
-        if header.get("type") == "error":
-            _raise_for_code(
-                str(header.get("code", "internal")),
-                str(header.get("message", "handshake failed")),
-                header,
+        try:
+            await transport._send({"type": "hello", "version": PROTOCOL_VERSION})
+            frame = await read_frame(
+                reader, max_frame_bytes=transport.config.max_frame_bytes
             )
-        if header.get("type") != "welcome":
-            raise ProtocolError(f"expected welcome, got {header.get('type')!r}")
+            if frame is None:
+                raise ConnectionError("server closed during handshake")
+            header, _ = frame
+            if header.get("type") == "error":
+                _raise_for_code(
+                    str(header.get("code", "internal")),
+                    str(header.get("message", "handshake failed")),
+                    header,
+                )
+            if header.get("type") != "welcome":
+                raise ProtocolError(f"expected welcome, got {header.get('type')!r}")
+        except BaseException:
+            await transport.aclose()  # a failed handshake keeps no socket
+            raise
         transport._templates = dict(header.get("templates", {}))
         transport._read_task = asyncio.ensure_future(transport._read_loop())
         return transport
@@ -575,7 +535,7 @@ class TcpTransport:
             return await future
         finally:
             self._pending.pop(request_id, None)
-            self._streams.pop(request_id, None)
+            self._partial.pop(request_id, None)
 
     async def _send(self, header: dict[str, Any], payload: bytes = b"") -> None:
         # Frames are single bytes objects: write() appends atomically on
@@ -610,29 +570,12 @@ class TcpTransport:
         future = self._pending.get(request_id)
         if kind == "result":
             if future is not None and not future.done():
-                future.set_result(decode_array(header.get("array", {}), payload))
-        elif kind == "begin":
-            shape = tuple(int(d) for d in header.get("shape", ()))
-            if len(shape) == 2:
-                self._streams[request_id] = _StreamState((shape[0], shape[1]))
-        elif kind == "block":
-            state = self._streams.get(request_id)
-            if state is not None:
-                block = decode_array(header.get("array", {}), payload)
-                state.add(
-                    int(header["ansatz"]), int(header["lo"]), int(header["hi"]), block
-                )
-        elif kind == "end":
-            state = self._streams.pop(request_id, None)
-            if future is not None and not future.done():
-                if state is None or state.filled != state.array.size:
-                    future.set_exception(
-                        ProtocolError(
-                            f"incomplete stream for request {request_id!r}"
-                        )
-                    )
-                else:
-                    future.set_result(state.array)
+                try:
+                    answer = self._fill(request_id, header, payload)
+                    if answer is not None:
+                        future.set_result(answer)
+                except ProtocolError as exc:
+                    future.set_exception(exc)
         elif kind == "error":
             if future is not None and not future.done():
                 try:
@@ -647,6 +590,38 @@ class TcpTransport:
                 # Connection-scoped error (protocol violation): fatal.
                 raise ProtocolError(str(header.get("message", "protocol error")))
 
+    def _fill(
+        self, request_id: str, header: dict[str, Any], payload: bytes
+    ) -> np.ndarray | None:
+        """File one ``result`` frame; the answer once all its slices are in.
+
+        A request's frames arrive in order, so each must start where the
+        last one ended, stay within the answer's ``rows`` and carry slices
+        of the same shape; any other frame raises :class:`ProtocolError`.
+        """
+        part = decode_array(header.get("array", {}), payload)
+        lo, rows = header.get("lo"), header.get("rows")
+        count = len(part) if part.ndim else 1
+        answer, filled = self._partial.pop(request_id, (None, 0))
+        if answer is None and lo == 0 and rows == count:
+            return part  # the whole answer in one frame
+        if not (isinstance(lo, int) and isinstance(rows, int) and rows >= 0):
+            raise ProtocolError(f"result frame carries lo={lo!r}, rows={rows!r}")
+        if answer is None:
+            answer = np.empty((rows, *part.shape[1:]))
+        expected = (filled, len(answer), answer.shape[1:])
+        if (lo, rows, part.shape[1:]) != expected or lo + count > rows:
+            raise ProtocolError(
+                f"result frame for request {request_id!r} carries slices [{lo}, "
+                f"{lo + count}) of {rows}, each {part.shape[1:]}; expected slices "
+                f"from {filled} of {len(answer)}, each {answer.shape[1:]}"
+            )
+        answer[lo : lo + count] = part
+        if lo + count == rows:
+            return answer
+        self._partial[request_id] = (answer, lo + count)
+        return None
+
     def _fail_pending(self, error: BaseException) -> None:
         for future in self._pending.values():
             if not future.done():
@@ -654,7 +629,7 @@ class TcpTransport:
                     ConnectionError(f"connection lost: {error}")
                 )
         self._pending.clear()
-        self._streams.clear()
+        self._partial.clear()
 
     # ------------------------------------------------------------- lifecycle
     async def aclose(self) -> None:

@@ -130,14 +130,32 @@ def test_rpa115_tiny_frame_is_error():
 
 
 def test_rpa115_scales_with_qubits():
-    from repro.serve.protocol import FRAME_OVERHEAD
+    """The floor is one feature row's result frame: it grows with the
+    feature count, not the qubit count (a config-only lint sizes a row of
+    one value)."""
+    cfg = ServeConfig(transport=TransportConfig(max_frame_bytes=400))
+    assert "RPA115" not in lint_serve_config(cfg, num_qubits=16).codes()
+    assert "RPA115" not in lint_serve_config(cfg, num_qubits=4, num_features=10).codes()
+    assert "RPA115" in lint_serve_config(cfg, num_qubits=4, num_features=67).codes()
+    roomy = ServeConfig(transport=TransportConfig(max_frame_bytes=700))
+    assert "RPA115" not in lint_serve_config(roomy, num_qubits=4, num_features=67).codes()
 
-    # Enough for a 2-qubit row, too small for a 16-qubit one.
-    cfg = ServeConfig(
-        transport=TransportConfig(max_frame_bytes=FRAME_OVERHEAD + 8 * 2)
-    )
-    assert "RPA115" not in lint_serve_config(cfg, num_qubits=2).codes()
-    assert "RPA115" in lint_serve_config(cfg, num_qubits=16).codes()
+
+def test_rpa115_refuses_a_template_whose_row_fits_no_frame():
+    """Registration lints the template's real row: 67 features (536 bytes a
+    row) cannot fit a 400-byte frame, so multi-row requests would fail."""
+    from repro.core.strategies import strategy_from_name
+    from repro.serve import FeatureService
+
+    service = FeatureService(ServeConfig(
+        execution=ExecutionConfig(preflight="error"),
+        transport=TransportConfig(max_frame_bytes=400),
+    ))
+    wide = strategy_from_name("observable", num_qubits=4, locality=2)
+    with pytest.raises(PreflightError, match="RPA115") as info:
+        service.register("wide", wide, rows=1)
+    assert "multi-row requests cannot be answered" in str(info.value)
+    service.register("narrow", strategy_from_name("observable", num_qubits=4), rows=1)
 
 
 def test_rpa115_not_on_default_frame_bound():

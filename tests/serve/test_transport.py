@@ -1,15 +1,19 @@
-"""Network transport: framing, bit-equality over TCP, streaming, errors."""
+"""Network transport: framing, bit-equality over TCP, split answers, errors."""
 
 from __future__ import annotations
 
 import asyncio
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.config import ExecutionConfig, ServeConfig, TransportConfig
+from repro.core.ansatz import fig8_ansatz
 from repro.core.features import generate_features
-from repro.core.strategies import strategy_from_name
+from repro.core.strategies import AnsatzExpansion, strategy_from_name
 from repro.serve import (
     BackpressureError,
     FeatureServer,
@@ -235,13 +239,20 @@ def _received_frames(monkeypatch, submit_extra: dict | None = None) -> list:
     return received
 
 
+def _frame_bytes(header: dict) -> int:
+    """Wire size of a received frame: its packed header plus its payload."""
+    shape = header.get("array", {}).get("shape", [])
+    return len(pack_frame(header)) + 8 * int(np.prod(shape))
+
+
 def test_streamed_response_bit_equal(monkeypatch):
     received = _received_frames(monkeypatch)
 
     async def main():
         # 16 samples x 10 features (1280 payload bytes) cannot fit one
-        # 1024-byte frame: the response must stream, and the reassembled
-        # array must agree with in-process bit for bit.
+        # 1024-byte frame: the answer is split into result frames of
+        # consecutive rows, and the reassembled array must agree with
+        # in-process bit for bit.
         service = make_service(transport=TransportConfig(max_frame_bytes=1024))
         x = angles(k=16)
         async with service:
@@ -253,8 +264,15 @@ def test_streamed_response_bit_equal(monkeypatch):
         assert np.array_equal(streamed, in_process)
 
     asyncio.run(main())
-    kinds = [h["type"] for h in received]
-    assert "begin" in kinds and "block" in kinds and "result" not in kinds
+    (submit,) = [h for h in received if h["type"] == "submit"]
+    results = [h for h in received if h["type"] == "result"]
+    assert len(results) >= 2
+    assert all(h["id"] == submit["id"] and h["rows"] == 16 for h in results)
+    assert all(_frame_bytes(h) <= 1024 for h in results)
+    starts = np.cumsum([0] + [h["array"]["shape"][0] for h in results])
+    assert [h["lo"] for h in results] == list(starts[:-1])
+    assert starts[-1] == 16
+    assert not {"begin", "block", "end"} & {h["type"] for h in received}
 
 
 def test_fitting_response_is_one_result_frame_despite_stream_header(monkeypatch):
@@ -303,24 +321,185 @@ def test_oversized_response_streams_automatically():
 
 
 def test_oversized_response_fails_cleanly_when_streaming_disabled():
-    """A 1-D (single-sample) response has no blocks to stream: past the
-    frame bound it fails that request alone and the connection survives."""
+    """A 1-D (single-sample) response past the frame bound is split into
+    frames of consecutive values like any other answer: it arrives
+    bit-equal to in-process, and the connection carries the next request."""
 
     async def main():
         service = make_service(transport=TransportConfig(max_frame_bytes=400))
         wide = strategy_from_name("observable", num_qubits=QUBITS, locality=3)
         service.register("wide", wide, rows=ROWS)  # 64 features: 512 bytes
+        x = angles(k=1)[0]
         async with service:
+            in_process = await service.submit("wide", x, seed=1)
             async with FeatureServer(service) as server:
                 host, port = server.address
                 async with await TcpTransport.connect(host, port) as transport:
-                    with pytest.raises(ProtocolError, match="max_frame_bytes"):
-                        await transport.submit("wide", angles(k=1)[0], seed=1)
-                    # The connection survives: a small request still works.
+                    over_tcp = await transport.submit("wide", x, seed=1)
                     small = await transport.submit("t", angles(k=1)[0], seed=1)
-                    assert small.shape == (10,)
+        assert over_tcp.shape == (64,)
+        assert np.array_equal(over_tcp, in_process)
+        assert small.shape == (10,)
 
     asyncio.run(main())
+
+
+# ------------------------------------------------------------ split answers
+def _one_slice_frame_bytes(request_id, answer: np.ndarray) -> int:
+    """The largest one-slice ``result`` frame of ``answer``: its last slice."""
+    rows = len(answer)
+    meta, payload = encode_array(answer[-1:])
+    header = {"type": "result", "id": request_id, "lo": rows - 1, "rows": rows,
+              "array": meta}
+    return len(pack_frame(header, payload))
+
+
+def _whole_frame_bytes(request_id, answer: np.ndarray) -> int:
+    meta, payload = encode_array(answer)
+    header = {"type": "result", "id": request_id, "lo": 0, "rows": len(answer),
+              "array": meta}
+    return len(pack_frame(header, payload))
+
+
+async def _reassemble(frames: list[bytes], max_frame_bytes: int) -> asyncio.Future:
+    """Feed ``frames`` through a socket-free client's frame handler; the
+    future of the request they answer."""
+    client = TcpTransport(asyncio.StreamReader(), None)
+    future = asyncio.get_running_loop().create_future()
+    client._pending["r1"] = future
+    reader = asyncio.StreamReader()
+    for frame in frames:
+        reader.feed_data(frame)
+    reader.feed_eof()
+    while (frame := await read_frame(reader, max_frame_bytes=max_frame_bytes)) is not None:
+        assert not future.done()  # resolved only by the answer's last frame
+        client._handle_frame(*frame)
+    return future
+
+
+@given(
+    ndim=st.sampled_from([1, 2]),
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 80),
+    position=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_split_answer_fits_the_bound_and_reassembles(ndim, rows, cols, position, seed):
+    """At any bound from one slice per frame up to the whole answer, every
+    ``result`` frame fits the bound and the client's reassembly is the
+    answer bit for bit; below one slice no frame is written at all."""
+    from repro.serve.transport import _result_frames
+
+    shape = (cols,) if ndim == 1 else (rows, cols)
+    answer = np.random.default_rng(seed).standard_normal(shape)
+    lowest = _one_slice_frame_bytes("r1", answer)
+    bound = lowest + round(position * (_whole_frame_bytes("r1", answer) - lowest))
+    frames = _result_frames("r1", answer, bound)
+    assert frames and all(len(frame) <= bound for frame in frames)
+    assert np.array_equal(asyncio.run(_reassemble(frames, bound)).result(), answer)
+    with pytest.raises(ProtocolError, match="max_frame_bytes"):
+        _result_frames("r1", answer, lowest - 1)
+
+
+def _result_frame(lo: int, rows: int, block: np.ndarray) -> bytes:
+    meta, payload = encode_array(block)
+    header = {"type": "result", "id": "r1", "lo": lo, "rows": rows, "array": meta}
+    return pack_frame(header, payload)
+
+
+@pytest.mark.parametrize(
+    "frames",
+    [
+        [(1, 3, 3, 4)],
+        [(0, 2, 3, 4), (3, 1, 3, 4)],
+        [(0, 2, 3, 4), (1, 2, 3, 4)],
+        [(0, 2, 3, 4), (2, 3, 3, 4)],
+        [(0, 2, 3, 4), (2, 2, 2, 4)],
+        [(0, 2, 3, 4), (2, 2, 3, 5)],
+    ],
+    ids=["late-start", "gap", "overlap", "overrun", "reshaped-slice", "changed-rows"],
+)
+def test_client_refuses_frames_that_do_not_continue_the_answer(frames):
+    """A split answer must be filled in order from ``lo = 0`` with slices of
+    one shape and within ``rows``; any other frame fails that request alone
+    (the frame handler does not raise, so the connection survives).  Each
+    frame is ``(lo, slices, cols, rows)``."""
+    packed = [
+        _result_frame(lo, rows, np.ones((slices, cols)))
+        for lo, slices, cols, rows in frames
+    ]
+    future = asyncio.run(_reassemble(packed, 2**20))
+    with pytest.raises(ProtocolError, match="result frame for request 'r1'"):
+        future.result()
+
+
+@pytest.mark.parametrize("bound", ["whole", "between", "one-slice"])
+@pytest.mark.parametrize("sample", ["1-D", "2-D"])
+def test_split_answer_over_tcp_bit_equal(monkeypatch, sample, bound):
+    """TCP == in-process ``submit`` == ``generate_features`` whether the
+    answer fits one frame or is split; the server reads requests under the
+    same bound, so a 1-D answer's floor is the request frame, not one value."""
+    received = _received_frames(monkeypatch)
+    wide = strategy_from_name("observable", num_qubits=QUBITS, locality=3)
+    batch = angles(k=1 if sample == "1-D" else 4)
+    standalone = np.asarray(
+        generate_features(wide, batch, config=FAST_EXECUTION.merged(seed=3))
+    )
+    x, standalone = (batch[0], standalone[0]) if sample == "1-D" else (batch, standalone)
+    meta, payload = encode_array(x)
+    request = len(pack_frame(
+        {"type": "submit", "id": "r1", "template": "wide", "tenant": "default",
+         "seed": 3, "array": meta}, payload,
+    ))
+    one_slice = max(_one_slice_frame_bytes("r1", standalone), request)
+    whole = _whole_frame_bytes("r1", standalone)
+    max_frame_bytes = {"whole": whole, "between": (whole + one_slice) // 2,
+                       "one-slice": one_slice}[bound]
+    transport = TransportConfig(max_frame_bytes=max_frame_bytes)
+
+    async def main():
+        service = FeatureService(ServeConfig(
+            batch_window_ms=2.0, pool="serial", execution=FAST_EXECUTION,
+            result_cache_size=0, transport=transport,
+        ))
+        service.register("wide", wide, rows=ROWS)  # 64 features
+        async with service:
+            in_process = await service.submit("wide", x, seed=3)
+            async with FeatureServer(service) as server:
+                host, port = server.address
+                connect = TcpTransport.connect(host, port, config=transport)
+                async with await within(connect) as client:
+                    over_tcp = await within(client.submit("wide", x, seed=3))
+        return in_process, over_tcp
+
+    in_process, over_tcp = asyncio.run(main())
+    assert np.array_equal(over_tcp, in_process)
+    assert np.array_equal(over_tcp, standalone)
+    frames = sum(h["type"] == "result" for h in received)
+    assert (frames == 1) if bound == "whole" else (frames >= 2)
+    if bound == "one-slice" and sample == "2-D":
+        assert frames == len(standalone)
+
+
+def test_oversized_welcome_fails_the_handshake_cleanly(caplog):
+    """A template catalog over the frame bound answers the ``hello`` with a
+    connection-scoped ``protocol`` error naming the bound, and the server
+    hangs up without an unhandled exception."""
+
+    async def main():
+        bound = TransportConfig(max_frame_bytes=230)
+        service = make_service(transport=bound)
+        for name in ("a", "b", "c"):
+            service.register(name, AnsatzExpansion(fig8_ansatz(3, 1), order=0), rows=ROWS)
+        async with service, FeatureServer(service) as server:
+            host, port = server.address
+            with pytest.raises(ProtocolError, match="max_frame_bytes=230"):
+                await within(TcpTransport.connect(host, port, config=bound))
+
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        asyncio.run(main())
+    assert not [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR]
 
 
 #: Deadline on every await of the frame-bound and connection-loss tests:
@@ -332,10 +511,11 @@ def within(awaitable):
     return asyncio.wait_for(awaitable, DEADLINE_S)
 
 
-def test_oversized_block_fails_only_its_request():
-    """One row too wide for any frame: the server refuses the ``block``
-    frame it cannot write, so that request alone fails with the ``protocol``
-    code and the same connection carries the next request."""
+def test_oversized_block_fails_only_its_request(monkeypatch):
+    """One row too wide for any frame: the server writes none of the
+    answer's ``result`` frames, so that request alone fails with the
+    ``protocol`` code and the same connection carries the next request."""
+    received = _received_frames(monkeypatch)
 
     async def main():
         bound = TransportConfig(max_frame_bytes=400)
@@ -354,6 +534,8 @@ def test_oversized_block_fails_only_its_request():
                     assert small.shape == (2, 10)
 
     asyncio.run(main())
+    (failed,) = [h["id"] for h in received if h.get("template") == "wide"]
+    assert [h["type"] for h in received if h.get("id") == failed] == ["submit", "error"]
 
 
 def test_oversized_request_fails_before_it_is_sent():
